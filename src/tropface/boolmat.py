@@ -144,13 +144,12 @@ def leq(a: BoolMatrix, b: BoolMatrix) -> bool:
 
 
 def _mask_elems(mask: int) -> tuple:
+    """Indices of the set bits of ``mask``, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask  # one step per set bit, however wide the mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from .boolmat import BoolMatrix
-from .complex import CapExceeded, act_on_type, cell_of, enumerate_types, is_type
+from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
+                      enumerate_types, is_type)
 from .facemonoid import OrderedSetPartition
 from .render import render_svg
 from .tropical import Arrangement, is_realized_type, type_of_point
@@ -59,7 +60,8 @@ def load_arrangement(path: str) -> Arrangement:
     if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= doc.keys():
         raise ParseFailure("matrix file needs keys rows, cols, entries")
     n, d, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 1):
+    # bool is an int subclass, so true would pass an isinstance check
+    if not all(type(v) is int and v >= 1 for v in (n, d)):
         raise ParseFailure("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != n \
             or any(not isinstance(r, list) or len(r) != d for r in entries):
@@ -244,6 +246,12 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropface",
@@ -261,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write report here")
     p.add_argument("--check-geometric", action="store_true",
                    help="cross-check each cell with the geometric oracle")
-    p.add_argument("--cap", type=int, default=24,
-                   help="largest allowed n*d (default 24)")
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
+                   help=f"largest allowed n*d (default {DEFAULT_ENUM_CAP})")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("act", help="apply an ordered set partition to a type")

@@ -12,13 +12,11 @@ implementation of the same set and is used to cross-validate it.
 
 from __future__ import annotations
 
-import weakref
-from collections import namedtuple
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, PartialBijection, contained_partial_bijections
+from .boolmat import BoolMatrix, _mask_elems, contained_partial_bijections
 from .facemonoid import OrderedSetPartition, act_matrix
-from .permanent import PermanentStructure, permanent_structure
+from .permanent import permanent_structure
 from .tropical import Arrangement, _check_shape
 
 DEFAULT_ENUM_CAP = 24
@@ -70,53 +68,9 @@ def _dimension_bits(bits: int, n: int, d: int) -> int:
     return len({find(i) for i in range(n)}) - 1
 
 
-_TypeTables = namedtuple("_TypeTables", "nonatt_by_col att_by_col")
-_TABLES = weakref.WeakKeyDictionary()
-_TABLE_LIMIT = 24  # grids small enough to pre-tabulate every bijection
-
-
-def _all_bijection_masks(n: int, d: int):
-    """(grid mask, pairs, max column) for every non-empty partial bijection."""
-    out = []
-    cur = []
-
-    def rec(start_col, used_rows, mask):
-        for j in range(start_col, d):
-            for i in range(n):
-                if (used_rows >> i) & 1:
-                    continue
-                m2 = mask | (1 << (i * d + j))
-                cur.append((i, j))
-                out.append((m2, tuple(cur), j))
-                rec(j + 1, used_rows | (1 << i), m2)
-                cur.pop()
-
-    rec(0, 0, 0)
-    return out
-
-
-def _tables(structure: PermanentStructure) -> _TypeTables:
-    got = _TABLES.get(structure)
-    if got is not None:
-        return got
-    arr = structure.arrangement
-    n, d = arr.n, arr.d
-    nonatt_by_col = [[] for _ in range(d)]
-    att_by_col = [[] for _ in range(d)]
-    for mask, pairs, maxcol in _all_bijection_masks(n, d):
-        sigma = PartialBijection(pairs)
-        if structure.is_attaining(sigma):
-            _, opt_masks = structure._optimal(sigma.image, sigma.domain)
-            closure = 0
-            for m in opt_masks:
-                closure |= m
-            att_by_col[maxcol].append((mask, closure))
-        else:
-            nonatt_by_col[maxcol].append(mask)
-    got = _TypeTables(tuple(map(tuple, nonatt_by_col)),
-                      tuple(map(tuple, att_by_col)))
-    _TABLES[structure] = got
-    return got
+def _cell(t: BoolMatrix) -> TypeCell:
+    return TypeCell(t, _dimension_bits(t.bits, t.n, t.d),
+                    _bounded_bits(t.bits, t.n, t.d))
 
 
 def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
@@ -126,14 +80,14 @@ def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
         structure = permanent_structure(arr)
     if any(m == 0 for m in s.col_masks()):
         return False
-    if arr.n * arr.d <= _TABLE_LIMIT:
-        tables = _tables(structure)
+    if arr.n * arr.d <= DEFAULT_ENUM_CAP:  # small enough to tabulate
+        nonatt_by_col, att_by_col = structure.type_tables()
         bits = s.bits
-        for per_col in tables.nonatt_by_col:
+        for per_col in nonatt_by_col:
             for b in per_col:
                 if b & bits == b:
                     return False
-        for per_col in tables.att_by_col:
+        for per_col in att_by_col:
             for b, closure in per_col:
                 if b & bits == b and closure & bits != closure:
                     return False
@@ -155,8 +109,7 @@ def cell_of(arr: Arrangement, t: BoolMatrix, structure=None) -> TypeCell:
     ValueError if the matrix is not a type of this arrangement."""
     if not is_type(arr, t, structure):
         raise ValueError("matrix is not a type of this arrangement")
-    return TypeCell(t, _dimension_bits(t.bits, t.n, t.d),
-                    _bounded_bits(t.bits, t.n, t.d))
+    return _cell(t)
 
 
 def cell_dimension(arr: Arrangement, t: BoolMatrix, structure=None) -> int:
@@ -184,8 +137,7 @@ def act_on_type(arr: Arrangement, cell: TypeCell,
         raise RuntimeError(
             "action carried a type outside the type set; this contradicts a "
             "proved invariant and indicates a bug")
-    return TypeCell(moved, _dimension_bits(moved.bits, moved.n, moved.d),
-                    _bounded_bits(moved.bits, moved.n, moved.d))
+    return _cell(moved)
 
 
 def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
@@ -199,25 +151,19 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     n, d = arr.n, arr.d
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
-    structure = permanent_structure(arr)
-    tables = _tables(structure)
+    nonatt_by_col, att_by_col = permanent_structure(arr).type_tables()
+    # lift[c]: the row set c placed in column 0 of the grid
+    lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
     found = []
 
     def rec(j, acc):
         if j == d:
             found.append(acc)
             return
-        nonatt = tables.nonatt_by_col[j]
-        att = tables.att_by_col[j]
+        nonatt = nonatt_by_col[j]
+        att = att_by_col[j]
         for c in range(1, 1 << n):
-            bits = acc
-            cc = c
-            i = 0
-            while cc:
-                if cc & 1:
-                    bits |= 1 << (i * d + j)
-                cc >>= 1
-                i += 1
+            bits = acc | lift[c] << j
             ok = True
             for b in nonatt:
                 if b & bits == b:
@@ -233,7 +179,4 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
 
     rec(0, 0)
     found.sort()
-    return tuple(
-        TypeCell(BoolMatrix(n, d, bits), _dimension_bits(bits, n, d),
-                 _bounded_bits(bits, n, d))
-        for bits in found)
+    return tuple(_cell(BoolMatrix(n, d, bits)) for bits in found)

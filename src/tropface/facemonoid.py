@@ -9,7 +9,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, _mask_elems
 
 DEFAULT_ENUM_CAP = 6
 
@@ -63,7 +63,7 @@ class OrderedSetPartition:
 
     def block_sets(self) -> tuple:
         """Blocks as tuples of sorted elements."""
-        return tuple(_elems(b) for b in self.blocks)
+        return tuple(_mask_elems(b) for b in self.blocks)
 
     def __mul__(self, other: "OrderedSetPartition") -> "OrderedSetPartition":
         if not isinstance(other, OrderedSetPartition):
@@ -81,7 +81,8 @@ class OrderedSetPartition:
         return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
-        inside = "|".join("{" + ",".join(map(str, _elems(b))) + "}" for b in self.blocks)
+        inside = "|".join("{" + ",".join(map(str, blk)) + "}"
+                          for blk in self.block_sets())
         return f"OrderedSetPartition({inside})"
 
 
@@ -114,7 +115,7 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     if s.n != f.n:
         raise ValueError("matrix row count does not match partition ground set")
     return BoolMatrix.from_columns(
-        s.n, (_elems(act_subset(m, f)) for m in s.col_masks()))
+        s.n, (_mask_elems(act_subset(m, f)) for m in s.col_masks()))
 
 
 def partitions(n: int, cap: int = DEFAULT_ENUM_CAP):
@@ -149,13 +150,3 @@ def partitions(n: int, cap: int = DEFAULT_ENUM_CAP):
     all_parts.sort(key=lambda p: (len(p.blocks), p.block_sets()))
     yield from all_parts
 
-
-def _elems(mask: int) -> tuple:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)

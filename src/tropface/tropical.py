@@ -19,8 +19,9 @@ from .boolmat import BoolMatrix, _mask_elems
 
 
 def _rat(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floats are not exact; pass int, str or Fraction")
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"{type(v).__name__} is not an exact rational; "
+                        "pass int, str or Fraction")
     return Fraction(v)
 
 

@@ -132,6 +132,12 @@ def test_cmd_enumerate_cap(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cmd_enumerate_rejects_nonpositive_cap(demo_file, capsys):
+    for cap in ("0", "-1"):
+        assert main(["enumerate", demo_file, "--cap", cap]) == EXIT_PARSE
+        assert "--cap" in capsys.readouterr().err
+
+
 def test_cmd_act(demo_file, capsys):
     assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
                  "({3}|{2}|{1})"]) == EXIT_OK
@@ -206,5 +212,9 @@ def test_matrix_file_validation(tmp_path, capsys):
     assert main(["enumerate", str(bad)]) == EXIT_PARSE
     capsys.readouterr()
     bad.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[0.5]]}))
+    assert main(["enumerate", str(bad)]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+    bad.write_text(json.dumps({"rows": True, "cols": 2,
+                               "entries": [["1", "2"]]}))
     assert main(["enumerate", str(bad)]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err

@@ -47,6 +47,8 @@ def test_is_attaining_fixtures(demo):
     assert is_permanent_attaining(demo, swap)
     with pytest.raises(ValueError):
         is_permanent_attaining(demo, PartialBijection([(5, 0)]))
+    with pytest.raises(ValueError):
+        is_permanent_attaining(demo, PartialBijection([(-1, 0)]))
 
 
 def test_optimal_bijections_examples(demo):
@@ -59,17 +61,25 @@ def test_optimal_bijections_examples(demo):
         frozenset({PartialBijection([(2, 3)])})
     with pytest.raises(ValueError):
         optimal_bijections(demo, [0, 1], [0])
+    with pytest.raises(ValueError):
+        optimal_bijections(demo, [-1], [0])
 
 
 def test_optimal_values_equal_permanent():
     rng = random.Random(32)
-    for _ in range(30):
-        arr = rand_arrangement(rng, 4, 4)
-        k = rng.randint(1, 4)
-        rows = tuple(sorted(rng.sample(range(4), k)))
-        cols = tuple(sorted(rng.sample(range(4), k)))
+    for trial in range(60):
+        if trial % 2:
+            # entries in {-1, 0, 1}: many tied optima per block
+            arr = Arrangement([[rng.randint(-1, 1) for _ in range(6)]
+                               for _ in range(6)])
+        else:
+            arr = rand_arrangement(rng, 6, 6)
+        k = rng.randint(1, 6)
+        rows = tuple(sorted(rng.sample(range(6), k)))
+        cols = tuple(sorted(rng.sample(range(6), k)))
         sub = [[arr.entries[i][j] for j in cols] for i in rows]
         perm = tropical_permanent(sub)
+        assert perm == brute_assignment_optimum(sub)
         got = optimal_bijections(arr, rows, cols)
         assert got
         for sigma in got:

@@ -18,6 +18,8 @@ F = Fraction
 def test_arrangement_rejects_floats_and_bad_shapes():
     with pytest.raises(TypeError):
         Arrangement([[0.5]])
+    with pytest.raises(TypeError):
+        Arrangement([[True, 0]])
     with pytest.raises(ValueError):
         Arrangement([])
     with pytest.raises(ValueError):
