@@ -57,6 +57,10 @@ def load_arrangement(path: str) -> Arrangement:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read matrix file {path}: {exc}") from exc
+    except RecursionError as exc:
+        # a RuntimeError, which main would report as a broken invariant
+        raise ParseFailure(
+            f"matrix file {path} is nested too deeply") from exc
     if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= doc.keys():
         raise ParseFailure("matrix file needs keys rows, cols, entries")
     n, d, entries = doc["rows"], doc["cols"], doc["entries"]
@@ -173,22 +177,24 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> dict:
                 raise RuntimeError(
                     "combinatorial and geometric type tests disagree on "
                     + format_type(cell.type))
+    # each cell's columns as 1-based row tuples, built once for the sort
+    # key and the listing
     listed = sorted(
-        cells,
-        key=lambda c: (-c.dimension,
-                       tuple(tuple(i + 1 for i in col)
-                             for col in c.type.columns())))
+        ((cell, tuple(tuple(i + 1 for i in col)
+                      for col in cell.type.columns()))
+         for cell in cells),
+        key=lambda pair: (-pair[0].dimension, pair[1]))
     summary = {}
     for cell in cells:
         summary[str(cell.dimension)] = summary.get(str(cell.dimension), 0) + 1
     return {
         "cells": [
             {
-                "type": [[i + 1 for i in col] for col in cell.type.columns()],
+                "type": [list(col) for col in cols],
                 "dimension": cell.dimension,
                 "bounded": cell.bounded,
             }
-            for cell in listed
+            for cell, cols in listed
         ],
         "summary": summary,
     }

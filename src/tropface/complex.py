@@ -143,39 +143,63 @@ def act_on_type(arr: Arrangement, cell: TypeCell,
 def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """All cells of the arrangement, sorted by their packed bit pattern.
 
-    Candidates are scanned column by column (only non-empty column choices)
-    and a branch is abandoned as soon as the partial grid contains a
-    non-attaining bijection or misses part of an argmax set, which prunes
-    the bulk of the 2^(n*d) space.  ``cap`` bounds n*d (default 24).
+    Columns are chosen left to right.  A tabulated bijection whose largest
+    column is j has exactly one entry in column j, at some row r, so once
+    the columns before j (the prefix) are fixed each constraint of column j
+    is a fact about r: a non-attaining bijection whose part below column j
+    lies in the prefix forbids r; an attaining one forbids r if the prefix
+    misses part of its argmax union below column j, and otherwise makes r
+    require the union's rows in column j.  Column j then takes every
+    non-empty subset of the allowed rows that is closed under those
+    implications.  ``cap`` bounds n*d (default 24).
     """
     n, d = arr.n, arr.d
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
     nonatt_by_col, att_by_col = permanent_structure(arr).type_tables()
+    full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
+
+    def rows_at(bits, j):  # the row set of a grid mask's column j
+        return sum(1 << i for i in range(n) if bits >> (i * d + j) & 1)
+
+    # column j's table entries grouped by their part below column j, as
+    # [rows the non-attaining ones forbid, [(row, argmax union below
+    # column j, the union's rows in column j) of each attaining one]]
+    split = []
+    for j in range(d):
+        below = ~(lift[full] << j)
+        groups = {}
+        for b in nonatt_by_col[j]:
+            groups.setdefault(b & below, [0, []])[0] |= rows_at(b, j)
+        for b, cl in att_by_col[j]:
+            groups.setdefault(b & below, [0, []])[1].append(
+                (rows_at(b, j), cl & below, rows_at(cl, j)))
+        split.append(list(groups.items()))
     found = []
 
     def rec(j, acc):
         if j == d:
             found.append(acc)
             return
-        nonatt = nonatt_by_col[j]
-        att = att_by_col[j]
-        for c in range(1, 1 << n):
-            bits = acc | lift[c] << j
-            ok = True
-            for b in nonatt:
-                if b & bits == b:
-                    ok = False
-                    break
-            if ok:
-                for b, closure in att:
-                    if b & bits == b and closure & bits != closure:
-                        ok = False
-                        break
-            if ok:
-                rec(j + 1, bits)
+        forbid = 0
+        needs = {}  # row bit -> the rows of column j that it requires
+        for b, (forbidden, att) in split[j]:
+            if b & acc == b:
+                forbid |= forbidden
+                for r, cl, need in att:
+                    if cl & acc != cl:
+                        forbid |= r
+                    else:
+                        needs[r] = needs.get(r, 0) | need
+        allowed = full & ~forbid
+        implies = [(r, rows) for r, rows in needs.items() if rows != r]
+        c = allowed  # walk the non-empty subsets of the allowed rows
+        while c:
+            if all(not c & r or rows & c == rows for r, rows in implies):
+                rec(j + 1, acc | lift[c] << j)
+            c = (c - 1) & allowed
 
     rec(0, 0)
     found.sort()

@@ -218,3 +218,15 @@ def test_matrix_file_validation(tmp_path, capsys):
                                "entries": [["1", "2"]]}))
     assert main(["enumerate", str(bad)]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err
+
+
+def test_deeply_nested_matrix_file_is_a_parse_error(tmp_path, capsys):
+    # json raises RecursionError, a RuntimeError, on very deep nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["enumerate", str(deep)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "invariant" not in err
+    assert main(["type-of-point", str(deep), "0,0,0"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "invariant" not in err

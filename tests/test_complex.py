@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -61,6 +63,57 @@ def test_enumerate_matches_is_type_filter(demo):
     want = {BoolMatrix(3, 4, bits) for bits in range(1 << 12)
             if is_type(demo, BoolMatrix(3, 4, bits))}
     assert cells == want
+
+
+def _generic_arrangement(rng, n, d):
+    return Arrangement(
+        [[Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 7, 11)))
+          for _ in range(d)] for _ in range(n)])
+
+
+def _tie_heavy_arrangement(rng, n, d):
+    return Arrangement([[rng.randint(-1, 1) for _ in range(d)]
+                        for _ in range(n)])
+
+
+def test_enumerate_matches_is_type_filter_with_ties():
+    # ties give argmax sets of several bijections, so a prefix can forbid
+    # rows through a missing argmax union and impose row implications
+    rng = random.Random(50)
+    for n, d in [(2, 5), (3, 4), (4, 3), (6, 2)]:
+        for make in (_generic_arrangement, _tie_heavy_arrangement):
+            arr = make(rng, n, d)
+            cells = enumerate_types(arr)
+            bits = [c.type.bits for c in cells]
+            assert bits == sorted(bits)
+            want = {BoolMatrix(n, d, b) for b in range(1 << (n * d))
+                    if is_type(arr, BoolMatrix(n, d, b))}
+            assert {c.type for c in cells} == want
+
+
+def test_generic_counts_match_closed_forms_beyond_exhaustive_scan():
+    # a generic arrangement's cells are dual to a triangulation of
+    # Delta_{n-1} x Delta_{d-1} (Develin and Sturmfels 2004), so its face
+    # counts depend only on (n, d)
+    for n, d in [(12, 2), (8, 3)]:
+        f_vectors = set()
+        for seed in (1, 2):
+            arr = _generic_arrangement(random.Random(seed), n, d)
+            structure = permanent_structure(arr)
+            for k in range(1, min(n, d) + 1):
+                for rows in combinations(range(n), k):
+                    for cols in combinations(range(d), k):
+                        assert len(structure.optimal(rows, cols)) == 1
+            cells = enumerate_types(arr)
+            full = Counter(c.dimension for c in cells)
+            bounded = Counter(c.dimension for c in cells if c.bounded)
+            assert full[0] == comb(n + d - 2, n - 1)
+            assert full[n - 1] == comb(n + d - 1, n - 1)
+            f_vectors.add((tuple(sorted(full.items())),
+                           tuple(sorted(bounded.items()))))
+            if (n, d) == (12, 2):
+                assert len(cells) == 45_057
+        assert len(f_vectors) == 1
 
 
 def test_enumerate_cap():
