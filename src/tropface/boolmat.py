@@ -99,7 +99,8 @@ class BoolMatrix:
         return tuple(self.row_mask(i) for i in range(self.n))
 
     def col_masks(self) -> tuple:
-        return tuple(self.col_mask(j) for j in range(self.d))
+        """Every column as a row set, in one pass over the set bits."""
+        return _col_masks(self.bits, self.d)
 
     def columns(self) -> tuple:
         """Columns as tuples of sorted row indices."""
@@ -141,6 +142,23 @@ class BoolMatrix:
 def leq(a: BoolMatrix, b: BoolMatrix) -> bool:
     """Entrywise partial order on equal-shaped matrices."""
     return a <= b
+
+
+def _col_masks(bits: int, d: int) -> tuple:
+    """Column j of a row-major grid with d columns as a row set, for every
+    j.  One step per set bit, where probing each position takes n*d."""
+    full = (1 << d) - 1
+    cols = [0] * d
+    bit = 1  # the current row as a row set
+    while bits:
+        row = bits & full
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+        bits >>= d
+        bit <<= 1
+    return tuple(cols)
 
 
 def _mask_elems(mask: int) -> tuple:

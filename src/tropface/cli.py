@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, _mask_elems
 from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
                       enumerate_types, is_type)
 from .facemonoid import OrderedSetPartition
@@ -55,7 +55,8 @@ def load_arrangement(path: str) -> Arrangement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers too long to read
         raise ParseFailure(f"cannot read matrix file {path}: {exc}") from exc
     except RecursionError as exc:
         # a RuntimeError, which main would report as a broken invariant
@@ -81,29 +82,38 @@ def parse_point(text: str, n: int) -> tuple:
 
 
 def _parse_braced_groups(text: str, what: str, sep: str) -> list:
+    """The blocks of "({1,2}<sep>{3})" as lists of ints, e.g. [[1, 2], [3]].
+    Elements are ASCII digits: str.isdigit alone accepts "²", which int
+    then rejects."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseFailure(f"{what} must be wrapped in parentheses")
+    rest = text[1:-1].strip()
     groups = []
-    for chunk in text[1:-1].split(sep):
-        chunk = chunk.strip()
-        if not (chunk.startswith("{") and chunk.endswith("}")):
+    while True:
+        end = rest.find("}")
+        if not rest.startswith("{") or end < 0:
             raise ParseFailure(f"{what} blocks must look like {{1,2}}")
-        body = chunk[1:-1].strip()
+        body = rest[1:end].strip()
         elems = []
         if body:
             for tok in body.split(","):
                 tok = tok.strip()
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise ParseFailure(f"bad element {tok!r} in {what}")
                 elems.append(int(tok))
         groups.append(elems)
-    return groups
+        rest = rest[end + 1:].strip()
+        if not rest:
+            return groups
+        if not rest.startswith(sep):
+            raise ParseFailure(f"{what} blocks must be separated by {sep!r}")
+        rest = rest[len(sep):].strip()
 
 
 def parse_type_matrix(text: str, n: int, d: int) -> BoolMatrix:
     """Columns-as-subsets form, 1-based rows: "({2},{1,2},{1},{1,3})"."""
-    groups = _split_type_groups(text)
+    groups = _parse_braced_groups(text, "type", ",")
     if len(groups) != d:
         raise ParseFailure(f"type must list {d} columns")
     cols = []
@@ -115,35 +125,6 @@ def parse_type_matrix(text: str, n: int, d: int) -> BoolMatrix:
             col.add(e - 1)
         cols.append(col)
     return BoolMatrix.from_columns(n, cols)
-
-
-def _split_type_groups(text: str) -> list:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseFailure("type must be wrapped in parentheses")
-    body = text[1:-1]
-    groups = []
-    i = 0
-    while i < len(body):
-        if body[i].isspace() or body[i] == ",":
-            i += 1
-            continue
-        if body[i] != "{":
-            raise ParseFailure("type columns must look like {1,2}")
-        end = body.find("}", i)
-        if end < 0:
-            raise ParseFailure("unbalanced braces in type")
-        inner = body[i + 1:end].strip()
-        elems = []
-        if inner:
-            for tok in inner.split(","):
-                tok = tok.strip()
-                if not tok.isdigit():
-                    raise ParseFailure(f"bad element {tok!r} in type")
-                elems.append(int(tok))
-        groups.append(elems)
-        i = end + 1
-    return groups
 
 
 def format_type(b: BoolMatrix) -> str:
@@ -169,7 +150,19 @@ def format_partition(p: OrderedSetPartition) -> str:
         for blk in p.block_sets()) + ")"
 
 
-def _report(arr: Arrangement, cap: int, check_geometric: bool) -> dict:
+# one entry of the report's cell list, indented as json.dumps(indent=2)
+# indents it: bounded, dimension, then the column texts
+_CELL_TEXT = ('    {\n      "bounded": %s,\n      "dimension": %d,\n'
+              '      "type": [\n%s\n      ]\n    }')
+
+
+def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
+    """The enumerate report as text, byte for byte what
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` makes of
+    ``{"cells": [{"bounded", "dimension", "type"}, ...], "summary":
+    {dimension: count}}``.  Cells come by falling dimension, then by their
+    columns as 1-based row tuples.  A column's indented text depends only
+    on its row set, so it is built once per row set, at most 2^n times."""
     cells = enumerate_types(arr, cap=cap)
     if check_geometric:
         for cell in cells:
@@ -177,27 +170,26 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> dict:
                 raise RuntimeError(
                     "combinatorial and geometric type tests disagree on "
                     + format_type(cell.type))
-    # each cell's columns as 1-based row tuples, built once for the sort
-    # key and the listing
-    listed = sorted(
-        ((cell, tuple(tuple(i + 1 for i in col)
-                      for col in cell.type.columns()))
-         for cell in cells),
-        key=lambda pair: (-pair[0].dimension, pair[1]))
+    rows_of, text_of = {}, {}  # row set -> 1-based rows, -> its JSON text
+    listed = []
     summary = {}
     for cell in cells:
+        cols = cell.type.col_masks()
+        for c in cols:
+            if c not in rows_of:
+                rows_of[c] = rows = tuple(i + 1 for i in _mask_elems(c))
+                text_of[c] = ("        [\n" + ",\n".join(
+                    f"          {i}" for i in rows) + "\n        ]")
+        listed.append((
+            (-cell.dimension, tuple(rows_of[c] for c in cols)),
+            _CELL_TEXT % ("true" if cell.bounded else "false", cell.dimension,
+                          ",\n".join(text_of[c] for c in cols))))
         summary[str(cell.dimension)] = summary.get(str(cell.dimension), 0) + 1
-    return {
-        "cells": [
-            {
-                "type": [list(col) for col in cols],
-                "dimension": cell.dimension,
-                "bounded": cell.bounded,
-            }
-            for cell, cols in listed
-        ],
-        "summary": summary,
-    }
+    listed.sort()  # keys are distinct, so the texts are never compared
+    summary_text = json.dumps(summary, indent=2, sort_keys=True)
+    return ('{\n  "cells": [\n' + ",\n".join(text for _, text in listed)
+            + '\n  ],\n  "summary": ' + summary_text.replace("\n", "\n  ")
+            + "\n}\n")
 
 
 def _write_output(text: str, out_path):
@@ -217,9 +209,7 @@ def _cmd_type_of_point(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     arr = load_arrangement(args.matrix)
-    report = _report(arr, args.cap, args.check_geometric)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write_output(text, args.out)
+    _write_output(_report(arr, args.cap, args.check_geometric), args.out)
     return EXIT_OK
 
 
@@ -248,6 +238,8 @@ def _cmd_render(args) -> int:
         if len(parts) != 4:
             raise ParseFailure("viewport must be XMIN,XMAX,YMIN,YMAX")
         viewport = tuple(parse_scalar(p) for p in parts)
+        if not (viewport[0] < viewport[1] and viewport[2] < viewport[3]):
+            raise ParseFailure("viewport needs XMIN < XMAX and YMIN < YMAX")
     _write_output(render_svg(arr, viewport), args.out)
     return EXIT_OK
 

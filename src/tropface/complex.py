@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, _mask_elems, contained_partial_bijections
+from .boolmat import (BoolMatrix, _col_masks, _mask_elems,
+                      contained_partial_bijections)
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import permanent_structure
 from .tropical import Arrangement, _check_shape
@@ -40,37 +41,28 @@ def is_bounded(t: BoolMatrix) -> bool:
     return all(t.row_mask(i) for i in range(t.n))
 
 
-def _bounded_bits(bits: int, n: int, d: int) -> bool:
-    full = (1 << d) - 1
-    return all((bits >> (i * d)) & full for i in range(n))
-
-
-def _dimension_bits(bits: int, n: int, d: int) -> int:
-    # rows sharing a column are tied; dimension = (#tie components) - 1
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(d):
-        first = -1
-        for i in range(n):
-            if (bits >> (i * d + j)) & 1:
-                if first < 0:
-                    first = i
-                else:
-                    ra, rb = find(first), find(i)
-                    if ra != rb:
-                        parent[ra] = rb
-    return len({find(i) for i in range(n)}) - 1
+def _ties(t: BoolMatrix) -> tuple:
+    """(dimension, bounded) of a type, from its column row sets.  Rows that
+    share a column are tied; the dimension is the number of tie components,
+    a row in no column counting as one, minus one, and the cell is bounded
+    iff the columns cover every row."""
+    comps = []  # the tie components met so far, as row sets
+    covered = 0
+    for c in t.col_masks():
+        if c:
+            merged = c  # a component that meets column c absorbs it
+            for m in comps:
+                if m & c:
+                    merged |= m
+            comps = [m for m in comps if not m & c]
+            comps.append(merged)
+            covered |= c
+    return (len(comps) + t.n - covered.bit_count() - 1,
+            covered == (1 << t.n) - 1)
 
 
 def _cell(t: BoolMatrix) -> TypeCell:
-    return TypeCell(t, _dimension_bits(t.bits, t.n, t.d),
-                    _bounded_bits(t.bits, t.n, t.d))
+    return TypeCell(t, *_ties(t))
 
 
 def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
@@ -117,7 +109,7 @@ def cell_dimension(arr: Arrangement, t: BoolMatrix, structure=None) -> int:
     span of the cell's forced equalities, in the quotient."""
     if not is_type(arr, t, structure):
         raise ValueError("matrix is not a type of this arrangement")
-    return _dimension_bits(t.bits, t.n, t.d)
+    return _ties(t)[0]
 
 
 def face_relation(c1: TypeCell, c2: TypeCell) -> bool:
@@ -161,9 +153,6 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
 
-    def rows_at(bits, j):  # the row set of a grid mask's column j
-        return sum(1 << i for i in range(n) if bits >> (i * d + j) & 1)
-
     # column j's table entries grouped by their part below column j, as
     # [rows the non-attaining ones forbid, [(row, argmax union below
     # column j, the union's rows in column j) of each attaining one]]
@@ -172,10 +161,10 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         below = ~(lift[full] << j)
         groups = {}
         for b in nonatt_by_col[j]:
-            groups.setdefault(b & below, [0, []])[0] |= rows_at(b, j)
+            groups.setdefault(b & below, [0, []])[0] |= _col_masks(b, d)[j]
         for b, cl in att_by_col[j]:
             groups.setdefault(b & below, [0, []])[1].append(
-                (rows_at(b, j), cl & below, rows_at(cl, j)))
+                (_col_masks(b, d)[j], cl & below, _col_masks(cl, d)[j]))
         split.append(list(groups.items()))
     found = []
 

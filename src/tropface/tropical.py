@@ -210,7 +210,7 @@ def witness(arr: Arrangement, s: BoolMatrix):
 #
 # Rows sharing a column of T are tied, which fixes their differences; rows
 # outside a column must lose strictly.  The tied rows are contracted to
-# one node each (after checking the forced offsets are consistent), the
+# one node each (checking on the way that the forced offsets agree), the
 # strict constraints become strict difference constraints between the
 # contracted nodes, and the system is feasible iff the contracted graph
 # has no cycle of weight <= 0.  Scaling all weights by K = n + 1 and
@@ -219,67 +219,62 @@ def witness(arr: Arrangement, s: BoolMatrix):
 
 
 def _strict_solve(arr: Arrangement, t: BoolMatrix):
+    """Solve the exact-type system of t: (comp, p, dist, big), or None if
+    no point has type t.
+
+    One traversal over the columns contracts the tied rows.  Every row r
+    of column j has the same x_r - M_rj, so r joins the component of the
+    column's first row r0 at offset p[r] = p[r0] + M_rj - M_r0j; a row
+    already there at another offset means two columns force incompatible
+    offsets.  Components are numbered by their least row, which sits at
+    offset 0.  A row k outside column j must lose strictly, and after the
+    contraction x_r - x_k < M_rj - M_kj is the same constraint for every r
+    of the column, so each (column, losing row) gives one strict edge.
+    ``dist`` holds the Bellman-Ford potentials of the components for
+    weights scaled by ``big``.
+    """
     n = arr.n
     icols = arr._icols
     colmasks = t.col_masks()
-    if any(m == 0 for m in colmasks):
+    if not all(colmasks):
         return None
-    colrows = [_mask_elems(m) for m in colmasks]
-
-    adj = [[] for _ in range(n)]
-    for j, rows in enumerate(colrows):
-        cj = icols[j]
-        r0 = rows[0]
-        for r in rows[1:]:
-            delta = cj[r] - cj[r0]  # forced: x_r - x_r0 = delta
-            adj[r0].append((r, delta))
-            adj[r].append((r0, -delta))
-
-    comp = [-1] * n
+    comp = list(range(n))  # each row's component, named by its least row
+    members = {r: [r] for r in range(n)}
     p = [0] * n
-    ncomp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = ncomp
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, delta in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = ncomp
-                    p[v] = p[u] + delta
-                    stack.append(v)
-        ncomp += 1
-
-    for j, rows in enumerate(colrows):
-        cj = icols[j]
-        r0 = rows[0]
-        for r in rows[1:]:
-            if p[r] - p[r0] != cj[r] - cj[r0]:
-                return None  # two columns force incompatible offsets
+    firsts = []
+    for cj, m in zip(icols, colmasks):
+        r0, *rows = _mask_elems(m)
+        firsts.append(r0)
+        for r in rows:
+            a, b = comp[r0], comp[r]
+            shift = p[r0] + cj[r] - cj[r0] - p[r]  # moves r to its offset
+            if a == b:
+                if shift:
+                    return None  # two columns force incompatible offsets
+                continue
+            if b < a:  # keep the least row as the name, at offset 0
+                a, b, shift = b, a, -shift
+            for v in members[b]:
+                comp[v] = a
+                p[v] += shift
+            members[a] += members.pop(b)
 
     big = n + 1
-    best = {}
-    for j, rows in enumerate(colrows):
-        cj = icols[j]
-        inmask = colmasks[j]
-        for i in rows:
-            for k in range(n):
-                if (inmask >> k) & 1:
-                    continue
-                c = cj[i] - cj[k]  # need x_i - x_k < c
-                if comp[i] == comp[k]:
-                    if p[i] - p[k] >= c:
-                        return None
-                else:
-                    key = (comp[i], comp[k])
-                    w = c - p[i] + p[k]
-                    if key not in best or w < best[key]:
-                        best[key] = w
-
-    edges = [(u, v, w * big - 1) for (u, v), w in best.items()]
-    dist = _bellman(ncomp, edges)
+    ids = {name: i for i, name in enumerate(sorted(members))}
+    comp = [ids[c] for c in comp]
+    edges = []
+    for cj, m, r0 in zip(icols, colmasks, firsts):
+        u = comp[r0]
+        base = cj[r0] - p[r0]
+        for k, v in enumerate(comp):
+            if m >> k & 1:
+                continue
+            w = base - cj[k] + p[k]  # need x_r0 - x_k < M_r0j - M_kj
+            if u != v:
+                edges.append((u, v, w * big - 1))
+            elif w <= 0:
+                return None
+    dist = _bellman(len(ids), edges)
     if dist is None:
         return None
     return comp, p, dist, big

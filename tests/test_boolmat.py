@@ -18,6 +18,12 @@ def test_construction_and_views():
     assert m.entry(0, 1) == 1 and m.entry(2, 3) == 0
     assert m.row_mask(0) == 0b1110
     assert m.col_mask(0) == 0b010
+    # col_masks walks the set bits; col_mask probes each position
+    rng = random.Random(13)
+    for n, d in [(1, 1), (1, 5), (5, 1), (3, 4), (6, 6)]:
+        for _ in range(20):
+            m = rand_boolmatrix(rng, n, d)
+            assert m.col_masks() == tuple(m.col_mask(j) for j in range(d))
 
 
 def test_construction_rejects_bad_input():

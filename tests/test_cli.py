@@ -1,7 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropface import BoolMatrix, enumerate_types, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
@@ -201,6 +206,20 @@ def test_cmd_render_viewport_flag(demo_file, tmp_path):
 def test_cmd_render_bad_viewport(demo_file, capsys):
     assert main(["render", demo_file, "--viewport", "1,2,3"]) == EXIT_PARSE
     assert "viewport" in capsys.readouterr().err
+    for empty in ("0,0,0,0", "1,0,0,1", "0,1,2,2"):
+        assert main(["render", demo_file, f"--viewport={empty}"]) \
+            == EXIT_PARSE
+        assert "viewport" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_are_parse_errors(demo_file, capsys):
+    # str.isdigit accepts superscripts, which int() then rejects
+    assert main(["act", demo_file, "({\u00b2},{1,2},{1},{1,3})",
+                 "({3}|{2}|{1})"]) == EXIT_PARSE
+    assert "bad element" in capsys.readouterr().err
+    assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
+                 "({\u00b3}|{2}|{1})"]) == EXIT_PARSE
+    assert "bad element" in capsys.readouterr().err
 
 
 def test_matrix_file_validation(tmp_path, capsys):
@@ -218,6 +237,12 @@ def test_matrix_file_validation(tmp_path, capsys):
                                "entries": [["1", "2"]]}))
     assert main(["enumerate", str(bad)]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe{")  # not UTF-8
+    assert main(["enumerate", str(bad)]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+    bad.write_text('{"rows": 1, "cols": 1, "entries": [[%s]]}' % ("7" * 5000))
+    assert main(["enumerate", str(bad)]) == EXIT_PARSE  # past int's digit cap
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_deeply_nested_matrix_file_is_a_parse_error(tmp_path, capsys):
@@ -230,3 +255,129 @@ def test_deeply_nested_matrix_file_is_a_parse_error(tmp_path, capsys):
     assert main(["type-of-point", str(deep), "0,0,0"]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "parse error" in err and "invariant" not in err
+
+
+def test_report_layout_is_pinned(demo_file, tmp_path):
+    # the report text is assembled by hand; it must stay exactly what
+    # json.dumps(report, indent=2, sort_keys=True) + "\n" would write
+    rng = random.Random(61)
+    generic = [[f"{rng.randint(-10**6, 10**6)}/{rng.choice((1, 7, 11))}"
+                for _ in range(3)] for _ in range(8)]
+    paths = [demo_file, write_matrix(tmp_path, generic, "generic.json"),
+             write_matrix(tmp_path, [[5]], "one.json")]
+    out = tmp_path / "report.json"
+    for path in paths:
+        assert main(["enumerate", path, "--out", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        if path == demo_file:  # recorded from the json.dumps encoder
+            assert hashlib.sha256(data).hexdigest() == (
+                "cd623087e7eb2841c661489993305ea6d4fcde63c749f970503d084ad1dbdfce")
+        text = data.decode("utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        keys = [(-cell["dimension"], tuple(map(tuple, cell["type"])))
+                for cell in doc["cells"]]
+        assert keys == sorted(set(keys))
+    assert len(doc["cells"]) == 1 and doc["summary"] == {"0": 1}
+
+
+# Fuzzed command lines.  Scalars avoid "e": Fraction reads "1e999999999"
+# as an exact billion-digit integer, an open defect (ROADMAP item 4c) that
+# would stall the run rather than fail it.
+_NOISE = st.text(alphabet="0123456789-/,.(){}|\u00b2\u00b3x ", max_size=16)
+_GOOD = st.sampled_from(["0", "-3", "7", "3/2", "-1/7", " 2 "])
+_SCALAR = st.one_of(_GOOD, st.sampled_from(
+    ["1/0", "x", "", "\u00b2", "1.5", "--1"]))
+_ENTRY = st.one_of(st.integers(-3, 3), _SCALAR, st.none(), st.booleans(),
+                   st.floats(allow_nan=False, width=16), st.just([]))
+_ELEM = st.sampled_from(["1", "2", "3", "4", "0", "12", "", " ", "-1",
+                         "\u00b2", "\u00b3", "a"])
+_DEMO_FILE = json.dumps({"rows": 3, "cols": 4, "entries": [
+    [str(v) for v in row] for row in DEMO_ROWS]}).encode()
+
+
+def _join(scalars, low, high):
+    return st.lists(scalars, min_size=low, max_size=high).map(",".join)
+
+
+def _braced(sep, elems, min_blocks, max_blocks, min_elems=0):
+    blocks = st.lists(elems, min_size=min_elems, max_size=3).map(
+        lambda es: "{" + ",".join(es) + "}")
+    return st.lists(blocks, min_size=min_blocks, max_size=max_blocks).map(
+        lambda bs: "(" + sep.join(bs) + ")")
+
+
+@st.composite
+def _cli_cases(draw):
+    """(matrix file bytes, command line without the file): mostly well
+    formed, so that every command also runs to a result."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["valid"] * 3 + ["demo"] * 2
+                                + ["malformed", "bytes", "noise"]))
+    if kind == "valid":
+        data = json.dumps({"rows": n, "cols": d, "entries": draw(st.lists(
+            st.lists(_GOOD, min_size=d, max_size=d),
+            min_size=n, max_size=n))}).encode()
+    elif kind == "demo":
+        n, d, data = 3, 4, _DEMO_FILE
+    elif kind == "malformed":
+        data = json.dumps({
+            "rows": draw(st.sampled_from([n, n + 1, 0, True, "3"])),
+            "cols": draw(st.sampled_from([d, 0, -1])),
+            "entries": draw(st.lists(st.lists(_ENTRY, max_size=d + 1),
+                                     max_size=n + 1))}).encode()
+    elif kind == "bytes":
+        data = draw(st.binary(max_size=24))
+    else:
+        data = draw(_NOISE).encode()
+    rows = st.sampled_from([str(i) for i in range(1, n + 1)])
+    command = draw(st.sampled_from(["type-of-point", "enumerate", "act",
+                                    "render"]))
+    if command == "type-of-point":
+        args = [draw(st.one_of(_join(_GOOD, n, n), _join(_SCALAR, 0, 4),
+                               _NOISE))]
+    elif command == "enumerate":
+        args = draw(st.lists(st.sampled_from(
+            ["--check-geometric", "--cap=24", "--cap=0", "--cap=-3",
+             "--cap=\u00b2", "--cap=x", "--cap="]), max_size=2))
+    elif command == "act":
+        order = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+        cuts = sorted(draw(st.sets(st.integers(1, n), max_size=n)) | {n})
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts)]
+        partition = "(" + "|".join("{" + ",".join(b) + "}"
+                                   for b in blocks) + ")"
+        good_type = _braced(",", rows, d, d, min_elems=1)
+        args = [draw(st.one_of(good_type, good_type,
+                               _braced(",", _ELEM, 0, 5), _NOISE)),
+                draw(st.one_of(st.just(partition), st.just(partition),
+                               _braced("|", _ELEM, 0, 4), _NOISE))]
+    else:
+        args = [f"--viewport={v}" for v in draw(st.lists(st.one_of(
+            _join(_GOOD, 4, 4), _join(_SCALAR, 0, 5), _NOISE),
+            max_size=1))]
+    return data, (command, *args)
+
+
+def test_cli_fuzz_exit_codes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None)
+    @given(_cli_cases())
+    @example((_DEMO_FILE, ("act", "({\u00b2},{1,2},{1},{1,3})",
+                           "({3}|{2}|{1})")))
+    @example((_DEMO_FILE, ("act", "({2},{1,2},{1},{1,3})",
+                           "({\u00b3}|{2}|{1})")))
+    @example((_DEMO_FILE, ("render", "--viewport=0,0,0,0")))
+    @example((_DEMO_FILE, ("render", "--viewport=1,0,0,1")))
+    @example((b"\xff\xfe{", ("enumerate",)))
+    def run(case):
+        data, (command, *args) = case
+        path.write_bytes(data)
+        argv = [command, str(path), *args]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {0, 1, 2, 3, 4, 5}, (argv, code)
+
+    run()

@@ -133,12 +133,15 @@ def test_cell_dimension_fixtures(demo):
 
 def test_cell_dimension_matches_rank_oracle():
     rng = random.Random(40)
+    ties = random.Random(41)  # its own stream keeps rng's draws as before
     shapes = [(2, 2), (3, 3), (3, 4), (4, 2)]
     for _ in range(25):
         n, d = rng.choice(shapes)
-        arr = rand_arrangement(rng, n, d)
-        for cell in enumerate_types(arr):
-            assert cell.dimension == tie_system_dimension(arr, cell.type)
+        for arr in (rand_arrangement(rng, n, d),
+                    _tie_heavy_arrangement(ties, n, d)):
+            for cell in enumerate_types(arr):
+                assert cell.dimension == tie_system_dimension(arr, cell.type)
+                assert cell.bounded == is_bounded(cell.type)
 
 
 def test_is_bounded(demo):
@@ -196,13 +199,15 @@ def test_action_closure_and_compatibility(demo):
 
 def test_combinatorial_and_geometric_type_tests_agree_small():
     rng = random.Random(44)
+    ties = random.Random(45)  # its own stream keeps rng's draws as before
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     for _ in range(12):
         n, d = rng.choice(shapes)
-        arr = rand_arrangement(rng, n, d)
-        for bits in range(1 << (n * d)):
-            s = BoolMatrix(n, d, bits)
-            assert is_type(arr, s) == is_realized_type(arr, s)
+        for arr in (rand_arrangement(rng, n, d),
+                    _tie_heavy_arrangement(ties, n, d)):
+            for bits in range(1 << (n * d)):
+                s = BoolMatrix(n, d, bits)
+                assert is_type(arr, s) == is_realized_type(arr, s)
 
 
 def test_is_type_large_grid_fallback_path():
