@@ -2,9 +2,10 @@
 and SVG figures.
 
 Matrices arrive as JSON documents ``{"rows": n, "cols": d, "entries":
-[[...]]}`` whose entries are rational strings ("-8", "3/2") or integers;
-floats are rejected to keep every computation exact.  Sets printed or
-parsed on the command line are 1-based, e.g. the type
+[[...]]}`` whose entries are rational strings ("-8", "3/2", "0.25") or
+integers; floats are rejected to keep every computation exact, and
+exponent notation ("1e9") so that no input builds a huge integer.  Sets
+printed or parsed on the command line are 1-based, e.g. the type
 "({2},{1,2},{1},{1,3})" and the partition "({3}|{2}|{1})".
 
 Exit codes: 0 success, 2 parse error, 3 size cap exceeded, 4 input is not
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,9 +38,17 @@ class ParseFailure(ValueError):
     """Any malformed command-line or file input."""
 
 
+# An integer, p/q or a decimal, in ASCII digits.  Fraction alone would also
+# read exponents, computing 10**999999999 for "1e999999999".
+_SCALAR = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*", re.ASCII)
+
+
 def parse_scalar(v) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise ParseFailure(f"entry {v!r} is not an exact rational")
+    if isinstance(v, str) and not _SCALAR.fullmatch(v):
+        raise ParseFailure(f"cannot parse {v!r} as a rational: expected an "
+                           "integer, p/q or a decimal without exponent")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

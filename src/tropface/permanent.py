@@ -4,16 +4,17 @@ partial bijections attain them.
 The permanent of a k x k block is the maximum over permutations of the
 sum of selected entries; a partial bijection attains it when its own sum
 equals that maximum on the block it selects.  Both questions are the
-assignment problem, solved exactly by one dynamic program over the set of
-rows used by a prefix of the columns (2^k states, guarded by a size cap).
-The full argmax set is read back from the same table by following only
-the transitions that achieve each state's optimum.
+assignment problem, solved exactly by one recursion memoized on (row set,
+column set): the last column goes to some row, and what is left is the
+block without both.  That sub-problem is a block too, so a memo shared by
+many blocks solves each one once; the argmax set is gathered from the
+rows whose sub-problem ties the optimum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .boolmat import (BoolMatrix, PartialBijection, _mask_elems,
                       contained_partial_bijections)
@@ -22,51 +23,52 @@ from .tropical import Arrangement, _rat
 DEFAULT_SCAN_CAP = 8
 
 
-def _assignment(sub, cap: int, cells=None):
-    """Max over bijections a of sum_b sub[a(b)][b] for a k x k list ``sub``.
+def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
+    """(optimum, masks) of assigning the columns in bit mask ``cols`` onto
+    the rows in bit mask ``rows``, where icols[j][i] is entry (i, j).
 
-    best[s] is the optimum of assigning the first popcount(s) columns onto
-    the row set s.  With ``cells`` (cells[a][b] the grid bit of entry (a, b))
-    the result also carries the sorted grid masks of every optimal
-    bijection; ``cap`` bounds k, since the table has 2^k entries and the
-    argmax set up to k! members.
+    The optimum is the max over rows a of the sub-problem without a and
+    the last column c, plus entry (a, c).  With ``argmax``, masks are the
+    sorted grid masks (bit i*d + j for entry (i, j)) of every optimal
+    bijection, gathered from the tight rows a only; otherwise masks may be
+    None.  memo[(rows, cols)] holds each sub-problem's answer; an entry
+    without masks is only ever completed, never replaced by one with less.
     """
-    k = len(sub)
-    if k > cap:
-        raise ValueError(f"size {k} exceeds the scan cap {cap}")
-    best = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        b = s.bit_count() - 1
-        best[s] = max(best[s ^ (1 << a)] + sub[a][b]
-                      for a in range(k) if s >> a & 1)
-    full = (1 << k) - 1
-    if cells is None:
-        return best[full], None
-    masks = []
-
-    def walk(s, b, mask):
-        # every state on the way back is reached by a tight transition, so
-        # each branch ends in an optimal bijection
-        if not s:
-            masks.append(mask)
-            return
-        for a in _mask_elems(s):
-            t = s ^ (1 << a)
-            if best[t] + sub[a][b] == best[s]:
-                walk(t, b - 1, mask | cells[a][b])
-
-    walk(full, k - 1, 0)
-    masks.sort()
-    return best[full], tuple(masks)
+    got = memo.get((rows, cols))
+    if got is not None and (got[1] is not None or not argmax):
+        return got
+    c = cols.bit_length() - 1
+    rest, col = cols ^ (1 << c), icols[c]
+    if not rest:  # a 1 x 1 block
+        a = rows.bit_length() - 1
+        got = memo[(rows, cols)] = (col[a], (1 << (a * d + c),))
+        return got
+    values = []
+    for a in _mask_elems(rows):
+        sub = rows ^ (1 << a)
+        values.append(((memo.get((sub, rest))
+                        or _solve(icols, d, sub, rest, memo, False))[0]
+                       + col[a], 1 << (a * d + c), sub))
+    best = max(values)[0]
+    if not argmax:
+        return memo.setdefault((rows, cols), (best, None))
+    masks = sorted(m | bit for v, bit, sub in values if v == best
+                   for m in _solve(icols, d, sub, rest, memo, True)[1])
+    got = memo[(rows, cols)] = (best, tuple(masks))
+    return got
 
 
-def _block(arr: Arrangement, rows: tuple, cols: tuple, cap: int, argmax: bool):
-    """The assignment kernel on the rows x cols block of the integer-rescaled
-    matrix; with ``argmax`` also the grid masks of its optimal bijections."""
-    icols, d = arr._icols, arr.d
-    sub = [[icols[j][i] for j in cols] for i in rows]
-    cells = [[1 << (i * d + j) for j in cols] for i in rows] if argmax else None
-    return _assignment(sub, cap, cells)
+def _block(icols, d: int, rows: int, cols: int, cap: int, memo: dict,
+           argmax: bool = False):
+    """_solve on one block, refused above ``cap`` rows: the argmax set of a
+    k x k block can hold k! bijections."""
+    if rows.bit_count() > cap:
+        raise ValueError(f"size {rows.bit_count()} exceeds the scan cap {cap}")
+    return _solve(icols, d, rows, cols, memo, argmax)
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
 def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
@@ -75,32 +77,30 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
     k = len(rows)
     if k < 1 or any(len(r) != k for r in rows):
         raise ValueError("input must be a non-empty square matrix")
-    return _assignment(rows, cap)[0]
+    return _block(list(zip(*rows)), k, (1 << k) - 1, (1 << k) - 1, cap, {})[0]
 
 
-def _check_bijection(arr: Arrangement, sigma: PartialBijection):
-    if sigma.pairs and (sigma.image[-1] >= arr.n or sigma.domain[-1] >= arr.d
+def _check_bijection(n: int, d: int, sigma: PartialBijection):
+    if sigma.pairs and (sigma.image[-1] >= n or sigma.domain[-1] >= d
                         or sigma.image[0] < 0 or sigma.domain[0] < 0):
         raise ValueError("bijection uses rows or columns outside the matrix")
 
 
-def _check_block(arr: Arrangement, rows, cols, k_max: int):
-    """Sorted (rows, cols) of a valid block of size 1..k_max."""
-    rows = tuple(sorted(rows))
-    cols = tuple(sorted(cols))
+def _check_block(n: int, d: int, rows, cols, k_max: int):
+    """(row mask, column mask) of a valid block of size 1..k_max."""
+    rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
     if not 1 <= len(rows) <= k_max:
         raise ValueError(f"block size must be between 1 and {k_max}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("repeated indices")
-    if rows[0] < 0 or cols[0] < 0 or rows[-1] >= arr.n or cols[-1] >= arr.d:
+    if rows[0] < 0 or cols[0] < 0 or rows[-1] >= n or cols[-1] >= d:
         raise ValueError("indices outside the matrix")
-    return rows, cols
+    return _mask(rows), _mask(cols)
 
 
-def _attains(arr: Arrangement, sigma: PartialBijection, best) -> bool:
-    icols = arr._icols
+def _attains(icols, sigma: PartialBijection, best) -> bool:
     return sum(icols[j][i] for i, j in sigma.pairs) == best
 
 
@@ -112,75 +112,72 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
                            cap: int = DEFAULT_SCAN_CAP) -> bool:
     """True iff sigma's entry sum ties the optimum over all bijections with
     the same domain and image.  The empty bijection attains vacuously."""
-    _check_bijection(arr, sigma)
+    _check_bijection(arr.n, arr.d, sigma)
     if not sigma.pairs:
         return True
-    best, _ = _block(arr, sigma.image, sigma.domain, cap, argmax=False)
-    return _attains(arr, sigma, best)
+    best, _ = _block(arr._icols, arr.d, _mask(sigma.image),
+                     _mask(sigma.domain), cap, {})
+    return _attains(arr._icols, sigma, best)
 
 
 def optimal_bijections(arr: Arrangement, rows, cols,
                        cap: int = DEFAULT_SCAN_CAP) -> frozenset:
     """The full argmax set of bijections from ``cols`` onto ``rows``:
     exactly those whose entry sum equals the block's permanent."""
-    rows, cols = _check_block(arr, rows, cols, min(arr.n, arr.d))
-    _, masks = _block(arr, rows, cols, cap, argmax=True)
+    rows, cols = _check_block(arr.n, arr.d, rows, cols, min(arr.n, arr.d))
+    _, masks = _block(arr._icols, arr.d, rows, cols, cap, {}, argmax=True)
     return frozenset(_bijection(m, arr.d) for m in masks)
 
 
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement, held
     as lazily computed argmax sets indexed by (image rows, domain columns),
-    plus the type tables derived from them.
+    plus the type tables derived from them.  All blocks share one memo.
+    It keeps the arrangement's shape and integer columns, not a reference
+    to the arrangement, which holds the structure.
 
     Queries are pure; the caches only memoize deterministic recomputation,
-    so racing fills store identical values and concurrent use is safe.
+    and no memo entry is replaced by one without its argmax set, so racing
+    fills store equal answers and concurrent use is safe.
     """
 
     def __init__(self, arr: Arrangement, k_max: int, cap: int = DEFAULT_SCAN_CAP):
-        self.arrangement = arr
+        self.n, self.d, self._icols = arr.n, arr.d, arr._icols
         self.k_max = k_max
         self.cap = cap
         self._cache = {}
         self._tables = None
 
-    def _optimal(self, rows: tuple, cols: tuple):
-        key = (rows, cols)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache.setdefault(
-                key, _block(self.arrangement, rows, cols, self.cap, argmax=True))
-        return got
+    def _optimal(self, rows: int, cols: int):
+        return _block(self._icols, self.d, rows, cols, self.cap, self._cache,
+                      argmax=True)
 
     def is_attaining(self, sigma: PartialBijection) -> bool:
-        _check_bijection(self.arrangement, sigma)
+        _check_bijection(self.n, self.d, sigma)
         k = len(sigma)
         if k == 0:
             return True
         if k > self.k_max:
             raise ValueError(f"bijection size {k} exceeds k_max={self.k_max}")
-        best, _ = self._optimal(sigma.image, sigma.domain)
-        return _attains(self.arrangement, sigma, best)
+        best, _ = self._optimal(_mask(sigma.image), _mask(sigma.domain))
+        return _attains(self._icols, sigma, best)
 
     def optimal(self, rows, cols) -> frozenset:
         """The full argmax set of bijections from the given columns onto the
         given rows; always non-empty."""
-        rows, cols = _check_block(self.arrangement, rows, cols, self.k_max)
+        rows, cols = _check_block(self.n, self.d, rows, cols, self.k_max)
         _, masks = self._optimal(rows, cols)
-        d = self.arrangement.d
-        return frozenset(_bijection(m, d) for m in masks)
+        return frozenset(_bijection(m, self.d) for m in masks)
 
     def bijections(self):
         """Yield the empty bijection plus every attaining one of size up to
         k_max, grouped by (size, rows, cols), deterministically."""
         yield PartialBijection.empty()
-        n, d = self.arrangement.n, self.arrangement.d
         for k in range(1, self.k_max + 1):
-            for rows in combinations(range(n), k):
-                for cols in combinations(range(d), k):
-                    _, masks = self._optimal(rows, cols)
-                    for m in masks:
-                        yield _bijection(m, d)
+            for rows, cols in product(combinations(range(self.n), k),
+                                      combinations(range(self.d), k)):
+                for m in self._optimal(_mask(rows), _mask(cols))[1]:
+                    yield _bijection(m, self.d)
 
     def type_tables(self) -> tuple:
         """(non-attaining, attaining) constraint tables of the cell test,
@@ -189,7 +186,7 @@ class PermanentStructure:
         (mask, union of the block's argmax masks) for those that attain it.
         Built on first use from every partial bijection of the full grid."""
         if self._tables is None:
-            n, d = self.arrangement.n, self.arrangement.d
+            n, d = self.n, self.d
             nonatt = [[] for _ in range(d)]
             att = [[] for _ in range(d)]
             full = BoolMatrix(n, d, (1 << (n * d)) - 1)
@@ -200,7 +197,8 @@ class PermanentStructure:
                 last = sigma.domain[-1]
                 if self.is_attaining(sigma):
                     closure = 0
-                    for m in self._optimal(sigma.image, sigma.domain)[1]:
+                    for m in self._optimal(_mask(sigma.image),
+                                           _mask(sigma.domain))[1]:
                         closure |= m
                     att[last].append((mask, closure))
                 else:

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import random
+import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 
 from tropface import BoolMatrix, enumerate_types, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
-                          EXIT_RENDER_DIM, format_partition, format_scalar,
-                          format_type, main, parse_partition, parse_scalar,
-                          parse_type_matrix)
+                          EXIT_RENDER_DIM, ParseFailure, format_partition,
+                          format_scalar, format_type, main, parse_partition,
+                          parse_scalar, parse_type_matrix)
 
 from demo_data import DEMO_ROWS, demo_arrangement, rand_boolmatrix
 
@@ -222,6 +224,33 @@ def test_non_ascii_digits_are_parse_errors(demo_file, capsys):
     assert "bad element" in capsys.readouterr().err
 
 
+def test_scalar_forms():
+    for text, value in (("0.25", F(1, 4)), (".5", F(1, 2)), ("2.", 2),
+                        ("+3", 3), (" -3/2 ", F(-3, 2)), ("\t7\n", 7)):
+        assert parse_scalar(text) == value
+    for text in ("1e3", "1E3", "-2.5e-1", "1_000", "\u0661", "3/", "/2",
+                 ".", "3/-2", "inf", "0x10", ""):
+        with pytest.raises(ParseFailure):
+            parse_scalar(text)
+
+
+def test_exponent_notation_fails_fast(demo_file, tmp_path, capsys):
+    # Fraction would compute 10**999999999 exactly before any check ran
+    start = time.perf_counter()
+    assert main(["type-of-point", demo_file, "1e999999999,0,0"]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+    assert main(["render", demo_file, "--viewport=0,1E999999999,0,1"]) \
+        == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+    path = write_matrix(tmp_path, [["1e999999999", "0"], ["0", "0"]])
+    assert main(["enumerate", path]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    # small exponents are refused too, not read as 1000
+    assert main(["type-of-point", demo_file, "1e3,0,0"]) == EXIT_PARSE
+    capsys.readouterr()
+
+
 def test_matrix_file_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -281,10 +310,8 @@ def test_report_layout_is_pinned(demo_file, tmp_path):
     assert len(doc["cells"]) == 1 and doc["summary"] == {"0": 1}
 
 
-# Fuzzed command lines.  Scalars avoid "e": Fraction reads "1e999999999"
-# as an exact billion-digit integer, an open defect (ROADMAP item 4c) that
-# would stall the run rather than fail it.
-_NOISE = st.text(alphabet="0123456789-/,.(){}|\u00b2\u00b3x ", max_size=16)
+# Fuzzed command lines.
+_NOISE = st.text(alphabet="0123456789-/,.(){}|\u00b2\u00b3xeE ", max_size=16)
 _GOOD = st.sampled_from(["0", "-3", "7", "3/2", "-1/7", " 2 "])
 _SCALAR = st.one_of(_GOOD, st.sampled_from(
     ["1/0", "x", "", "\u00b2", "1.5", "--1"]))

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from tropface import (Arrangement, BoolMatrix, PartialBijection,
+                      PermanentStructure,
                       column_space_projection, contained_partial_bijections,
                       is_permanent_attaining, is_satisfiable,
                       optimal_bijections, permanent_structure,
@@ -117,6 +120,78 @@ def test_structure_caching_and_consistency(demo):
         if sigma.pairs:
             assert sigma in s.optimal(sigma.image, sigma.domain)
     assert s.optimal([0, 1], [0, 1]) == optimal_bijections(demo, [0, 1], [0, 1])
+
+
+def _blocks(n, d, k_max):
+    for k in range(1, k_max + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(d), k):
+                yield rows, cols
+
+
+def test_structure_blocks_match_brute_oracles():
+    rng = random.Random(40)
+    for n, d in ((5, 5), (6, 4)):
+        generic = Arrangement(
+            [[Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 7, 11)))
+              for _ in range(d)] for _ in range(n)])
+        ties = Arrangement([[rng.randint(-1, 1) for _ in range(d)]
+                            for _ in range(n)])
+        for arr in (generic, ties):
+            k_max = min(n, d)
+            # two fill orders through the shared memo: one largest block
+            # first and then a full drain, and the reverse
+            first = (tuple(range(n - k_max, n)), tuple(range(k_max)))
+            early = PermanentStructure(arr, k_max)
+            early_first = early.optimal(*first)
+            early_all = list(early.bijections())
+            late = PermanentStructure(arr, k_max)
+            late_all = list(late.bijections())
+            assert late.optimal(*first) == early_first
+            assert late_all == early_all
+            sizes = set()
+            for rows, cols in _blocks(n, d, k_max):
+                sub = [[arr.entries[i][j] for j in cols] for i in rows]
+                best = brute_assignment_optimum(sub)
+                reaching = set()
+                for p in permutations(rows):
+                    sigma = PartialBijection(list(zip(p, cols)))
+                    if sum(arr.entries[i][j] for i, j in sigma.pairs) == best:
+                        reaching.add(sigma)
+                    assert early.is_attaining(sigma) == (sigma in reaching)
+                got = early.optimal(rows, cols)
+                assert got == late.optimal(rows, cols) == reaching
+                sizes.add(len(got))
+            if arr is generic:
+                assert sizes == {1}
+            else:
+                assert max(sizes) > 1
+            assert sorted(early_all, key=lambda b: (len(b), b.image,
+                                                    b.domain)) == early_all
+
+
+def test_structure_holds_no_reference_to_its_arrangement():
+    rng = random.Random(42)
+    was_enabled = gc.isenabled()
+    gc.disable()  # only reference counting can free the arrangement
+    try:
+        arr = Arrangement([[rng.randint(-1, 1) for _ in range(4)]
+                           for _ in range(4)])
+        kept = permanent_structure(arr)
+        drained = list(kept.bijections())
+        kept.type_tables()
+        ref = weakref.ref(arr)
+        whole = tuple(range(4))
+        best = kept.optimal(whole, whole)
+        del arr
+        assert ref() is None
+        # a structure the caller still holds keeps answering
+        assert all(kept.is_attaining(sigma) for sigma in drained)
+        assert kept.optimal(whole, whole) == best
+        assert kept.optimal([0, 2], [1, 3])
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_downward_closure_of_attaining():
