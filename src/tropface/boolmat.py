@@ -4,7 +4,8 @@ contained in them.
 
 Indexing is 0-based throughout.  An n x d matrix is simultaneously a
 d-tuple of row subsets (one per column) and an n-tuple of column subsets
-(one per row); both views are derived from one packed integer.
+(one per row); both views are derived from one packed integer, and the
+column view is memoized on first use.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ class BoolMatrix:
 
     Entry (i, j) lives at bit i*d + j.  Row i viewed as a subset of column
     indices is ``row_mask(i)``; column j viewed as a subset of row indices
-    is ``col_mask(j)``.  Neither view is stored separately.
+    is ``col_mask(j)``.  The rows are read off ``bits``; the tuple of
+    columns is derived once, on the first ``col_masks()``, and kept, which
+    is safe because the matrix never changes.
     """
 
-    __slots__ = ("n", "d", "bits")
+    __slots__ = ("n", "d", "bits", "_cols")
 
     def __init__(self, n: int, d: int, bits: int = 0):
         if n < 1 or d < 1:
@@ -28,6 +31,19 @@ class BoolMatrix:
         self.n = n
         self.d = d
         self.bits = bits
+        self._cols = None
+
+    @classmethod
+    def _from_cols(cls, n: int, d: int, bits: int, cols: tuple) -> "BoolMatrix":
+        """Trusted constructor for a caller that already holds the column
+        row sets of ``bits``: no validation, and ``col_masks()`` returns
+        ``cols`` as given."""
+        self = object.__new__(cls)
+        self.n = n
+        self.d = d
+        self.bits = bits
+        self._cols = cols
+        return self
 
     @classmethod
     def zero(cls, n: int, d: int) -> "BoolMatrix":
@@ -90,17 +106,18 @@ class BoolMatrix:
     def col_mask(self, j: int) -> int:
         if not 0 <= j < self.d:
             raise IndexError(f"column {j} out of range")
-        m = 0
-        for i in range(self.n):
-            m |= ((self.bits >> (i * self.d + j)) & 1) << i
-        return m
+        return self.col_masks()[j]
 
     def row_masks(self) -> tuple:
         return tuple(self.row_mask(i) for i in range(self.n))
 
     def col_masks(self) -> tuple:
-        """Every column as a row set, in one pass over the set bits."""
-        return _col_masks(self.bits, self.d)
+        """Every column as a row set; one pass over the set bits, the
+        first time only."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = _col_masks(self.bits, self.d)
+        return cols
 
     def columns(self) -> tuple:
         """Columns as tuples of sorted row indices."""
@@ -111,11 +128,11 @@ class BoolMatrix:
         return tuple(_mask_elems(m) for m in self.row_masks())
 
     def transpose(self) -> "BoolMatrix":
+        """Row j of the transpose is column j here, so its bits are the
+        column masks side by side."""
         bits = 0
-        for i in range(self.n):
-            for j in range(self.d):
-                if (self.bits >> (i * self.d + j)) & 1:
-                    bits |= 1 << (j * self.n + i)
+        for j, m in enumerate(self.col_masks()):
+            bits |= m << (j * self.n)
         return BoolMatrix(self.d, self.n, bits)
 
     def __le__(self, other: "BoolMatrix") -> bool:
@@ -216,14 +233,11 @@ class PartialBijection:
 
 def is_partial_bijection(a: BoolMatrix) -> bool:
     """True iff every row and every column of ``a`` has at most one 1."""
-    for i in range(a.n):
-        m = a.row_mask(i)
-        if m & (m - 1):
+    used = 0  # rows met so far, over the columns in order
+    for m in a.col_masks():
+        if m & (m - 1) or m & used:
             return False
-    for j in range(a.d):
-        m = a.col_mask(j)
-        if m & (m - 1):
-            return False
+        used |= m
     return True
 
 

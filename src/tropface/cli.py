@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -25,7 +24,8 @@ from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
                       enumerate_types, is_type)
 from .facemonoid import OrderedSetPartition
 from .render import render_svg
-from .tropical import Arrangement, is_realized_type, type_of_point
+from .tropical import (Arrangement, _rat, is_realized_type,
+                       type_of_point)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -38,19 +38,11 @@ class ParseFailure(ValueError):
     """Any malformed command-line or file input."""
 
 
-# An integer, p/q or a decimal, in ASCII digits.  Fraction alone would also
-# read exponents, computing 10**999999999 for "1e999999999".
-_SCALAR = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*", re.ASCII)
-
-
 def parse_scalar(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ParseFailure(f"entry {v!r} is not an exact rational")
-    if isinstance(v, str) and not _SCALAR.fullmatch(v):
-        raise ParseFailure(f"cannot parse {v!r} as a rational: expected an "
-                           "integer, p/q or a decimal without exponent")
+    """The library's scalar rule (``tropical._rat``), failing as a
+    ParseFailure."""
     try:
-        return Fraction(v)
+        return _rat(v)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseFailure(f"cannot parse {v!r} as a rational: {exc}") from exc
 

@@ -42,10 +42,12 @@ def is_bounded(t: BoolMatrix) -> bool:
 
 
 def _ties(t: BoolMatrix) -> tuple:
-    """(dimension, bounded) of a type, from its column row sets.  Rows that
-    share a column are tied; the dimension is the number of tie components,
-    a row in no column counting as one, minus one, and the cell is bounded
-    iff the columns cover every row."""
+    """(dimension, bounded) of a type, from its column row sets, which
+    ``col_masks()`` derives once per matrix (and a matrix from
+    ``enumerate_types`` already holds).  Rows that share a column are
+    tied; the dimension is the number of tie components, a row in no
+    column counting as one, minus one, and the cell is bounded iff the
+    columns cover every row."""
     comps = []  # the tie components met so far, as row sets
     covered = 0
     for c in t.col_masks():
@@ -144,6 +146,10 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     require the union's rows in column j.  Column j then takes every
     non-empty subset of the allowed rows that is closed under those
     implications.  ``cap`` bounds n*d (default 24).
+
+    Each cell's matrix is built with the column row sets the search chose
+    for it, so ``col_masks()`` on it, in ``_ties``, the geometric
+    cross-check and the CLI report, derives nothing again.
     """
     n, d = arr.n, arr.d
     if n * d > cap:
@@ -166,11 +172,12 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             groups.setdefault(b & below, [0, []])[1].append(
                 (_col_masks(b, d)[j], cl & below, _col_masks(cl, d)[j]))
         split.append(list(groups.items()))
-    found = []
+    found = []  # (bits, column row sets) of every cell
+    chosen = [0] * d  # the row set taken in each column so far
 
     def rec(j, acc):
         if j == d:
-            found.append(acc)
+            found.append((acc, tuple(chosen)))
             return
         forbid = 0
         needs = {}  # row bit -> the rows of column j that it requires
@@ -187,9 +194,11 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
             if all(not c & r or rows & c == rows for r, rows in implies):
+                chosen[j] = c
                 rec(j + 1, acc | lift[c] << j)
             c = (c - 1) & allowed
 
     rec(0, 0)
-    found.sort()
-    return tuple(_cell(BoolMatrix(n, d, bits)) for bits in found)
+    found.sort()  # the bits are distinct, so no two column tuples are compared
+    return tuple(_cell(BoolMatrix._from_cols(n, d, bits, cols))
+                 for bits, cols in found)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .complex import enumerate_types
-from .tropical import Arrangement, project_to_plane, realize_type
+from .tropical import Arrangement, as_point, project_to_plane, realize_type
 
 _WIDTH = 720  # pixel width; height follows the viewport's aspect ratio
 
@@ -113,7 +113,7 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
 
     if viewport is None:
         viewport = default_viewport(apexes + list(vertex_pt.values()))
-    x0, x1, y0, y1 = (Fraction(v) for v in viewport)
+    x0, x1, y0, y1 = as_point(viewport)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("empty viewport")
     box = (x0, x1, y0, y1)

@@ -12,16 +12,31 @@ arithmetic; witnesses are scaled back to exact rationals on the way out.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .boolmat import BoolMatrix, _mask_elems
 
 
+# An integer, p/q or a decimal, in ASCII digits, with optional sign and
+# surrounding whitespace.  Fraction alone would also read exponents,
+# underscores and non-ASCII digits, and computes 10**999999999 for
+# "1e999999999".
+_SCALAR = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*", re.ASCII)
+
+
 def _rat(v) -> Fraction:
+    """An exact rational from an int, a Fraction or a string matching
+    ``_SCALAR``; floats and bools raise TypeError, other strings
+    ValueError."""
     if isinstance(v, (float, bool)):
         raise TypeError(f"{type(v).__name__} is not an exact rational; "
                         "pass int, str or Fraction")
+    if isinstance(v, str) and not _SCALAR.fullmatch(v):
+        raise ValueError(f"cannot read {v!r} as a rational: expected an "
+                         "integer, p/q or a decimal without exponent")
     return Fraction(v)
 
 
@@ -50,6 +65,7 @@ class Arrangement:
             tuple(int(entries[i][j] * scale) for i in range(self.n))
             for j in range(d))
         self._structures = {}  # k_max -> PermanentStructure, filled lazily
+        self._offsets = None  # per-column row offsets, see _offsets
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.d:
@@ -218,66 +234,90 @@ def witness(arr: Arrangement, s: BoolMatrix):
 # detection, since no simple cycle has more than n edges.
 
 
-def _strict_solve(arr: Arrangement, t: BoolMatrix):
-    """Solve the exact-type system of t: (comp, p, dist, big), or None if
-    no point has type t.
+def _offsets(arr: Arrangement) -> tuple:
+    """``off[j][r][k]`` = K * (M_rj - M_kj) in the integer scaling of
+    ``arr._icols``, for every column j and pair of rows: O(d*n^2) ints,
+    built on first use and kept on the arrangement."""
+    off = arr._offsets
+    if off is None:
+        big = arr.n + 1
+        off = arr._offsets = tuple(
+            tuple(tuple((cr - ck) * big for ck in cj) for cr in cj)
+            for cj in arr._icols)
+    return off
 
-    One traversal over the columns contracts the tied rows.  Every row r
-    of column j has the same x_r - M_rj, so r joins the component of the
-    column's first row r0 at offset p[r] = p[r0] + M_rj - M_r0j; a row
-    already there at another offset means two columns force incompatible
-    offsets.  Components are numbered by their least row, which sits at
-    offset 0.  A row k outside column j must lose strictly, and after the
-    contraction x_r - x_k < M_rj - M_kj is the same constraint for every r
-    of the column, so each (column, losing row) gives one strict edge.
-    ``dist`` holds the Bellman-Ford potentials of the components for
-    weights scaled by ``big``.
+
+@lru_cache(maxsize=4096)
+def _rows(mask: int) -> tuple:
+    """``_mask_elems`` of a row set, remembered for the row sets met most."""
+    return _mask_elems(mask)
+
+
+def _strict_solve(arr: Arrangement, t: BoolMatrix):
+    """Solve the exact-type system of t: (comp, p, dist), all scaled by
+    K = n + 1, or None if no point has type t.
+
+    Reads only ``arr.n``, the offsets ``_offsets`` derives from
+    ``arr._icols``, and the column row sets of t, which ``t.col_masks()``
+    derives at most once per matrix.  One pass over the columns contracts
+    the tied rows.  Every row r of column j has the same x_r - M_rj, so r
+    joins the component of the column's least row r0 at offset p[r] =
+    p[r0] + M_rj - M_r0j; a row already there at another offset means two
+    columns force incompatible offsets.  A component is named by its least
+    row, which sits at offset 0, and ``comp`` maps each row to that name.
+    A row k outside column j must lose strictly, and after the contraction
+    x_r - x_k < M_rj - M_kj is the same constraint for every r of the
+    column, so each (column, losing row) gives one strict edge between two
+    names.  ``dist`` holds the Bellman-Ford potentials over all n rows; a
+    row that names no component has no edges.
     """
     n = arr.n
-    icols = arr._icols
     colmasks = t.col_masks()
     if not all(colmasks):
         return None
+    offsets = _offsets(arr)
     comp = list(range(n))  # each row's component, named by its least row
-    members = {r: [r] for r in range(n)}
+    members = None  # each name's rows, once a first tie needs them
     p = [0] * n
-    firsts = []
-    for cj, m in zip(icols, colmasks):
-        r0, *rows = _mask_elems(m)
-        firsts.append(r0)
+    for off, m in zip(offsets, colmasks):
+        if not m & (m - 1):
+            continue  # one row: nothing tied
+        r0, *rows = _rows(m)
+        o = off[r0]
         for r in rows:
             a, b = comp[r0], comp[r]
-            shift = p[r0] + cj[r] - cj[r0] - p[r]  # moves r to its offset
+            shift = p[r0] - o[r] - p[r]  # moves r to its offset
             if a == b:
                 if shift:
                     return None  # two columns force incompatible offsets
                 continue
             if b < a:  # keep the least row as the name, at offset 0
                 a, b, shift = b, a, -shift
+            if members is None:
+                members = [[v] for v in range(n)]
             for v in members[b]:
                 comp[v] = a
                 p[v] += shift
-            members[a] += members.pop(b)
+            members[a] += members[b]
 
-    big = n + 1
-    ids = {name: i for i, name in enumerate(sorted(members))}
-    comp = [ids[c] for c in comp]
+    full = (1 << n) - 1
     edges = []
-    for cj, m, r0 in zip(icols, colmasks, firsts):
+    for off, m in zip(offsets, colmasks):
+        r0 = (m & -m).bit_length() - 1
         u = comp[r0]
-        base = cj[r0] - p[r0]
-        for k, v in enumerate(comp):
-            if m >> k & 1:
-                continue
-            w = base - cj[k] + p[k]  # need x_r0 - x_k < M_r0j - M_kj
+        o = off[r0]
+        base = p[r0] + 1  # the 1 makes the edge strict
+        for k in _rows(full ^ m):
+            v = comp[k]
+            w = o[k] - base + p[k]  # need x_r0 - x_k < M_r0j - M_kj
             if u != v:
-                edges.append((u, v, w * big - 1))
-            elif w <= 0:
+                edges.append((u, v, w))
+            elif w < 0:
                 return None
-    dist = _bellman(len(ids), edges)
+    dist = _bellman(n, edges)
     if dist is None:
         return None
-    return comp, p, dist, big
+    return comp, p, dist
 
 
 def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
@@ -292,7 +332,6 @@ def realize_type(arr: Arrangement, t: BoolMatrix):
     solved = _strict_solve(arr, t)
     if solved is None:
         return None
-    comp, p, dist, big = solved
-    return tuple(
-        Fraction(-dist[comp[i]] + big * p[i], big * arr._scale)
-        for i in range(arr.n))
+    comp, p, dist = solved
+    denom = (arr.n + 1) * arr._scale
+    return tuple(Fraction(p[i] - dist[comp[i]], denom) for i in range(arr.n))

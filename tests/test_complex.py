@@ -12,6 +12,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       face_relation, is_bounded, is_realized_type, is_type,
                       partitions, permanent_structure, realize_type,
                       type_of_point, witness)
+from tropface.boolmat import _col_masks
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
@@ -243,3 +244,44 @@ def test_cell_of_validates(demo):
     assert cell.dimension == 1 and cell.bounded
     with pytest.raises(ValueError):
         cell_of(demo, S_SAT_NOT_TYPE)
+
+
+def _signed_count(cells) -> int:
+    return sum((-1) ** c.dimension for c in cells)
+
+
+def test_euler_relations_beyond_exhaustive_scan():
+    # The cells are relatively open polyhedra partitioning R^n / R1, whose
+    # compactly supported Euler characteristic is (-1)^(n-1); the bounded
+    # ones make up the tropical polytope of the columns, which is
+    # contractible (Develin and Sturmfels 2004).  Losing or inventing any
+    # one cell moves the first sum by one.
+    for seed, (n, d) in enumerate([(10, 3), (6, 5), (14, 2)], start=61):
+        arr = _tie_heavy_arrangement(random.Random(seed), n, d)
+        cells = enumerate_types(arr, cap=n * d)
+        assert len(cells) > 1000
+        assert _signed_count(cells) == (-1) ** (n - 1)
+        assert _signed_count(c for c in cells if c.bounded) == 1
+
+
+def test_local_euler_relation():
+    # the closure of a cell c is the union of its faces, and its Euler
+    # characteristic is 1 for a polytope and 0 for an unbounded pointed
+    # polyhedron
+    for seed in (71, 72):
+        arr = _tie_heavy_arrangement(random.Random(seed), 5, 3)
+        cells = enumerate_types(arr)
+        for c in cells:
+            faces = [f for f in cells if face_relation(c, f)]
+            assert _signed_count(faces) == int(c.bounded)
+
+
+def test_enumerated_cells_carry_their_column_masks():
+    # the search hands each cell the row sets it chose; they must be the
+    # cell's own columns, in column order
+    rng = random.Random(81)
+    for n, d in [(8, 3), (3, 8), (1, 5), (5, 1)]:
+        for arr in (_generic_arrangement(rng, n, d),
+                    _tie_heavy_arrangement(rng, n, d)):
+            for c in enumerate_types(arr):
+                assert c.type.col_masks() == _col_masks(c.type.bits, d)

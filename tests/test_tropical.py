@@ -1,12 +1,15 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from tropface import (Arrangement, BoolMatrix, column_space_projection,
-                      combine_satisfiers, contained_partial_bijections,
-                      dominates, is_realized_type, is_satisfiable,
-                      project_to_plane, realize_type, residuation,
+from tropface import (Arrangement, BoolMatrix, as_point,
+                      column_space_projection, combine_satisfiers,
+                      contained_partial_bijections, dominates,
+                      is_realized_type, is_satisfiable, project_to_plane,
+                      realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
 
 from demo_data import (S_SAT_NOT_TYPE, S_UNSAT, T_VERT, rand_arrangement,
@@ -26,6 +29,21 @@ def test_arrangement_rejects_floats_and_bad_shapes():
         Arrangement([[1, 2], [3]])
     arr = Arrangement([["1/2", 3], [-1, "7/3"]])
     assert arr.column(1) == (F(3), F(7, 3))
+
+
+def test_library_scalars_follow_one_rule():
+    # the CLI's rule: an integer, p/q or a decimal, in ASCII digits
+    start = time.perf_counter()
+    for call in (lambda: Arrangement([["1e3"]]),
+                 lambda: as_point(["1_0"]),
+                 lambda: tropical_permanent([["1e2"]]),
+                 lambda: Arrangement([["1e999999999"]])):
+        with pytest.raises(ValueError):
+            call()
+    assert time.perf_counter() - start < 5
+    arr = Arrangement([["1/2", " -7/3 "], ["0.25", 4]])
+    assert arr.entries == ((F(1, 2), F(-7, 3)), (F(1, 4), F(4)))
+    assert as_point(["7/3", F(1, 5), -2]) == (F(7, 3), F(1, 5), F(-2))
 
 
 def test_residuation_examples():
@@ -196,6 +214,30 @@ def test_realize_type_round_trip():
         assert (x is None) == (not is_realized_type(arr, t))
         if x is not None:
             assert type_of_point(arr, x) == t
+
+
+# the number of realized types and a SHA-256 of realize_type over every
+# matrix of the arrangements below; the points are Bellman-Ford
+# potentials, so a change to the contraction, the strict edges or the
+# scaling moves them
+REALIZE_PIN = (
+    1042, "d781547a1a4e06560e5f6b5610b3821b66aa06a6d0b9df70fed5ff152c73ae2c")
+
+
+def test_realize_type_outputs_are_pinned():
+    h = hashlib.sha256()
+    rng = random.Random(606)
+    vals = (-1, 0, 1, F(1, 2), F(-2, 3))  # tie-heavy, two denominators
+    realized = 0
+    for n, d in ((3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (1, 5), (5, 1)):
+        for _ in range(2):
+            arr = Arrangement(
+                [[rng.choice(vals) for _ in range(d)] for _ in range(n)])
+            for bits in range(1 << (n * d)):
+                x = realize_type(arr, BoolMatrix(n, d, bits))
+                h.update(repr(x).encode() + b"\n")
+                realized += x is not None
+    assert (realized, h.hexdigest()) == REALIZE_PIN
 
 
 def test_combine_satisfiers_collapses_on_equal_points(demo):
