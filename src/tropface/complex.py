@@ -13,6 +13,7 @@ implementation of the same set and is used to cross-validate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .boolmat import (BoolMatrix, _col_masks, _mask_elems,
                       contained_partial_bijections)
@@ -172,12 +173,12 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             groups.setdefault(b & below, [0, []])[1].append(
                 (_col_masks(b, d)[j], cl & below, _col_masks(cl, d)[j]))
         split.append(list(groups.items()))
-    found = []  # (bits, column row sets) of every cell
+    found = []  # every cell's matrix, holding its column row sets
     chosen = [0] * d  # the row set taken in each column so far
 
     def rec(j, acc):
         if j == d:
-            found.append((acc, tuple(chosen)))
+            found.append(BoolMatrix._from_cols(n, d, acc, tuple(chosen)))
             return
         forbid = 0
         needs = {}  # row bit -> the rows of column j that it requires
@@ -199,6 +200,5 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             c = (c - 1) & allowed
 
     rec(0, 0)
-    found.sort()  # the bits are distinct, so no two column tuples are compared
-    return tuple(_cell(BoolMatrix._from_cols(n, d, bits, cols))
-                 for bits, cols in found)
+    found.sort(key=attrgetter("bits"))
+    return tuple(_cell(t) for t in found)

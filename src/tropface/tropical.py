@@ -254,8 +254,8 @@ def _rows(mask: int) -> tuple:
 
 
 def _strict_solve(arr: Arrangement, t: BoolMatrix):
-    """Solve the exact-type system of t: (comp, p, dist), all scaled by
-    K = n + 1, or None if no point has type t.
+    """Solve the exact-type system of t: (comp, p, dist, covered rows),
+    the first three scaled by K = n + 1, or None if no point has type t.
 
     Reads only ``arr.n``, the offsets ``_offsets`` derives from
     ``arr._icols``, and the column row sets of t, which ``t.col_masks()``
@@ -268,8 +268,11 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
     A row k outside column j must lose strictly, and after the contraction
     x_r - x_k < M_rj - M_kj is the same constraint for every r of the
     column, so each (column, losing row) gives one strict edge between two
-    names.  ``dist`` holds the Bellman-Ford potentials over all n rows; a
-    row that names no component has no edges.
+    names.  A row in no column sends no edge and only has to lose, so it
+    never makes the system infeasible; its edges are left to
+    ``realize_type``.  ``dist`` holds the Bellman-Ford potentials over all
+    n rows of the remaining edges; a row that names no component, or lies
+    in no column, has none.
     """
     n = arr.n
     colmasks = t.col_masks()
@@ -300,14 +303,16 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
                 p[v] += shift
             members[a] += members[b]
 
-    full = (1 << n) - 1
+    covered = 0
+    for m in colmasks:
+        covered |= m
     edges = []
     for off, m in zip(offsets, colmasks):
         r0 = (m & -m).bit_length() - 1
         u = comp[r0]
         o = off[r0]
         base = p[r0] + 1  # the 1 makes the edge strict
-        for k in _rows(full ^ m):
+        for k in _rows(covered ^ m):
             v = comp[k]
             w = o[k] - base + p[k]  # need x_r0 - x_k < M_r0j - M_kj
             if u != v:
@@ -317,7 +322,7 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
     dist = _bellman(n, edges)
     if dist is None:
         return None
-    return comp, p, dist
+    return comp, p, dist, covered
 
 
 def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
@@ -332,6 +337,17 @@ def realize_type(arr: Arrangement, t: BoolMatrix):
     solved = _strict_solve(arr, t)
     if solved is None:
         return None
-    comp, p, dist = solved
+    comp, p, dist, covered = solved
+    free = _rows(((1 << arr.n) - 1) ^ covered)
+    if free:
+        # a row in no column only receives strict edges, one per column,
+        # so its potential is the least of their ends and 0
+        for off, m in zip(_offsets(arr), t.col_masks()):
+            r0 = (m & -m).bit_length() - 1
+            o = off[r0]
+            du = dist[comp[r0]] - p[r0] - 1
+            for k in free:
+                if du + o[k] < dist[k]:
+                    dist[k] = du + o[k]
     denom = (arr.n + 1) * arr._scale
     return tuple(Fraction(p[i] - dist[comp[i]], denom) for i in range(arr.n))
