@@ -10,6 +10,8 @@ column view is memoized on first use.
 
 from __future__ import annotations
 
+import operator
+
 
 class BoolMatrix:
     """Immutable n x d zero-one matrix, stored row-major in one integer.
@@ -188,6 +190,14 @@ def _mask_elems(mask: int) -> tuple:
     return tuple(out)
 
 
+def _index(v) -> int:
+    """An integer index; bools, floats and strings raise TypeError rather
+    than being rounded or parsed."""
+    if isinstance(v, bool):
+        raise TypeError("bool is not an index; pass int")
+    return operator.index(v)
+
+
 class PartialBijection:
     """An injective partial assignment of columns to rows.
 
@@ -195,12 +205,19 @@ class PartialBijection:
     column; ``domain`` is the set of used columns, ``image`` the set of
     used rows.  As a matrix it has at most a single 1 in each row and
     column.
+
+    ``PartialBijection(pairs)`` validates and fills every field at once.
+    ``_from_mask`` trusts a grid mask instead and derives ``pairs``,
+    ``image``, ``domain`` and ``mapping`` on first read, then keeps them;
+    the object never changes, so two threads that derive a field at once
+    store equal values.  Equality, hashing and ``repr`` read ``pairs`` and
+    agree across both kinds.
     """
 
-    __slots__ = ("pairs", "domain", "image", "mapping")
+    __slots__ = ("pairs", "domain", "image", "mapping", "_mask", "_d")
 
     def __init__(self, pairs=()):
-        pairs = tuple(sorted((int(i), int(j)) for i, j in pairs))
+        pairs = tuple(sorted((_index(i), _index(j)) for i, j in pairs))
         rows = [i for i, _ in pairs]
         cols = [j for _, j in pairs]
         if len(set(rows)) != len(pairs) or len(set(cols)) != len(pairs):
@@ -209,6 +226,34 @@ class PartialBijection:
         self.image = tuple(sorted(rows))
         self.domain = tuple(sorted(cols))
         self.mapping = {j: i for i, j in pairs}
+
+    @classmethod
+    def _from_mask(cls, mask: int, d: int) -> "PartialBijection":
+        """Trusted constructor for the grid mask (bit i*d + j for pair
+        (i, j)) of a partial bijection: no validation, and the fields are
+        derived from ``mask`` only when read."""
+        self = object.__new__(cls)
+        self._mask = mask
+        self._d = d
+        return self
+
+    def __getattr__(self, name):
+        # reached only for a field that a mask-built bijection has not
+        # derived yet; bits ascend in (row, column) order, so the pairs
+        # and the image come out sorted
+        if name == "pairs":
+            d = self._d
+            value = tuple(divmod(p, d) for p in _mask_elems(self._mask))
+        elif name == "image":
+            value = tuple(i for i, _ in self.pairs)
+        elif name == "domain":
+            value = tuple(sorted(j for _, j in self.pairs))
+        elif name == "mapping":
+            value = {j: i for i, j in self.pairs}
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     @classmethod
     def empty(cls) -> "PartialBijection":

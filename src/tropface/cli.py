@@ -43,7 +43,7 @@ def parse_scalar(v) -> Fraction:
     ParseFailure."""
     try:
         return _rat(v)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseFailure(f"cannot parse {v!r} as a rational: {exc}") from exc
 
 

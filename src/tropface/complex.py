@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .boolmat import (BoolMatrix, _col_masks, _mask_elems,
-                      contained_partial_bijections)
+from .boolmat import BoolMatrix, _col_masks, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import permanent_structure
 from .tropical import Arrangement, _check_shape
@@ -88,14 +87,9 @@ def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
                     return False
         return True
     # large grids: walk the contained bijections of s directly
-    for sigma in contained_partial_bijections(s):
-        if not sigma.pairs:
-            continue
-        if not structure.is_attaining(sigma):
+    for _, _, attains, union in structure._below(s.col_masks()):
+        if not attains or union & ~s.bits:
             return False
-        for tau in structure.optimal(sigma.image, sigma.domain):
-            if tau.as_matrix(arr.n, arr.d).bits & ~s.bits:
-                return False
     return True
 
 

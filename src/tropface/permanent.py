@@ -9,15 +9,20 @@ column set): the last column goes to some row, and what is left is the
 block without both.  That sub-problem is a block too, so a memo shared by
 many blocks solves each one once; the argmax set is gathered from the
 rows whose sub-problem ties the optimum.
+
+Everything inside works on bit masks: a block is a (row mask, column
+mask) pair and a bijection is its grid mask, bit i*d + j for the pair
+(i, j).  ``PartialBijection`` objects are made only where a public
+function returns them, by the trusted ``PartialBijection._from_mask``,
+which derives the pairs from the mask when they are first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
-from .boolmat import (BoolMatrix, PartialBijection, _mask_elems,
-                      contained_partial_bijections)
+from .boolmat import PartialBijection
 from .tropical import Arrangement, _rat
 
 DEFAULT_SCAN_CAP = 8
@@ -43,16 +48,21 @@ def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
         a = rows.bit_length() - 1
         got = memo[(rows, cols)] = (col[a], (1 << (a * d + c),))
         return got
-    values = []
-    for a in _mask_elems(rows):
-        sub = rows ^ (1 << a)
-        values.append(((memo.get((sub, rest))
-                        or _solve(icols, d, sub, rest, memo, False))[0]
-                       + col[a], 1 << (a * d + c), sub))
-    best = max(values)[0]
+    best, tight = None, []  # tight: (entry bit, sub-problem rows) at best
+    free = rows
+    while free:
+        low = free & -free
+        free ^= low
+        a, sub = low.bit_length() - 1, rows ^ low
+        v = (memo.get((sub, rest))
+             or _solve(icols, d, sub, rest, memo, False))[0] + col[a]
+        if best is None or v > best:
+            best, tight = v, [(1 << (a * d + c), sub)]
+        elif v == best:
+            tight.append((1 << (a * d + c), sub))
     if not argmax:
         return memo.setdefault((rows, cols), (best, None))
-    masks = sorted(m | bit for v, bit, sub in values if v == best
+    masks = sorted(m | bit for bit, sub in tight
                    for m in _solve(icols, d, sub, rest, memo, True)[1])
     got = memo[(rows, cols)] = (best, tuple(masks))
     return got
@@ -60,11 +70,16 @@ def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
 
 def _block(icols, d: int, rows: int, cols: int, cap: int, memo: dict,
            argmax: bool = False):
-    """_solve on one block, refused above ``cap`` rows: the argmax set of a
-    k x k block can hold k! bijections."""
-    if rows.bit_count() > cap:
-        raise ValueError(f"size {rows.bit_count()} exceeds the scan cap {cap}")
+    """_solve on one block, refused above ``cap`` rows."""
+    _check_cap(rows.bit_count(), cap)
     return _solve(icols, d, rows, cols, memo, argmax)
+
+
+def _check_cap(k: int, cap: int):
+    """Refuse blocks of more than ``cap`` rows: the argmax set of a k x k
+    block can hold k! bijections."""
+    if k > cap:
+        raise ValueError(f"size {k} exceeds the scan cap {cap}")
 
 
 def _mask(indices) -> int:
@@ -104,10 +119,6 @@ def _attains(icols, sigma: PartialBijection, best) -> bool:
     return sum(icols[j][i] for i, j in sigma.pairs) == best
 
 
-def _bijection(mask: int, d: int) -> PartialBijection:
-    return PartialBijection(divmod(p, d) for p in _mask_elems(mask))
-
-
 def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
                            cap: int = DEFAULT_SCAN_CAP) -> bool:
     """True iff sigma's entry sum ties the optimum over all bijections with
@@ -126,7 +137,7 @@ def optimal_bijections(arr: Arrangement, rows, cols,
     exactly those whose entry sum equals the block's permanent."""
     rows, cols = _check_block(arr.n, arr.d, rows, cols, min(arr.n, arr.d))
     _, masks = _block(arr._icols, arr.d, rows, cols, cap, {}, argmax=True)
-    return frozenset(_bijection(m, arr.d) for m in masks)
+    return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
 class PermanentStructure:
@@ -138,7 +149,9 @@ class PermanentStructure:
 
     Queries are pure; the caches only memoize deterministic recomputation,
     and no memo entry is replaced by one without its argmax set, so racing
-    fills store equal answers and concurrent use is safe.
+    fills store equal answers and concurrent use is safe.  The bijections
+    handed out derive their fields lazily, where a race also stores equal
+    values.
     """
 
     def __init__(self, arr: Arrangement, k_max: int, cap: int = DEFAULT_SCAN_CAP):
@@ -167,40 +180,70 @@ class PermanentStructure:
         given rows; always non-empty."""
         rows, cols = _check_block(self.n, self.d, rows, cols, self.k_max)
         _, masks = self._optimal(rows, cols)
-        return frozenset(_bijection(m, self.d) for m in masks)
+        return frozenset(PartialBijection._from_mask(m, self.d) for m in masks)
 
     def bijections(self):
         """Yield the empty bijection plus every attaining one of size up to
         k_max, grouped by (size, rows, cols), deterministically."""
         yield PartialBijection.empty()
+        n, d, icols, memo = self.n, self.d, self._icols, self._cache
+        from_mask = PartialBijection._from_mask
         for k in range(1, self.k_max + 1):
-            for rows, cols in product(combinations(range(self.n), k),
-                                      combinations(range(self.d), k)):
-                for m in self._optimal(_mask(rows), _mask(cols))[1]:
-                    yield _bijection(m, self.d)
+            _check_cap(k, self.cap)
+            row_sets = [_mask(c) for c in combinations(range(n), k)]
+            col_sets = [_mask(c) for c in combinations(range(d), k)]
+            for rows in row_sets:
+                for cols in col_sets:
+                    for m in _solve(icols, d, rows, cols, memo, True)[1]:
+                        yield from_mask(m, d)
+
+    def _below(self, cols: tuple):
+        """Yield (largest column, grid mask, attains, argmax union of its
+        block) for every non-empty partial bijection below the grid whose
+        column j is the row set ``cols[j]``, in the order of
+        ``contained_partial_bijections``.  A bijection attains iff its mask
+        is in its block's argmax set; each block is looked up once."""
+        d, k_max = self.d, self.k_max
+        blocks = {}  # (rows, cols) -> (argmax masks as a set, their union)
+
+        def rec(start, rows, used, mask, k):
+            for j in range(start, d):
+                free = cols[j] & ~rows
+                while free:
+                    low = free & -free
+                    free ^= low
+                    if k == k_max:
+                        raise ValueError(
+                            f"bijection size {k + 1} exceeds k_max={k_max}")
+                    r, c = rows | low, used | 1 << j
+                    m = mask | 1 << ((low.bit_length() - 1) * d + j)
+                    got = blocks.get((r, c))
+                    if got is None:
+                        masks = self._optimal(r, c)[1]
+                        union = 0
+                        for a in masks:
+                            union |= a
+                        got = blocks[(r, c)] = (frozenset(masks), union)
+                    yield j, m, m in got[0], got[1]
+                    yield from rec(j + 1, r, c, m, k + 1)
+
+        return rec(0, 0, 0, 0, 0)
 
     def type_tables(self) -> tuple:
         """(non-attaining, attaining) constraint tables of the cell test,
         each indexed by a bijection's largest column: the grid masks of the
         non-empty partial bijections that miss their block's permanent, and
         (mask, union of the block's argmax masks) for those that attain it.
-        Built on first use from every partial bijection of the full grid."""
+        Built on first use by one walk over the partial bijections of the
+        full grid as masks, reading attainment and unions off the memo's
+        argmax sets."""
         if self._tables is None:
-            n, d = self.n, self.d
-            nonatt = [[] for _ in range(d)]
-            att = [[] for _ in range(d)]
-            full = BoolMatrix(n, d, (1 << (n * d)) - 1)
-            for sigma in contained_partial_bijections(full):
-                if not sigma.pairs:
-                    continue
-                mask = sigma.as_matrix(n, d).bits
-                last = sigma.domain[-1]
-                if self.is_attaining(sigma):
-                    closure = 0
-                    for m in self._optimal(_mask(sigma.image),
-                                           _mask(sigma.domain))[1]:
-                        closure |= m
-                    att[last].append((mask, closure))
+            nonatt = [[] for _ in range(self.d)]
+            att = [[] for _ in range(self.d)]
+            for last, mask, attains, union in self._below(
+                    ((1 << self.n) - 1,) * self.d):
+                if attains:
+                    att[last].append((mask, union))
                 else:
                     nonatt[last].append(mask)
             self._tables = (tuple(map(tuple, nonatt)), tuple(map(tuple, att)))

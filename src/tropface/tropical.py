@@ -29,15 +29,18 @@ _SCALAR = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*", re.ASCII)
 
 def _rat(v) -> Fraction:
     """An exact rational from an int, a Fraction or a string matching
-    ``_SCALAR``; floats and bools raise TypeError, other strings
-    ValueError."""
+    ``_SCALAR``; floats and bools raise TypeError, other strings and a
+    zero denominator ValueError."""
     if isinstance(v, (float, bool)):
         raise TypeError(f"{type(v).__name__} is not an exact rational; "
                         "pass int, str or Fraction")
     if isinstance(v, str) and not _SCALAR.fullmatch(v):
         raise ValueError(f"cannot read {v!r} as a rational: expected an "
                          "integer, p/q or a decimal without exponent")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:  # only a string p/q can have q = 0
+        raise ValueError(f"{v!r} has a zero denominator") from None
 
 
 def as_point(values) -> tuple:

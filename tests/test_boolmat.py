@@ -118,6 +118,14 @@ def test_partial_bijection_type():
     assert PartialBijection.empty() == PartialBijection([])
 
 
+def test_partial_bijection_rejects_non_integer_indices():
+    for pairs in ([(1.9, 0)], [("3", 0)], [(True, 2)]):
+        with pytest.raises(TypeError):
+            PartialBijection(pairs)
+    # negative indices are integers: a bounds check rejects them later
+    assert PartialBijection([(-1, 0)]).pairs == ((-1, 0),)
+
+
 def test_contained_bijections_zero_matrix():
     got = list(contained_partial_bijections(BoolMatrix.zero(2, 3)))
     assert got == [PartialBijection.empty()]

@@ -170,6 +170,72 @@ def test_structure_blocks_match_brute_oracles():
                                                     b.domain)) == early_all
 
 
+def _same_as_validated(sigma, n, d):
+    plain = PartialBijection(sigma.pairs)
+    assert sigma == plain and hash(sigma) == hash(plain)
+    assert (sigma.pairs, sigma.image, sigma.domain, sigma.mapping) == \
+        (plain.pairs, plain.image, plain.domain, plain.mapping)
+    assert sigma.as_matrix(n, d) == plain.as_matrix(n, d)
+    assert repr(sigma) == repr(plain)
+
+
+def _brute_type_tables(arr):
+    """The type tables rebuilt from the stream of contained bijections of
+    the full grid, with attainment and argmax unions by permutation scan."""
+    n, d = arr.n, arr.d
+    nonatt = [[] for _ in range(d)]
+    att = [[] for _ in range(d)]
+    blocks = {}  # (rows, cols) -> (best, grid mask union of the argmax)
+    full = BoolMatrix(n, d, (1 << (n * d)) - 1)
+    for sigma in contained_partial_bijections(full):
+        if not sigma.pairs:
+            continue
+        rows, cols = sigma.image, sigma.domain
+        if (rows, cols) not in blocks:
+            best = brute_assignment_optimum(
+                [[arr.entries[i][j] for j in cols] for i in rows])
+            union = 0
+            for p in permutations(rows):
+                if sum(arr.entries[i][j] for i, j in zip(p, cols)) == best:
+                    union |= PartialBijection(zip(p, cols)).as_matrix(n, d).bits
+            blocks[rows, cols] = best, union
+        best, union = blocks[rows, cols]
+        mask = sigma.as_matrix(n, d).bits
+        if sum(arr.entries[i][j] for i, j in sigma.pairs) == best:
+            att[cols[-1]].append((mask, union))
+        else:
+            nonatt[cols[-1]].append(mask)
+    return tuple(map(tuple, nonatt)), tuple(map(tuple, att))
+
+
+def test_mask_built_bijections_match_validated_ones():
+    rng = random.Random(50)
+    for n, d in ((5, 5), (6, 4), (3, 7)):
+        generic = rand_arrangement(rng, n, d, span=10**6)
+        ties = Arrangement([[rng.randint(-1, 1) for _ in range(d)]
+                            for _ in range(n)])
+        for arr in (generic, ties):
+            brute = _brute_type_tables(arr)
+            s = PermanentStructure(arr, min(n, d))
+            drained = list(s.bijections())
+            for sigma in drained:
+                _same_as_validated(sigma, n, d)
+            # exactly the attaining bijections, each once
+            attaining = sorted(m for per_col in brute[1] for m, _ in per_col)
+            assert sorted(sigma.as_matrix(n, d).bits
+                          for sigma in drained[1:]) == attaining
+            for rows, cols in _blocks(n, d, min(n, d)):
+                if rng.random() < 0.2:
+                    got = s.optimal(rows, cols)
+                    assert got == optimal_bijections(arr, rows, cols)
+                    for sigma in got:
+                        _same_as_validated(sigma, n, d)
+                        assert (sigma.image, sigma.domain) == (rows, cols)
+                    for sigma in optimal_bijections(arr, rows, cols):
+                        _same_as_validated(sigma, n, d)
+            assert s.type_tables() == brute
+
+
 def test_structure_holds_no_reference_to_its_arrangement():
     rng = random.Random(42)
     was_enabled = gc.isenabled()

@@ -46,6 +46,14 @@ def test_library_scalars_follow_one_rule():
     assert as_point(["7/3", F(1, 5), -2]) == (F(7, 3), F(1, 5), F(-2))
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError):
+        Arrangement([["1/0"]])
+    arr = Arrangement([[0, 1], [2, 3]])
+    with pytest.raises(ValueError):
+        type_of_point(arr, ["0", "1/0"])
+
+
 def test_residuation_examples():
     x = (F(2), F(-1), F(5))
     assert residuation(x, x) == 0
