@@ -74,16 +74,14 @@ class BoolMatrix:
     def from_columns(cls, n: int, columns) -> "BoolMatrix":
         """Build from an iterable of columns, each a set of row indices."""
         columns = [set(c) for c in columns]
-        d = len(columns)
-        if d == 0:
+        if not columns:
             raise ValueError("matrix dimensions must be positive")
-        bits = 0
-        for j, c in enumerate(columns):
+        for c in columns:
             for i in c:
                 if not 0 <= i < n:
                     raise ValueError(f"row index {i} out of range for n={n}")
-                bits |= 1 << (i * d + j)
-        return cls(n, d, bits)
+        d = len(columns)
+        return cls(n, d, _grid([sum(1 << i for i in c) for c in columns], d))
 
     @classmethod
     def from_pairs(cls, n: int, d: int, pairs) -> "BoolMatrix":
@@ -161,6 +159,16 @@ class BoolMatrix:
 def leq(a: BoolMatrix, b: BoolMatrix) -> bool:
     """Entrywise partial order on equal-shaped matrices."""
     return a <= b
+
+
+def _grid(cols, d: int) -> int:
+    """The row-major bits of the grid with d columns whose column j is the
+    row set ``cols[j]``; the inverse of ``_col_masks``."""
+    bits = 0
+    for j, m in enumerate(cols):
+        for i in _mask_elems(m):
+            bits |= 1 << (i * d + j)
+    return bits
 
 
 def _col_masks(bits: int, d: int) -> tuple:

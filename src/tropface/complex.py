@@ -104,9 +104,7 @@ def cell_of(arr: Arrangement, t: BoolMatrix, structure=None) -> TypeCell:
 def cell_dimension(arr: Arrangement, t: BoolMatrix, structure=None) -> int:
     """Number of tie components minus one: the dimension of the affine
     span of the cell's forced equalities, in the quotient."""
-    if not is_type(arr, t, structure):
-        raise ValueError("matrix is not a type of this arrangement")
-    return _ties(t)[0]
+    return cell_of(arr, t, structure).dimension
 
 
 def face_relation(c1: TypeCell, c2: TypeCell) -> bool:

@@ -9,7 +9,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix, _mask_elems
+from .boolmat import BoolMatrix, _grid, _mask_elems
 
 DEFAULT_ENUM_CAP = 6
 
@@ -114,8 +114,8 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     """Apply the subset action to every column of ``s``."""
     if s.n != f.n:
         raise ValueError("matrix row count does not match partition ground set")
-    return BoolMatrix.from_columns(
-        s.n, (_mask_elems(act_subset(m, f)) for m in s.col_masks()))
+    cols = tuple(act_subset(m, f) for m in s.col_masks())
+    return BoolMatrix._from_cols(s.n, s.d, _grid(cols, s.d), cols)
 
 
 def partitions(n: int, cap: int = DEFAULT_ENUM_CAP):

@@ -8,6 +8,8 @@ relaxation with a virtual source.  Internally the matrix is rescaled to
 integers (all predicates here are invariant under a common positive
 rescaling of the matrix), which keeps the graph algorithms in plain `int`
 arithmetic; witnesses are scaled back to exact rationals on the way out.
+A point queried against the matrix is rescaled along with it, once per
+query, onto one common denominator, so point queries compare `int`s too.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def _rat(v) -> Fraction:
     """An exact rational from an int, a Fraction or a string matching
     ``_SCALAR``; floats and bools raise TypeError, other strings and a
     zero denominator ValueError."""
+    if type(v) is Fraction:  # already exact and immutable: no copy
+        return v
     if isinstance(v, (float, bool)):
         raise TypeError(f"{type(v).__name__} is not an exact rational; "
                         "pass int, str or Fraction")
@@ -86,6 +90,14 @@ def _check_point(arr: Arrangement, x) -> tuple:
     return x
 
 
+def _lift(arr: Arrangement, x) -> tuple:
+    """(xs, f): x checked and scaled to the ints x_k * big, big = lcm of
+    ``arr._scale`` and x's denominators, and f = big // ``arr._scale``."""
+    x = _check_point(arr, x)
+    big = lcm(arr._scale, *(v.denominator for v in x))
+    return [v.numerator * (big // v.denominator) for v in x], big // arr._scale
+
+
 def residuation(x, y) -> Fraction:
     """Largest c with c + x <= y coordinatewise, i.e. min_k(y_k - x_k)."""
     x, y = as_point(x), as_point(y)
@@ -101,26 +113,28 @@ def dominates(arr: Arrangement, j: int, y, i: int) -> bool:
         raise IndexError(f"column {j} out of range")
     if not 0 <= i < arr.n:
         raise IndexError(f"row {i} out of range")
-    y = _check_point(arr, y)
-    col = arr.column(j)
-    diffs = [yk - ck for yk, ck in zip(y, col)]
+    ys, f = _lift(arr, y)
+    diffs = [yk - f * ck for yk, ck in zip(ys, arr._icols[j])]
     return diffs[i] == min(diffs)
 
 
 def type_of_point(arr: Arrangement, x) -> BoolMatrix:
     """The sector-membership record of x: entry (i, j) is 1 iff column j's
     minimum of x_k - M_kj is attained at k = i.  Every column of the
-    result is non-empty."""
-    x = _check_point(arr, x)
+    result is non-empty, and the result holds its column row sets."""
+    xs, f = _lift(arr, x)
+    cols = []
     bits = 0
-    for j in range(arr.d):
-        col = arr.column(j)
-        diffs = [xk - ck for xk, ck in zip(x, col)]
+    for j, col in enumerate(arr._icols):
+        diffs = [xk - f * ck for xk, ck in zip(xs, col)]
         m = min(diffs)
-        for i in range(arr.n):
-            if diffs[i] == m:
+        mask = 0
+        for i, v in enumerate(diffs):
+            if v == m:
+                mask |= 1 << i
                 bits |= 1 << (i * arr.d + j)
-    return BoolMatrix(arr.n, arr.d, bits)
+        cols.append(mask)
+    return BoolMatrix._from_cols(arr.n, arr.d, bits, tuple(cols))
 
 
 def project_to_plane(x) -> tuple:
@@ -137,26 +151,23 @@ def combine_satisfiers(arr: Arrangement, x, y) -> tuple:
 
     The result u is below both x and y, and any column that reaches its
     residuation with both x and y at some row does so with u at that row,
-    so u inherits every sector constraint the two points share.
+    so u inherits every sector constraint the two points share.  As the
+    min of the two residuations is the residuation with min(x, y), u is
+    the column-space projection of min(x, y).
     """
-    x = _check_point(arr, x)
-    y = _check_point(arr, y)
-    coeffs = [min(residuation(arr.column(l), x), residuation(arr.column(l), y))
-              for l in range(arr.d)]
-    return tuple(
-        max(coeffs[l] + arr.entries[t][l] for l in range(arr.d))
-        for t in range(arr.n))
+    return column_space_projection(
+        arr, tuple(map(min, _check_point(arr, x), _check_point(arr, y))))
 
 
 def column_space_projection(arr: Arrangement, y) -> tuple:
     """Best max-plus combination of the columns below y:
     sum_l <M_l|y> + M_l.  Fixed points are exactly the points of the
     max-plus column space."""
-    y = _check_point(arr, y)
-    coeffs = [residuation(arr.column(l), y) for l in range(arr.d)]
-    return tuple(
-        max(coeffs[l] + arr.entries[t][l] for l in range(arr.d))
-        for t in range(arr.n))
+    ys, f = _lift(arr, y)
+    cols = [[f * v for v in col] for col in arr._icols]
+    coeffs = [min(yk - ck for yk, ck in zip(ys, col)) for col in cols]
+    return tuple(Fraction(max(c + col[t] for c, col in zip(coeffs, cols)),
+                          f * arr._scale) for t in range(arr.n))
 
 
 # ---------------------------------------------------------------------------

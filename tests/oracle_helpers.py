@@ -2,12 +2,16 @@
 
 These deliberately avoid the library's own algorithms: bijections are
 found by filtering all subsets of the one-entries, dimensions come from
-the exact rank of the tie equality system, and ordered set partitions are
-rebuilt from permutations plus compositions.
+the exact rank of the tie equality system, ordered set partitions are
+rebuilt from permutations plus compositions, and the point queries are
+computed in Fraction arithmetic on the matrix entries.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from tropface import BoolMatrix
+from tropface.tropical import _check_point
 
 
 def brute_contained_bijections(matrix) -> set:
@@ -111,4 +115,51 @@ def column_space_witness(arr, sigma):
     coeffs = [residuation(block.column(b), yhat) for b in range(k)]
     return tuple(
         max(coeffs[b] + arr.entries[t][cols[b]] for b in range(k))
+        for t in range(arr.n))
+
+
+# The point queries as they were computed before points were rescaled to
+# integers: one Fraction per difference, the residuation taken per
+# column.  Kept as the reference the integer versions must match exactly.
+
+def ref_residuation(x, y):
+    return min(yk - xk for xk, yk in zip(x, y))
+
+
+def ref_dominates(arr, j, y, i) -> bool:
+    y = _check_point(arr, y)
+    col = arr.column(j)
+    diffs = [yk - ck for yk, ck in zip(y, col)]
+    return diffs[i] == min(diffs)
+
+
+def ref_type_of_point(arr, x):
+    x = _check_point(arr, x)
+    bits = 0
+    for j in range(arr.d):
+        col = arr.column(j)
+        diffs = [xk - ck for xk, ck in zip(x, col)]
+        m = min(diffs)
+        for i in range(arr.n):
+            if diffs[i] == m:
+                bits |= 1 << (i * arr.d + j)
+    return BoolMatrix(arr.n, arr.d, bits)
+
+
+def ref_combine_satisfiers(arr, x, y) -> tuple:
+    x = _check_point(arr, x)
+    y = _check_point(arr, y)
+    coeffs = [min(ref_residuation(arr.column(l), x),
+                  ref_residuation(arr.column(l), y))
+              for l in range(arr.d)]
+    return tuple(
+        max(coeffs[l] + arr.entries[t][l] for l in range(arr.d))
+        for t in range(arr.n))
+
+
+def ref_column_space_projection(arr, y) -> tuple:
+    y = _check_point(arr, y)
+    coeffs = [ref_residuation(arr.column(l), y) for l in range(arr.d)]
+    return tuple(
+        max(coeffs[l] + arr.entries[t][l] for l in range(arr.d))
         for t in range(arr.n))

@@ -80,6 +80,18 @@ def test_cmd_type_of_point(demo_file, capsys):
     assert capsys.readouterr().out.strip() == "({2},{1,2},{1},{1,3})"
 
 
+def test_cmd_type_of_point_mixed_scalars(tmp_path, capsys):
+    # p/q and decimal entries; the point mixes a decimal, a negative p/q
+    # and an integer far beyond the matrix, which ties in one column only
+    path = write_matrix(tmp_path, [
+        ["0.25", "-3/4", "2", "0.5"],
+        ["-7/3", "1/2", "0.75", "10"],
+        ["4", "5/6", "-1.5", "123456789012345678901234567890"]])
+    point = "0.25,-7/3,123456789012345678901234567890"
+    assert main(["type-of-point", path, point]) == EXIT_OK
+    assert capsys.readouterr().out == "({1,2},{2},{2},{2})\n"
+
+
 def test_cmd_type_of_point_parse_error(demo_file, capsys):
     assert main(["type-of-point", demo_file, "0,x,0"]) == EXIT_PARSE
     assert "parse error" in capsys.readouterr().err

@@ -4,16 +4,23 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropface import (Arrangement, BoolMatrix, as_point,
+from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
+                      act_matrix, act_subset, as_point,
                       column_space_projection, combine_satisfiers,
                       contained_partial_bijections, dominates,
                       is_realized_type, is_satisfiable, project_to_plane,
                       realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
+from tropface.boolmat import _col_masks
 
 from demo_data import (S_SAT_NOT_TYPE, S_UNSAT, T_VERT, rand_arrangement,
                        rand_boolmatrix, rand_point, rand_scalar)
+from oracle_helpers import (ref_column_space_projection,
+                            ref_combine_satisfiers, ref_dominates,
+                            ref_type_of_point)
 
 F = Fraction
 
@@ -44,6 +51,17 @@ def test_library_scalars_follow_one_rule():
     arr = Arrangement([["1/2", " -7/3 "], ["0.25", 4]])
     assert arr.entries == ((F(1, 2), F(-7, 3)), (F(1, 4), F(4)))
     assert as_point(["7/3", F(1, 5), -2]) == (F(7, 3), F(1, 5), F(-2))
+
+
+def test_fractions_are_taken_as_they_are():
+    q = F(10**12 + 39, 2**61 - 1)
+    assert as_point([q])[0] is q
+
+    class Sub(F):
+        pass
+
+    v = as_point([Sub(3, 4)])[0]
+    assert type(v) is F and v == F(3, 4)
 
 
 def test_zero_denominator_is_a_value_error():
@@ -323,3 +341,84 @@ def test_single_row_arrangement_degenerate_case():
         assert is_satisfiable(arr, s)
         assert is_realized_type(arr, s) == all(
             s.col_mask(j) for j in range(3))
+
+
+# Denominators for the point-query comparison: small ones for ties, and
+# two large coprime primes, so that the point and the matrix rarely share
+# a common denominator.
+BIG_DENOMS = (1, 2, 4, 3, 10**12 + 39, 2**61 - 1)
+
+
+def _mixed(draw, q):
+    """q as an int, a p/q or decimal string, or a Fraction."""
+    form = draw(st.sampled_from(("int", "str", "frac", "frac")))
+    if form == "int" and q.denominator == 1:
+        return int(q)
+    if form == "str":
+        if q.denominator in (2, 4):
+            whole, rest = divmod(abs(q), 1)
+            return ("-" if q < 0 else "") + f"{whole}.{int(rest * 100):02d}"
+        return str(q)
+    return q
+
+
+@st.composite
+def point_query_cases(draw):
+    """A degenerate arrangement (1xd or nx1 shapes, repeated columns, equal
+    rows, large coprime denominators), two points with mixed coordinate
+    types that often sit on an apex, and an ordered set partition."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scalar = st.builds(F, st.integers(-6, 6), st.sampled_from(BIG_DENOMS))
+    rows = [[draw(scalar) for _ in range(d)] for _ in range(n)]
+    if d > 1 and draw(st.booleans()):  # a repeated column
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        for row in rows:
+            row[b] = row[a]
+    if n > 1 and draw(st.booleans()):  # two equal rows
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[b] = list(rows[a])
+    arr = Arrangement(rows)
+
+    def point():
+        if draw(st.booleans()):  # an apex, shifted: every row ties there
+            c, j = draw(scalar), draw(st.integers(0, d - 1))
+            x = [arr.entries[i][j] + c for i in range(n)]
+            if draw(st.booleans()):  # break one tie
+                x[draw(st.integers(0, n - 1))] += draw(scalar)
+        else:
+            x = [draw(scalar) for _ in range(n)]
+        return [_mixed(draw, q) for q in x]
+
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    blocks, cur = [], [order[0]]
+    for e, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append(cur)
+            cur = []
+        cur.append(e)
+    part = OrderedSetPartition.from_sets(n, blocks + [cur])
+    return arr, point(), point(), part
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(point_query_cases())
+def test_integer_point_queries_match_fraction_reference(case):
+    arr, x, y, part = case
+    t = type_of_point(arr, x)
+    assert t == ref_type_of_point(arr, x)
+    assert t.col_masks() == _col_masks(t.bits, t.d)
+    for j in range(arr.d):
+        for i in range(arr.n):
+            assert dominates(arr, j, x, i) == ref_dominates(arr, j, x, i)
+    for got, want in ((combine_satisfiers(arr, x, y),
+                       ref_combine_satisfiers(arr, x, y)),
+                      (column_space_projection(arr, y),
+                       ref_column_space_projection(arr, y))):
+        assert got == want
+        assert all(type(v) is F for v in got)
+    moved = act_matrix(t, part)
+    assert moved == BoolMatrix.from_columns(
+        arr.n, ([i for i in range(arr.n) if act_subset(m, part) >> i & 1]
+                for m in t.col_masks()))
+    assert moved.col_masks() == _col_masks(moved.bits, moved.d)
