@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
 from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
@@ -158,13 +159,28 @@ _CELL_TEXT = ('    {\n      "bounded": %s,\n      "dimension": %d,\n'
               '      "type": [\n%s\n      ]\n    }')
 
 
+def _rank(c: int, n: int) -> int:
+    """The place of row set c among all 2^n row sets ordered by their
+    1-based row tuples, a proper prefix first.  Before c come its proper
+    prefixes, one per row of c, and, for each row i of c with p the row
+    before it (or -1), the 2^(n-1-p) - 2^(n-i) sets that agree with c
+    before i and take a row strictly between p and i next."""
+    rank, prev = 0, -1
+    for i in _mask_elems(c):
+        rank += (1 << (n - prev - 1)) - (1 << (n - i)) + 1
+        prev = i
+    return rank
+
+
 def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     """The enumerate report as text, byte for byte what
     ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` makes of
     ``{"cells": [{"bounded", "dimension", "type"}, ...], "summary":
     {dimension: count}}``.  Cells come by falling dimension, then by their
-    columns as 1-based row tuples.  A column's indented text depends only
-    on its row set, so it is built once per row set, at most 2^n times."""
+    columns as 1-based row tuples, so each cell sorts on one int: n minus
+    its dimension, then each column's ``_rank`` in n bits.  A column's
+    rank and indented text depend only on its row set, so they are built
+    once per row set that occurs, at most 2^n times."""
     cells = enumerate_types(arr, cap=cap)
     if check_geometric:
         for cell in cells:
@@ -172,22 +188,27 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
                 raise RuntimeError(
                     "combinatorial and geometric type tests disagree on "
                     + format_type(cell.type))
-    rows_of, text_of = {}, {}  # row set -> 1-based rows, -> its JSON text
+    n = arr.n
+    seen = {}  # row set -> (its _rank, its indented JSON text)
     listed = []
-    summary = {}
+    counts = {}  # dimension -> number of cells
     for cell in cells:
-        cols = cell.type.col_masks()
-        for c in cols:
-            if c not in rows_of:
-                rows_of[c] = rows = tuple(i + 1 for i in _mask_elems(c))
-                text_of[c] = ("        [\n" + ",\n".join(
-                    f"          {i}" for i in rows) + "\n        ]")
-        listed.append((
-            (-cell.dimension, tuple(rows_of[c] for c in cols)),
-            _CELL_TEXT % ("true" if cell.bounded else "false", cell.dimension,
-                          ",\n".join(text_of[c] for c in cols))))
-        summary[str(cell.dimension)] = summary.get(str(cell.dimension), 0) + 1
-    listed.sort()  # keys are distinct, so the texts are never compared
+        key = n - cell.dimension
+        texts = []
+        for c in cell.type.col_masks():
+            got = seen.get(c)
+            if got is None:
+                got = seen[c] = (_rank(c, n), "        [\n" + ",\n".join(
+                    f"          {i + 1}" for i in _mask_elems(c))
+                    + "\n        ]")
+            key = key << n | got[0]
+            texts.append(got[1])
+        listed.append((key, _CELL_TEXT % (
+            "true" if cell.bounded else "false", cell.dimension,
+            ",\n".join(texts))))
+        counts[cell.dimension] = counts.get(cell.dimension, 0) + 1
+    listed.sort(key=itemgetter(0))
+    summary = {str(dim): count for dim, count in counts.items()}
     summary_text = json.dumps(summary, indent=2, sort_keys=True)
     return ('{\n  "cells": [\n' + ",\n".join(text for _, text in listed)
             + '\n  ],\n  "summary": ' + summary_text.replace("\n", "\n  ")
@@ -247,7 +268,9 @@ def _cmd_render(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # ASCII only, like every other number on the command line: isdigit
+    # alone accepts "²", and int() reads Arabic-Indic digits
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
 

@@ -13,7 +13,7 @@ implementation of the same set and is used to cross-validate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .boolmat import BoolMatrix, _col_masks, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
@@ -41,23 +41,33 @@ def is_bounded(t: BoolMatrix) -> bool:
     return all(t.row_mask(i) for i in range(t.n))
 
 
+def _merge(comps: list, c: int) -> list:
+    """The tie components (row sets) once the non-empty column c joins
+    them: every component that meets c is absorbed, with c, into one."""
+    merged = c
+    rest = []
+    for m in comps:
+        if m & c:
+            merged |= m
+        else:
+            rest.append(m)
+    rest.append(merged)
+    return rest
+
+
 def _ties(t: BoolMatrix) -> tuple:
     """(dimension, bounded) of a type, from its column row sets, which
-    ``col_masks()`` derives once per matrix (and a matrix from
-    ``enumerate_types`` already holds).  Rows that share a column are
+    ``col_masks()`` derives once per matrix.  Rows that share a column are
     tied; the dimension is the number of tie components, a row in no
     column counting as one, minus one, and the cell is bounded iff the
-    columns cover every row."""
-    comps = []  # the tie components met so far, as row sets
+    columns cover every row.  ``enumerate_types`` reaches the same answer
+    column by column through the same ``_merge``; this serves ``cell_of``
+    and ``act_on_type``."""
+    comps = []
     covered = 0
     for c in t.col_masks():
         if c:
-            merged = c  # a component that meets column c absorbs it
-            for m in comps:
-                if m & c:
-                    merged |= m
-            comps = [m for m in comps if not m & c]
-            comps.append(merged)
+            comps = _merge(comps, c)
             covered |= c
     return (len(comps) + t.n - covered.bit_count() - 1,
             covered == (1 << t.n) - 1)
@@ -140,9 +150,15 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     non-empty subset of the allowed rows that is closed under those
     implications.  ``cap`` bounds n*d (default 24).
 
-    Each cell's matrix is built with the column row sets the search chose
-    for it, so ``col_masks()`` on it, in ``_ties``, the geometric
-    cross-check and the CLI report, derives nothing again.
+    The search carries the tie components of the columns chosen so far
+    (``_merge``, one column per level) and the rows they cover, so a leaf
+    knows its cell's dimension and boundedness, as ``_ties`` would compute
+    them, without a pass over its columns.  The cell's matrix holds the
+    column row sets the search chose, so ``col_masks()`` on it, in the
+    geometric cross-check and the CLI report, derives nothing again.
+    The leaves are sorted once, on their packed bits, and only then made
+    into cells: building each cell in the search, among its short-lived
+    lists, raised the peak RSS of the tall benchmark jobs by about 1 MB.
     """
     n, d = arr.n, arr.d
     if n * d > cap:
@@ -165,12 +181,15 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             groups.setdefault(b & below, [0, []])[1].append(
                 (_col_masks(b, d)[j], cl & below, _col_masks(cl, d)[j]))
         split.append(list(groups.items()))
-    found = []  # every cell's matrix, holding its column row sets
-    chosen = [0] * d  # the row set taken in each column so far
+    found = []  # (bits, column row sets, dimension, bounded) of each cell
 
-    def rec(j, acc):
+    def rec(j, acc, cols, comps, covered):
+        # cols: the row sets taken in columns 0..j-1; comps: their tie
+        # components; covered: the rows they cover
         if j == d:
-            found.append(BoolMatrix._from_cols(n, d, acc, tuple(chosen)))
+            found.append((acc, cols,
+                          len(comps) + n - covered.bit_count() - 1,
+                          covered == full))
             return
         forbid = 0
         needs = {}  # row bit -> the rows of column j that it requires
@@ -187,10 +206,11 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
             if all(not c & r or rows & c == rows for r, rows in implies):
-                chosen[j] = c
-                rec(j + 1, acc | lift[c] << j)
+                rec(j + 1, acc | lift[c] << j, cols + (c,),
+                    _merge(comps, c), covered | c)
             c = (c - 1) & allowed
 
-    rec(0, 0)
-    found.sort(key=attrgetter("bits"))
-    return tuple(_cell(t) for t in found)
+    rec(0, 0, (), [], 0)
+    found.sort(key=itemgetter(0))
+    return tuple(TypeCell(BoolMatrix._from_cols(n, d, bits, cols), dim, bnd)
+                 for bits, cols, dim, bnd in found)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from tropface import BoolMatrix, enumerate_types, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
-                          EXIT_RENDER_DIM, ParseFailure, format_partition,
-                          format_scalar, format_type, main, parse_partition,
-                          parse_scalar, parse_type_matrix)
+                          EXIT_RENDER_DIM, ParseFailure, _rank,
+                          format_partition, format_scalar, format_type, main,
+                          parse_partition, parse_scalar, parse_type_matrix)
 
 from demo_data import DEMO_ROWS, demo_arrangement, rand_boolmatrix
 
@@ -152,7 +152,8 @@ def test_cmd_enumerate_cap(tmp_path, capsys):
 
 
 def test_cmd_enumerate_rejects_nonpositive_cap(demo_file, capsys):
-    for cap in ("0", "-1"):
+    # non-ASCII digits too: int() reads Arabic-Indic "\u0661\u0662" as 12
+    for cap in ("0", "-1", "\u0661\u0662", "\u00b2"):
         assert main(["enumerate", demo_file, "--cap", cap]) == EXIT_PARSE
         assert "--cap" in capsys.readouterr().err
 
@@ -300,19 +301,35 @@ def test_deeply_nested_matrix_file_is_a_parse_error(tmp_path, capsys):
 
 def test_report_layout_is_pinned(demo_file, tmp_path):
     # the report text is assembled by hand; it must stay exactly what
-    # json.dumps(report, indent=2, sort_keys=True) + "\n" would write
+    # json.dumps(report, indent=2, sort_keys=True) + "\n" would write.  The
+    # tie-heavy 6x4 and the generic 3x8 have many cells that share a
+    # dimension and leading columns, so their order is decided deep in the
+    # sort key.  The demo's SHA-256 was recorded from the json.dumps
+    # encoder, the others from the report as it was before it sorted on
+    # packed integer keys.
     rng = random.Random(61)
     generic = [[f"{rng.randint(-10**6, 10**6)}/{rng.choice((1, 7, 11))}"
                 for _ in range(3)] for _ in range(8)]
-    paths = [demo_file, write_matrix(tmp_path, generic, "generic.json"),
-             write_matrix(tmp_path, [[5]], "one.json")]
+    tie_heavy = [[rng.choice((-1, 0, 1)) for _ in range(4)] for _ in range(6)]
+    wide = [[f"{rng.randint(-10**6, 10**6)}/{rng.choice((1, 7, 11))}"
+             for _ in range(8)] for _ in range(3)]
+    pinned = {
+        demo_file:
+            "cd623087e7eb2841c661489993305ea6d4fcde63c749f970503d084ad1dbdfce",
+        write_matrix(tmp_path, generic, "generic.json"):
+            "01b9b2766412c1dd8413fc6fc35bb0b9170c0ba658c446a007e656b85a72e905",
+        write_matrix(tmp_path, tie_heavy, "tie_heavy.json"):
+            "5aa076b307ac81d4192fe35fb50252ecaadeab81da2e3023ba2ff71acd526bad",
+        write_matrix(tmp_path, wide, "wide.json"):
+            "1b28315190b775d8c2a78055e6396bb3f4e48f1027b77176a0ddb6dc602a1dd1",
+        write_matrix(tmp_path, [[5]], "one.json"): None,
+    }
     out = tmp_path / "report.json"
-    for path in paths:
+    for path, digest in pinned.items():
         assert main(["enumerate", path, "--out", str(out)]) == EXIT_OK
         data = out.read_bytes()
-        if path == demo_file:  # recorded from the json.dumps encoder
-            assert hashlib.sha256(data).hexdigest() == (
-                "cd623087e7eb2841c661489993305ea6d4fcde63c749f970503d084ad1dbdfce")
+        if digest is not None:
+            assert hashlib.sha256(data).hexdigest() == digest
         text = data.decode("utf-8")
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -320,6 +337,14 @@ def test_report_layout_is_pinned(demo_file, tmp_path):
                 for cell in doc["cells"]]
         assert keys == sorted(set(keys))
     assert len(doc["cells"]) == 1 and doc["summary"] == {"0": 1}
+
+
+def test_rank_orders_row_sets_by_their_row_tuples():
+    # the report's packed sort key relies on this rank, in n bits
+    for n in range(1, 9):
+        ordered = sorted(range(1 << n), key=lambda c: tuple(
+            i + 1 for i in range(n) if c >> i & 1))
+        assert [_rank(c, n) for c in ordered] == list(range(1 << n))
 
 
 # Fuzzed command lines.

@@ -13,6 +13,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       partitions, permanent_structure, realize_type,
                       type_of_point, witness)
 from tropface.boolmat import _col_masks
+from tropface.complex import _ties
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
@@ -285,3 +286,18 @@ def test_enumerated_cells_carry_their_column_masks():
                     _tie_heavy_arrangement(rng, n, d)):
             for c in enumerate_types(arr):
                 assert c.type.col_masks() == _col_masks(c.type.bits, d)
+
+
+def test_enumerated_cells_decorate_like_ties():
+    # the search merges one column per level and decorates each cell at its
+    # last column; that must agree with _ties over all of a fresh matrix's
+    # columns, and with cell_of, on shapes past the rank oracle's reach
+    rng = random.Random(91)
+    for n, d in [(8, 3), (6, 4), (3, 8), (1, 5), (5, 1), (12, 2)]:
+        for arr in (_generic_arrangement(rng, n, d),
+                    _tie_heavy_arrangement(rng, n, d)):
+            structure = permanent_structure(arr)
+            for cell in enumerate_types(arr, cap=24):
+                fresh = BoolMatrix(n, d, cell.type.bits)
+                assert (cell.dimension, cell.bounded) == _ties(fresh)
+                assert cell_of(arr, fresh, structure) == cell
