@@ -289,9 +289,9 @@ def test_enumerated_cells_carry_their_column_masks():
 
 
 def test_enumerated_cells_decorate_like_ties():
-    # the search merges one column per level and decorates each cell at its
-    # last column; that must agree with _ties over all of a fresh matrix's
-    # columns, and with cell_of, on shapes past the rank oracle's reach
+    # the search merges one column per level and decorates each leaf; that
+    # must agree with _ties over all of a fresh matrix's columns, and with
+    # cell_of, on shapes past the rank oracle's reach
     rng = random.Random(91)
     for n, d in [(8, 3), (6, 4), (3, 8), (1, 5), (5, 1), (12, 2)]:
         for arr in (_generic_arrangement(rng, n, d),
