@@ -78,10 +78,16 @@ def _cell(t: BoolMatrix) -> TypeCell:
 
 
 def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
-    """Decide from the permanent structure alone whether s labels a cell."""
+    """Decide from the permanent structure alone whether s labels a cell.
+    A ``structure`` passed in must be one of this arrangement's, covering
+    every size up to min(n, d); any other raises ValueError."""
     _check_shape(arr, s)
     if structure is None:
         structure = permanent_structure(arr)
+    elif (structure._memo is not arr._memo
+          or structure.k_max != min(arr.n, arr.d)):
+        raise ValueError("structure is not this arrangement's full "
+                         "permanent structure")
     if any(m == 0 for m in s.col_masks()):
         return False
     if arr.n * arr.d <= DEFAULT_ENUM_CAP:  # small enough to tabulate
@@ -127,8 +133,6 @@ def act_on_type(arr: Arrangement, cell: TypeCell,
     """Apply the block-partition action to a cell's label.  The result is
     again a cell; if it ever were not, the implementation is broken, so
     this aborts rather than returning."""
-    if structure is None:
-        structure = permanent_structure(arr)
     moved = act_matrix(cell.type, partition)
     if not is_type(arr, moved, structure):
         raise RuntimeError(

@@ -4,11 +4,15 @@ partial bijections attain them.
 The permanent of a k x k block is the maximum over permutations of the
 sum of selected entries; a partial bijection attains it when its own sum
 equals that maximum on the block it selects.  Both questions are the
-assignment problem, solved exactly by one recursion memoized on (row set,
-column set): the last column goes to some row, and what is left is the
-block without both.  That sub-problem is a block too, so a memo shared by
-many blocks solves each one once; the argmax set is gathered from the
-rows whose sub-problem ties the optimum.
+assignment problem, solved exactly by one recurrence on (row set, column
+set): the last column goes to some row, and what is left is the block
+without both.  That sub-problem is a block too, so each arrangement keeps
+one memo of block answers, shared by all its structures and queries, and
+solves each block once; the argmax set is gathered from the rows whose
+sub-problem ties the optimum.  Single queries run the recurrence top-down;
+a structure's drain fills its blocks level by level, reading each block's
+sub-blocks straight from the memo.  Entries are integers: the
+arrangement's matrix rescaled to a common denominator.
 
 Everything inside works on bit masks: a block is a (row mask, column
 mask) pair and a bijection is its grid mask, bit i*d + j for the pair
@@ -20,51 +24,78 @@ which derives the pairs from the mask when they are first read.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import PartialBijection
-from .tropical import Arrangement, _rat
+from .boolmat import PartialBijection, _mask_elems
+from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
 
 
+@lru_cache(maxsize=4096)
+def _drops(rows: int) -> tuple:
+    """(a, rows without a) for each row a in the bit mask ``rows``,
+    ascending; remembered for the row sets met most, since the top-down
+    ``_solve`` asks for them once per block."""
+    return tuple([(a, rows ^ (1 << a)) for a in _mask_elems(rows)])
+
+
+def _recur(icols, d: int, drops, c: int, rest: int, memo: dict):
+    """(best, tight) of the block with the rows that ``drops`` lists (see
+    ``_drops``) and column mask ``rest`` plus its last column c, where
+    icols[j][i] is entry (i, j): best is the max over rows a of the
+    sub-problem (rows without a, ``rest``) plus entry (a, c), and tight
+    lists the (a, sub-problem rows) that reach it.  Sub-problems missing
+    from the memo are solved value-only."""
+    col = icols[c]
+    best, tight = None, []
+    for a, sub in drops:
+        v = (memo.get((sub, rest))
+             or _solve(icols, d, sub, rest, memo, False))[0] + col[a]
+        if best is None or v > best:
+            best, tight = v, [(a, sub)]
+        elif v == best:
+            tight.append((a, sub))
+    return best, tight
+
+
+def _join(tight, d: int, c: int, rest: int, memo: dict) -> tuple:
+    """The sorted grid masks (bit i*d + j for entry (i, j)) of a block's
+    optimal bijections: each tight entry (a, c) joined to every argmax
+    mask of its sub-problem, which the memo must hold.  With one tight
+    row the sub-problem's order stands."""
+    if len(tight) == 1:
+        a, sub = tight[0]
+        bit = 1 << (a * d + c)
+        return tuple([m | bit for m in memo[(sub, rest)][1]])
+    return tuple(sorted([m | 1 << (a * d + c) for a, sub in tight
+                         for m in memo[(sub, rest)][1]]))
+
+
 def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
     """(optimum, masks) of assigning the columns in bit mask ``cols`` onto
-    the rows in bit mask ``rows``, where icols[j][i] is entry (i, j).
-
-    The optimum is the max over rows a of the sub-problem without a and
-    the last column c, plus entry (a, c).  With ``argmax``, masks are the
-    sorted grid masks (bit i*d + j for entry (i, j)) of every optimal
-    bijection, gathered from the tight rows a only; otherwise masks may be
-    None.  memo[(rows, cols)] holds each sub-problem's answer; an entry
-    without masks is only ever completed, never replaced by one with less.
+    the rows in bit mask ``rows``, top-down through ``_recur``.  With
+    ``argmax``, masks are the sorted grid masks of every optimal
+    bijection, gathered from the tight rows only; otherwise masks may be
+    None.  memo[(rows, cols)] holds each sub-problem's answer, the empty
+    block's among them; an entry without masks is only ever completed,
+    never replaced by one with less.
     """
     got = memo.get((rows, cols))
     if got is not None and (got[1] is not None or not argmax):
         return got
-    c = cols.bit_length() - 1
-    rest, col = cols ^ (1 << c), icols[c]
-    if not rest:  # a 1 x 1 block
-        a = rows.bit_length() - 1
-        got = memo[(rows, cols)] = (col[a], (1 << (a * d + c),))
+    if not cols:  # the empty block: one bijection, the empty one
+        got = memo[(0, 0)] = (0, (0,))
         return got
-    best, tight = None, []  # tight: (entry bit, sub-problem rows) at best
-    free = rows
-    while free:
-        low = free & -free
-        free ^= low
-        a, sub = low.bit_length() - 1, rows ^ low
-        v = (memo.get((sub, rest))
-             or _solve(icols, d, sub, rest, memo, False))[0] + col[a]
-        if best is None or v > best:
-            best, tight = v, [(1 << (a * d + c), sub)]
-        elif v == best:
-            tight.append((1 << (a * d + c), sub))
+    c = cols.bit_length() - 1
+    rest = cols ^ (1 << c)
+    best, tight = _recur(icols, d, _drops(rows), c, rest, memo)
     if not argmax:
         return memo.setdefault((rows, cols), (best, None))
-    masks = sorted(m | bit for bit, sub in tight
-                   for m in _solve(icols, d, sub, rest, memo, True)[1])
-    got = memo[(rows, cols)] = (best, tuple(masks))
+    for _, sub in tight:
+        _solve(icols, d, sub, rest, memo, True)
+    got = memo[(rows, cols)] = (best, _join(tight, d, c, rest, memo))
     return got
 
 
@@ -87,12 +118,14 @@ def _mask(indices) -> int:
 
 
 def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
-    """Max over permutations p of sum_b x[p(b)][b], for a square matrix."""
-    rows = [[_rat(v) for v in row] for row in x]
-    k = len(rows)
-    if k < 1 or any(len(r) != k for r in rows):
+    """Max over permutations p of sum_b x[p(b)][b], for a square matrix.
+    Solved on the matrix rescaled to integers, then scaled back."""
+    arr = Arrangement(x)
+    if arr.n != arr.d:
         raise ValueError("input must be a non-empty square matrix")
-    return _block(list(zip(*rows)), k, (1 << k) - 1, (1 << k) - 1, cap, {})[0]
+    full = (1 << arr.n) - 1
+    best, _ = _block(arr._icols, arr.d, full, full, cap, arr._memo)
+    return Fraction(best, arr._scale)
 
 
 def _check_bijection(n: int, d: int, sigma: PartialBijection):
@@ -127,7 +160,7 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
     if not sigma.pairs:
         return True
     best, _ = _block(arr._icols, arr.d, _mask(sigma.image),
-                     _mask(sigma.domain), cap, {})
+                     _mask(sigma.domain), cap, arr._memo)
     return _attains(arr._icols, sigma, best)
 
 
@@ -136,16 +169,19 @@ def optimal_bijections(arr: Arrangement, rows, cols,
     """The full argmax set of bijections from ``cols`` onto ``rows``:
     exactly those whose entry sum equals the block's permanent."""
     rows, cols = _check_block(arr.n, arr.d, rows, cols, min(arr.n, arr.d))
-    _, masks = _block(arr._icols, arr.d, rows, cols, cap, {}, argmax=True)
+    _, masks = _block(arr._icols, arr.d, rows, cols, cap, arr._memo,
+                      argmax=True)
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement, held
     as lazily computed argmax sets indexed by (image rows, domain columns),
-    plus the type tables derived from them.  All blocks share one memo.
-    It keeps the arrangement's shape and integer columns, not a reference
-    to the arrangement, which holds the structure.
+    plus the type tables derived from them.  Its blocks are answered from
+    the arrangement's one block memo, which every structure of the
+    arrangement, ``optimal_bijections`` and ``is_permanent_attaining``
+    share.  It keeps the arrangement's shape, integer columns and memo,
+    not a reference to the arrangement, which holds the structure.
 
     Queries are pure; the caches only memoize deterministic recomputation,
     and no memo entry is replaced by one without its argmax set, so racing
@@ -156,13 +192,13 @@ class PermanentStructure:
 
     def __init__(self, arr: Arrangement, k_max: int, cap: int = DEFAULT_SCAN_CAP):
         self.n, self.d, self._icols = arr.n, arr.d, arr._icols
+        self._memo = arr._memo
         self.k_max = k_max
         self.cap = cap
-        self._cache = {}
         self._tables = None
 
     def _optimal(self, rows: int, cols: int):
-        return _block(self._icols, self.d, rows, cols, self.cap, self._cache,
+        return _block(self._icols, self.d, rows, cols, self.cap, self._memo,
                       argmax=True)
 
     def is_attaining(self, sigma: PartialBijection) -> bool:
@@ -184,17 +220,31 @@ class PermanentStructure:
 
     def bijections(self):
         """Yield the empty bijection plus every attaining one of size up to
-        k_max, grouped by (size, rows, cols), deterministically."""
+        k_max, grouped by (size, rows, cols), deterministically.
+
+        The blocks are filled level by level: every block of size k - 1
+        is in the memo with its argmax set before the first of size k, so
+        ``_recur`` and ``_join`` read a block's k sub-blocks straight from
+        the memo."""
         yield PartialBijection.empty()
-        n, d, icols, memo = self.n, self.d, self._icols, self._cache
+        n, d, icols, memo = self.n, self.d, self._icols, self._memo
         from_mask = PartialBijection._from_mask
         for k in range(1, self.k_max + 1):
             _check_cap(k, self.cap)
-            row_sets = [_mask(c) for c in combinations(range(n), k)]
-            col_sets = [_mask(c) for c in combinations(range(d), k)]
-            for rows in row_sets:
-                for cols in col_sets:
-                    for m in _solve(icols, d, rows, cols, memo, True)[1]:
+            row_sets = [(rows, _drops(rows))
+                        for rows in map(_mask, combinations(range(n), k))]
+            col_sets = []  # (column mask, last column, the others)
+            for c in combinations(range(d), k):
+                cols = _mask(c)
+                col_sets.append((cols, c[-1], cols ^ (1 << c[-1])))
+            for rows, drops in row_sets:
+                for cols, c, rest in col_sets:
+                    got = memo.get((rows, cols))
+                    if got is None or got[1] is None:
+                        best, tight = _recur(icols, d, drops, c, rest, memo)
+                        got = memo[(rows, cols)] = (
+                            best, _join(tight, d, c, rest, memo))
+                    for m in got[1]:
                         yield from_mask(m, d)
 
     def _below(self, cols: tuple):

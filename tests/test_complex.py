@@ -7,11 +7,12 @@ from math import comb
 import pytest
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
-                      OrderedSetPartition, act_on_type, cell_dimension,
-                      cell_of, column_space_projection, enumerate_types,
-                      face_relation, is_bounded, is_realized_type, is_type,
-                      partitions, permanent_structure, realize_type,
-                      type_of_point, witness)
+                      OrderedSetPartition, PermanentStructure, act_on_type,
+                      cell_dimension, cell_of, column_space_projection,
+                      enumerate_types, face_relation, is_bounded,
+                      is_realized_type, is_type, partitions,
+                      permanent_structure, realize_type, type_of_point,
+                      witness)
 from tropface.boolmat import _col_masks
 from tropface.complex import _ties
 
@@ -97,7 +98,7 @@ def test_generic_counts_match_closed_forms_beyond_exhaustive_scan():
     # a generic arrangement's cells are dual to a triangulation of
     # Delta_{n-1} x Delta_{d-1} (Develin and Sturmfels 2004), so its face
     # counts depend only on (n, d)
-    for n, d in [(12, 2), (8, 3)]:
+    for n, d in [(10, 2), (12, 2), (8, 3)]:
         f_vectors = set()
         for seed in (1, 2):
             arr = _generic_arrangement(random.Random(seed), n, d)
@@ -113,9 +114,40 @@ def test_generic_counts_match_closed_forms_beyond_exhaustive_scan():
             assert full[n - 1] == comb(n + d - 1, n - 1)
             f_vectors.add((tuple(sorted(full.items())),
                            tuple(sorted(bounded.items()))))
-            if (n, d) == (12, 2):
-                assert len(cells) == 45_057
+            if d == 2:
+                assert len(cells) == (n - 1) * 2**n + 1
         assert len(f_vectors) == 1
+
+
+def test_structure_of_another_arrangement_is_refused():
+    arr = Arrangement([[0, 1], [1, 0]])
+    foreign = permanent_structure(Arrangement([[0, -1], [-1, 0]]))
+    partial = permanent_structure(arr, 1)
+    own = PermanentStructure(arr, 2)
+    swap = OrderedSetPartition.from_sets(2, [[1], [0]])
+    cells = enumerate_types(arr)
+    assert len(cells) == 5
+    for cell in cells:
+        assert is_type(arr, cell.type, own)
+        assert cell_of(arr, cell.type, own) == cell
+        assert act_on_type(arr, cell, swap, own).type in {
+            c.type for c in cells}
+        for bad in (foreign, partial):
+            with pytest.raises(ValueError):
+                is_type(arr, cell.type, bad)
+            with pytest.raises(ValueError):
+                cell_of(arr, cell.type, bad)
+            with pytest.raises(ValueError):
+                act_on_type(arr, cell, swap, bad)
+    types = {c.type for c in cells}
+    for bits in range(16):
+        s = BoolMatrix(2, 2, bits)
+        if s not in types:
+            for bad in (foreign, partial):
+                with pytest.raises(ValueError):
+                    cell_of(arr, s, bad)
+            with pytest.raises(ValueError):
+                cell_of(arr, s, own)
 
 
 def test_enumerate_cap():

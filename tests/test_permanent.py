@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -37,6 +38,30 @@ def test_tropical_permanent_against_oracle():
         k = rng.randint(1, 4)
         rows = [[rand_scalar(rng) for _ in range(k)] for _ in range(k)]
         assert tropical_permanent(rows) == brute_assignment_optimum(rows)
+
+
+def test_tropical_permanent_is_exact_on_mixed_scalars():
+    # ints, p/q over large prime-like denominators and decimal strings in
+    # one matrix: the permanent is solved on the integer rescaling and
+    # scaled back, so it must come out as the exact Fraction
+    rng = random.Random(31)
+    denominators = (10**12 + 39, 2**61 - 1)
+
+    def scalar():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-50, 50)
+        if kind == 1:
+            return f"{rng.randint(-10**15, 10**15)}/{rng.choice(denominators)}"
+        return f"{rng.randint(-50, 50)}.{rng.randint(0, 10**6):06d}"
+
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        rows = [[scalar() for _ in range(k)] for _ in range(k)]
+        got = tropical_permanent(rows)
+        assert type(got) is Fraction
+        assert got == brute_assignment_optimum(
+            [[Fraction(v) for v in row] for row in rows])
 
 
 def test_is_attaining_fixtures(demo):
@@ -258,6 +283,75 @@ def test_structure_holds_no_reference_to_its_arrangement():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_one_block_memo_per_arrangement():
+    rng = random.Random(44)
+    ties = Arrangement([[rng.randint(-1, 1) for _ in range(6)]
+                        for _ in range(6)])
+    for arr in (ties, rand_arrangement(rng, 6, 6, span=10**6)):
+        whole = range(6)
+        argmax = optimal_bijections(arr, whole, whole)
+        filled = dict(arr._memo)
+        # the full block's answer is in the memo: checking its argmax
+        # bijections solves nothing again
+        assert all(is_permanent_attaining(arr, sigma) for sigma in argmax)
+        assert arr._memo == filled
+        assert permanent_structure(arr, 2)._memo is arr._memo
+        assert permanent_structure(arr)._memo is arr._memo
+        assert PermanentStructure(arr, 3)._memo is arr._memo
+
+
+# SHA-256 of repr of the bijections() pair sequence with k_max = 4, and of
+# type_tables() where n * d <= 40 (else None), on the arrangements that
+# _pinned_arrangement builds; recorded from the top-down drain that the
+# level-order fill replaced
+PINNED_DRAINS = {
+    ("ties", 6, 6): (
+        "f03fd2ca353e030f7b8f2ec66d39567f9280bd39d6878829a2f36b8086dabd6a",
+        "05d668db8fa32370e4f2de17273f35d43bd473391d54dff4a28d769080546060"),
+    ("ties", 7, 5): (
+        "ed8f258f20dcbb91027ce5f6ab1763d40d9a0926f94043dc6945d5876b8cd798",
+        "be298bb0ece98c48eac0805cd682f18cfbaf4ac845b430c85bcb27c6d9335a91"),
+    ("ties", 5, 8): (
+        "3e8acd32aaaba4818a6fcd3a0928ff0ff6435573cfd8fbfbd426898f4b540200",
+        "ffedf4f414e980960496d61498d504f2e089c18b1ce12bef3d93e212bba2d288"),
+    ("ties", 8, 8): (
+        "08c7a2544eb71b4266945617271f04674aced4dcd15f62e6fc5423a226bedb76",
+        None),
+    ("generic", 6, 6): (
+        "02bd40352363b456a33a0de35490670a669fc30a1fe403d7f17ab05d8b32c87e",
+        "9bbae57d962570827e81b3919292de94262c1f74545288c09d09198854d09c8a"),
+    ("generic", 7, 5): (
+        "2fc92b8f324c6a6796d0b4ddc08f098e3b19631c3ea5c718f264af31535e494b",
+        "faaca400e0968418a18157e6202f222630cc94b18bf315b22048f1528101e5d9"),
+    ("generic", 5, 8): (
+        "2b729b2fa297b1981620c5031ba090b062535c706c595406f6671f28f98fb401",
+        "ea204523e731ad793d46ae7ddc67140b7aa7476eede9949be71dbed27b9c1564"),
+    ("generic", 8, 8): (
+        "74f9778e09ab6401a14a15b58b50bac8af6e7d57166fedbfb30ae2359ad17751",
+        None),
+}
+
+
+def _pinned_arrangement(kind, n, d):
+    rng = random.Random(f"{kind}/{n}x{d}/1")
+    span = 1 if kind == "ties" else 10**6
+    return Arrangement([[rng.randint(-span, span) for _ in range(d)]
+                        for _ in range(n)])
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, n, d", sorted(PINNED_DRAINS))
+def test_drain_order_and_type_tables_are_pinned(kind, n, d):
+    arr = _pinned_arrangement(kind, n, d)
+    drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
+    tables = (_sha(PermanentStructure(arr, min(n, d)).type_tables())
+              if n * d <= 40 else None)
+    assert (_sha(drain), tables) == PINNED_DRAINS[kind, n, d]
 
 
 def test_downward_closure_of_attaining():
