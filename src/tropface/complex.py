@@ -78,9 +78,14 @@ def _cell(t: BoolMatrix) -> TypeCell:
 
 
 def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
-    """Decide from the permanent structure alone whether s labels a cell.
-    A ``structure`` passed in must be one of this arrangement's, covering
-    every size up to min(n, d); any other raises ValueError."""
+    """Decide from the permanent structure alone whether s labels a cell:
+    (a) every column of s is non-empty, and every maximal partial
+    bijection inside s attains its block's permanent with the block's
+    whole argmax set inside s, which gives (b) and (c) for every
+    bijection inside s (``PermanentStructure._maximal_attaining``).  One
+    walk serves every shape and builds no type tables.  A ``structure``
+    passed in must be one of this arrangement's, covering every size up
+    to min(n, d); any other raises ValueError."""
     _check_shape(arr, s)
     if structure is None:
         structure = permanent_structure(arr)
@@ -90,23 +95,7 @@ def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
                          "permanent structure")
     if any(m == 0 for m in s.col_masks()):
         return False
-    if arr.n * arr.d <= DEFAULT_ENUM_CAP:  # small enough to tabulate
-        nonatt_by_col, att_by_col = structure.type_tables()
-        bits = s.bits
-        for per_col in nonatt_by_col:
-            for b in per_col:
-                if b & bits == b:
-                    return False
-        for per_col in att_by_col:
-            for b, closure in per_col:
-                if b & bits == b and closure & bits != closure:
-                    return False
-        return True
-    # large grids: walk the contained bijections of s directly
-    for _, _, attains, union in structure._below(s.col_masks()):
-        if not attains or union & ~s.bits:
-            return False
-    return True
+    return structure._maximal_attaining(s)
 
 
 def cell_of(arr: Arrangement, t: BoolMatrix, structure=None) -> TypeCell:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import PartialBijection, _mask_elems
+from .boolmat import BoolMatrix, PartialBijection, _mask_elems
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
@@ -177,7 +177,9 @@ def optimal_bijections(arr: Arrangement, rows, cols,
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement, held
     as lazily computed argmax sets indexed by (image rows, domain columns),
-    plus the type tables derived from them.  Its blocks are answered from
+    plus the cell test on them and the type tables that the cell search
+    builds from them, each block size capped at ``DEFAULT_SCAN_CAP``
+    rows.  Its blocks are answered from
     the arrangement's one block memo, which every structure of the
     arrangement, ``optimal_bijections`` and ``is_permanent_attaining``
     share.  It keeps the arrangement's shape, integer columns and memo,
@@ -190,16 +192,18 @@ class PermanentStructure:
     values.
     """
 
-    def __init__(self, arr: Arrangement, k_max: int, cap: int = DEFAULT_SCAN_CAP):
+    def __init__(self, arr: Arrangement, k_max: int):
+        limit = min(arr.n, arr.d)
+        if not 1 <= k_max <= limit:
+            raise ValueError(f"k_max must be between 1 and {limit}")
         self.n, self.d, self._icols = arr.n, arr.d, arr._icols
         self._memo = arr._memo
         self.k_max = k_max
-        self.cap = cap
         self._tables = None
 
     def _optimal(self, rows: int, cols: int):
-        return _block(self._icols, self.d, rows, cols, self.cap, self._memo,
-                      argmax=True)
+        return _block(self._icols, self.d, rows, cols, DEFAULT_SCAN_CAP,
+                      self._memo, argmax=True)
 
     def is_attaining(self, sigma: PartialBijection) -> bool:
         _check_bijection(self.n, self.d, sigma)
@@ -230,7 +234,7 @@ class PermanentStructure:
         n, d, icols, memo = self.n, self.d, self._icols, self._memo
         from_mask = PartialBijection._from_mask
         for k in range(1, self.k_max + 1):
-            _check_cap(k, self.cap)
+            _check_cap(k, DEFAULT_SCAN_CAP)
             row_sets = [(rows, _drops(rows))
                         for rows in map(_mask, combinations(range(n), k))]
             col_sets = []  # (column mask, last column, the others)
@@ -247,24 +251,84 @@ class PermanentStructure:
                     for m in got[1]:
                         yield from_mask(m, d)
 
-    def _below(self, cols: tuple):
-        """Yield (largest column, grid mask, attains, argmax union of its
-        block) for every non-empty partial bijection below the grid whose
-        column j is the row set ``cols[j]``, in the order of
-        ``contained_partial_bijections``.  A bijection attains iff its mask
-        is in its block's argmax set; each block is looked up once."""
-        d, k_max = self.d, self.k_max
+    def _maximal_attaining(self, s: BoolMatrix) -> bool:
+        """True iff every maximal partial bijection inside s (one that no
+        entry of s extends) attains its block's permanent and s holds the
+        block's whole argmax set; the structure must cover every size up
+        to min(n, d).  Every bijection inside s extends to a maximal one,
+        and both properties pass from it down to its sub-bijections, so
+        this is conditions (b) and (c) of the cell test.
+
+        The walk takes the lines of the grid's shorter side in turn, so a
+        bijection has at most one entry per line: each line either takes
+        an entry of s whose cross line is still free, or is skipped, and
+        then its free entries are pending: a later line must take each of
+        them, or the bijection is not maximal.  A branch whose pending
+        entries outnumber the lines left holds no maximal bijection.  At
+        a leaf the block's argmax set is read from the memo, and solved
+        only if it is missing there."""
+        d, memo, bits = self.d, self._memo, s.bits
+        by_cols = d <= self.n
+        if by_cols:  # line j, cross line i, grid bit i*d + j
+            lines, step, cross = s.col_masks(), 1, d
+        else:  # line i, cross line j
+            lines, step, cross = s.row_masks(), d, 1
+        last = len(lines)
+
+        def rec(line, used, taken, mask, pending):
+            # used: the cross lines taken; taken: the lines that took one
+            if pending.bit_count() > last - line:
+                return True
+            if line == last:
+                block = (used, taken) if by_cols else (taken, used)
+                got = memo.get(block)
+                if got is None or got[1] is None:
+                    got = self._optimal(*block)
+                masks = got[1]
+                if mask not in masks:
+                    return False
+                return len(masks) == 1 or all(not a & ~bits for a in masks)
+            free = lines[line] & ~used
+            if not rec(line + 1, used, taken, mask, pending | free):
+                return False
+            here, at = 1 << line, line * step
+            while free:
+                low = free & -free
+                free ^= low
+                if not rec(line + 1, used | low, taken | here,
+                           mask | 1 << (at + (low.bit_length() - 1) * cross),
+                           pending & ~low):
+                    return False
+            return True
+
+        return rec(0, 0, 0, 0, 0)
+
+    def type_tables(self) -> tuple:
+        """(non-attaining, attaining) constraint tables of the cell search
+        in ``complex.enumerate_types``, each indexed by a bijection's
+        largest column: the grid masks of the non-empty partial bijections
+        that miss their block's permanent, and (mask, union of the block's
+        argmax masks) for those that attain it.  Built on first use by one
+        walk over the partial bijections of the full grid as masks,
+        columns ascending, reading attainment and unions off the memo's
+        argmax sets; each block is looked up once."""
+        if self._tables is not None:
+            return self._tables
+        n, d = self.n, self.d
+        if self.k_max < min(n, d):
+            raise ValueError("type tables need a structure covering every "
+                             f"size up to {min(n, d)}")
+        full = (1 << n) - 1
+        nonatt = [[] for _ in range(d)]
+        att = [[] for _ in range(d)]
         blocks = {}  # (rows, cols) -> (argmax masks as a set, their union)
 
-        def rec(start, rows, used, mask, k):
+        def rec(start, rows, used, mask):
             for j in range(start, d):
-                free = cols[j] & ~rows
+                free = full & ~rows
                 while free:
                     low = free & -free
                     free ^= low
-                    if k == k_max:
-                        raise ValueError(
-                            f"bijection size {k + 1} exceeds k_max={k_max}")
                     r, c = rows | low, used | 1 << j
                     m = mask | 1 << ((low.bit_length() - 1) * d + j)
                     got = blocks.get((r, c))
@@ -274,42 +338,23 @@ class PermanentStructure:
                         for a in masks:
                             union |= a
                         got = blocks[(r, c)] = (frozenset(masks), union)
-                    yield j, m, m in got[0], got[1]
-                    yield from rec(j + 1, r, c, m, k + 1)
+                    if m in got[0]:
+                        att[j].append((m, got[1]))
+                    else:
+                        nonatt[j].append(m)
+                    rec(j + 1, r, c, m)
 
-        return rec(0, 0, 0, 0, 0)
-
-    def type_tables(self) -> tuple:
-        """(non-attaining, attaining) constraint tables of the cell test,
-        each indexed by a bijection's largest column: the grid masks of the
-        non-empty partial bijections that miss their block's permanent, and
-        (mask, union of the block's argmax masks) for those that attain it.
-        Built on first use by one walk over the partial bijections of the
-        full grid as masks, reading attainment and unions off the memo's
-        argmax sets."""
-        if self._tables is None:
-            nonatt = [[] for _ in range(self.d)]
-            att = [[] for _ in range(self.d)]
-            for last, mask, attains, union in self._below(
-                    ((1 << self.n) - 1,) * self.d):
-                if attains:
-                    att[last].append((mask, union))
-                else:
-                    nonatt[last].append(mask)
-            self._tables = (tuple(map(tuple, nonatt)), tuple(map(tuple, att)))
+        rec(0, 0, 0, 0)
+        self._tables = (tuple(map(tuple, nonatt)), tuple(map(tuple, att)))
         return self._tables
 
 
-def permanent_structure(arr: Arrangement, k_max=None,
-                        cap: int = DEFAULT_SCAN_CAP) -> PermanentStructure:
+def permanent_structure(arr: Arrangement, k_max=None) -> PermanentStructure:
     """The (cached) permanent structure of the arrangement covering sizes
     1..k_max; k_max defaults to min(n, d)."""
-    limit = min(arr.n, arr.d)
     if k_max is None:
-        k_max = limit
-    if not 1 <= k_max <= limit:
-        raise ValueError(f"k_max must be between 1 and {limit}")
+        k_max = min(arr.n, arr.d)
     got = arr._structures.get(k_max)
     if got is None:
-        got = arr._structures.setdefault(k_max, PermanentStructure(arr, k_max, cap))
+        got = arr._structures.setdefault(k_max, PermanentStructure(arr, k_max))
     return got

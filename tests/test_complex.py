@@ -257,6 +257,49 @@ def test_is_type_large_grid_fallback_path():
         assert is_type(arr, s) == is_realized_type(arr, s)
 
 
+def test_queries_build_no_type_tables():
+    # the cell test walks maximal bijections; only the search builds the
+    # type tables
+    rng = random.Random(47)
+    for arr in (_tie_heavy_arrangement(rng, 3, 8),
+                _generic_arrangement(rng, 6, 4)):
+        n = arr.n
+        t = type_of_point(arr, [rng.randint(-2, 2) for _ in range(n)])
+        assert is_type(arr, t)
+        cell = cell_of(arr, t)
+        shift = OrderedSetPartition.from_sets(n, [[0], list(range(1, n))])
+        assert is_type(arr, act_on_type(arr, cell, shift).type)
+        assert permanent_structure(arr)._tables is None
+
+
+def test_is_type_matches_geometry_beyond_exhaustive_scan():
+    # the exhaustive scans stop at n*d <= 12; here the queries are the
+    # types of seeded points, their random sub-matrices and the types with
+    # one extra 1, on wide, tall and square shapes, generic and tie-heavy
+    rng = random.Random(49)
+    answers = Counter()
+    for n, d in [(3, 8), (8, 3), (4, 6), (6, 4), (5, 5), (2, 12), (12, 2),
+                 (3, 7)]:
+        for make, span in ((_generic_arrangement, 10**6),
+                           (_tie_heavy_arrangement, 2)):
+            arr = make(rng, n, d)
+            for _ in range(40):
+                t = type_of_point(arr, [Fraction(rng.randint(-span, span),
+                                                 rng.choice((1, 2)))
+                                        for _ in range(n)])
+                keep = rng.getrandbits(n * d) | rng.getrandbits(n * d)
+                queries = [t, BoolMatrix(n, d, t.bits & keep)]
+                zeros = [b for b in range(n * d) if not t.bits >> b & 1]
+                if zeros:
+                    queries.append(
+                        BoolMatrix(n, d, t.bits | 1 << rng.choice(zeros)))
+                for s in queries:
+                    got = is_type(arr, s)
+                    assert got == is_realized_type(arr, s), (n, d, s)
+                    answers[got] += 1
+    assert answers[True] and answers[False]
+
+
 def test_enumeration_soundness_and_completeness():
     rng = random.Random(48)
     for _ in range(10):

@@ -136,6 +136,21 @@ def test_structure_trivial_cases(demo):
         s1.is_attaining(PartialBijection([(0, 0), (1, 1)]))
 
 
+def test_structure_constructor_checks_k_max():
+    arr = Arrangement([[0, 1], [1, 0]])
+    for k_max in (0, 3, 12):
+        with pytest.raises(ValueError):
+            PermanentStructure(arr, k_max)
+        with pytest.raises(ValueError):
+            permanent_structure(arr, k_max)
+    # structures take no scan cap of their own: every block size is
+    # capped at DEFAULT_SCAN_CAP
+    with pytest.raises(TypeError):
+        permanent_structure(arr, cap=2)
+    with pytest.raises(TypeError):
+        PermanentStructure(arr, 2, cap=2)
+
+
 def test_structure_caching_and_consistency(demo):
     s = permanent_structure(demo)
     assert permanent_structure(demo) is s
