@@ -283,7 +283,7 @@ def test_is_type_matches_geometry_beyond_exhaustive_scan():
         for make, span in ((_generic_arrangement, 10**6),
                            (_tie_heavy_arrangement, 2)):
             arr = make(rng, n, d)
-            for _ in range(40):
+            for _ in range(100):
                 t = type_of_point(arr, [Fraction(rng.randint(-span, span),
                                                  rng.choice((1, 2)))
                                         for _ in range(n)])
