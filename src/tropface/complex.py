@@ -5,9 +5,13 @@ ordered set partitions on them.
 A matrix labels a cell iff (a) every column is non-empty, (b) every
 partial bijection it contains attains the permanent of its block, and
 (c) with any bijection it contains the whole argmax set of that block.
-These checks consult only the permanent structure, never the geometry;
-the geometric decision procedure in ``tropical`` is an independent
-implementation of the same set and is used to cross-validate it.
+This module owns that test in both of its forms: ``_maximal_attaining``
+decides it for one matrix, behind ``is_type``, and ``_column_constraints``
+turns it into per-column constraints for the cell search in
+``enumerate_types``.  Both read block argmax sets through
+``permanent._argmax`` and never consult the geometry; the geometric
+decision procedure in ``tropical`` is an independent implementation of
+the same set and is used to cross-validate it.
 """
 
 from __future__ import annotations
@@ -15,16 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, _col_masks, _mask_elems
+from .boolmat import BoolMatrix, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
-from .permanent import permanent_structure
+from .permanent import CapExceeded, _argmax
 from .tropical import Arrangement, _check_shape
 
 DEFAULT_ENUM_CAP = 24
-
-
-class CapExceeded(Exception):
-    """The candidate space 2^(n*d) is larger than the configured cap allows."""
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class TypeCell:
     type: BoolMatrix
     dimension: int
     bounded: bool
-
-
-def is_bounded(t: BoolMatrix) -> bool:
-    """A cell is bounded exactly when every row of its label is non-empty."""
-    return all(t.row_mask(i) for i in range(t.n))
 
 
 def _merge(comps: list, c: int) -> list:
@@ -73,43 +68,88 @@ def _ties(t: BoolMatrix) -> tuple:
             covered == (1 << t.n) - 1)
 
 
+def is_bounded(t: BoolMatrix) -> bool:
+    """A cell is bounded exactly when every row of its label is non-empty."""
+    return _ties(t)[1]
+
+
 def _cell(t: BoolMatrix) -> TypeCell:
     return TypeCell(t, *_ties(t))
 
 
-def is_type(arr: Arrangement, s: BoolMatrix, structure=None) -> bool:
-    """Decide from the permanent structure alone whether s labels a cell:
-    (a) every column of s is non-empty, and every maximal partial
-    bijection inside s attains its block's permanent with the block's
-    whole argmax set inside s, which gives (b) and (c) for every
-    bijection inside s (``PermanentStructure._maximal_attaining``).  One
-    walk serves every shape and builds no type tables.  A ``structure``
-    passed in must be one of this arrangement's, covering every size up
-    to min(n, d); any other raises ValueError."""
+def _maximal_attaining(arr: Arrangement, s: BoolMatrix) -> bool:
+    """True iff every maximal partial bijection inside s (one that no
+    entry of s extends) attains its block's permanent and s holds the
+    block's whole argmax set.  Every bijection inside s extends to a
+    maximal one, and both properties pass from it down to its
+    sub-bijections, so this is conditions (b) and (c) of the cell test.
+
+    The walk takes the lines of the grid's shorter side in turn, so a
+    bijection has at most one entry per line: each line either takes an
+    entry of s whose cross line is still free, or is skipped, and then
+    its free entries are pending: a later line must take each of them,
+    or the bijection is not maximal.  A branch whose pending entries
+    outnumber the lines left holds no maximal bijection.  At a leaf the
+    block's argmax set comes from ``_argmax``."""
+    d, bits = arr.d, s.bits
+    by_cols = d <= arr.n
+    if by_cols:  # line j, cross line i, grid bit i*d + j
+        lines, step, cross = s.col_masks(), 1, d
+    else:  # line i, cross line j
+        lines, step, cross = s.row_masks(), d, 1
+    last = len(lines)
+
+    def rec(line, used, taken, mask, pending):
+        # used: the cross lines taken; taken: the lines that took one
+        if pending.bit_count() > last - line:
+            return True
+        if line == last:
+            masks = (_argmax(arr, used, taken) if by_cols
+                     else _argmax(arr, taken, used))
+            if mask not in masks:
+                return False
+            return len(masks) == 1 or all(not a & ~bits for a in masks)
+        free = lines[line] & ~used
+        if not rec(line + 1, used, taken, mask, pending | free):
+            return False
+        here, at = 1 << line, line * step
+        while free:
+            low = free & -free
+            free ^= low
+            if not rec(line + 1, used | low, taken | here,
+                       mask | 1 << (at + (low.bit_length() - 1) * cross),
+                       pending & ~low):
+                return False
+        return True
+
+    return rec(0, 0, 0, 0, 0)
+
+
+def is_type(arr: Arrangement, s: BoolMatrix) -> bool:
+    """Decide from block permanents alone whether s labels a cell: (a)
+    every column of s is non-empty, and every maximal partial bijection
+    inside s attains its block's permanent with the block's whole argmax
+    set inside s, which gives (b) and (c) for every bijection inside s
+    (``_maximal_attaining``).  Raises CapExceeded if a block it must
+    solve has more rows than ``permanent.DEFAULT_SCAN_CAP``."""
     _check_shape(arr, s)
-    if structure is None:
-        structure = permanent_structure(arr)
-    elif (structure._memo is not arr._memo
-          or structure.k_max != min(arr.n, arr.d)):
-        raise ValueError("structure is not this arrangement's full "
-                         "permanent structure")
     if any(m == 0 for m in s.col_masks()):
         return False
-    return structure._maximal_attaining(s)
+    return _maximal_attaining(arr, s)
 
 
-def cell_of(arr: Arrangement, t: BoolMatrix, structure=None) -> TypeCell:
+def cell_of(arr: Arrangement, t: BoolMatrix) -> TypeCell:
     """Decorate a type matrix with dimension and boundedness; raises
     ValueError if the matrix is not a type of this arrangement."""
-    if not is_type(arr, t, structure):
+    if not is_type(arr, t):
         raise ValueError("matrix is not a type of this arrangement")
     return _cell(t)
 
 
-def cell_dimension(arr: Arrangement, t: BoolMatrix, structure=None) -> int:
+def cell_dimension(arr: Arrangement, t: BoolMatrix) -> int:
     """Number of tie components minus one: the dimension of the affine
     span of the cell's forced equalities, in the quotient."""
-    return cell_of(arr, t, structure).dimension
+    return cell_of(arr, t).dimension
 
 
 def face_relation(c1: TypeCell, c2: TypeCell) -> bool:
@@ -118,27 +158,74 @@ def face_relation(c1: TypeCell, c2: TypeCell) -> bool:
 
 
 def act_on_type(arr: Arrangement, cell: TypeCell,
-                partition: OrderedSetPartition, structure=None) -> TypeCell:
+                partition: OrderedSetPartition) -> TypeCell:
     """Apply the block-partition action to a cell's label.  The result is
     again a cell; if it ever were not, the implementation is broken, so
     this aborts rather than returning."""
     moved = act_matrix(cell.type, partition)
-    if not is_type(arr, moved, structure):
+    if not is_type(arr, moved):
         raise RuntimeError(
             "action carried a type outside the type set; this contradicts a "
             "proved invariant and indicates a bug")
     return _cell(moved)
 
 
+def _column_constraints(arr: Arrangement) -> list:
+    """The cell test as constraints of the search in ``enumerate_types``:
+    per column j, one (parent, forbid, attaining) group for each partial
+    bijection ``parent`` of the columns before j that a row can extend
+    in column j.  One walk over the partial bijections of the full grid,
+    columns ascending, files each extension, at row bit r, under its
+    parent: in ``forbid`` if it misses its block's permanent, else in
+    ``attaining`` as (r, the block's argmax union below column j, the
+    rows the argmax set takes in column j).  Each block is read through
+    ``_argmax`` and summarized once."""
+    n, d = arr.n, arr.d
+    full = (1 << n) - 1
+    col0 = sum(1 << (i * d) for i in range(n))  # column 0 of the grid
+    split = [[] for _ in range(d)]
+    blocks = {}  # (rows, cols) -> (argmax masks, below, rows in column j)
+
+    def rec(start, rows, used, mask):
+        if rows == full:
+            return
+        for j in range(start, d):
+            top, c = col0 << j, used | 1 << j
+            forbid, att = 0, []
+            free = full & ~rows
+            while free:
+                low = free & -free
+                free ^= low
+                r = rows | low
+                m = mask | 1 << ((low.bit_length() - 1) * d + j)
+                got = blocks.get((r, c))
+                if got is None:
+                    masks = _argmax(arr, r, c)
+                    below = need = 0
+                    for a in masks:
+                        at = a & top
+                        below |= a ^ at
+                        need |= 1 << ((at.bit_length() - 1) // d)
+                    got = blocks[(r, c)] = (frozenset(masks), below, need)
+                if m in got[0]:
+                    att.append((low, got[1], got[2]))
+                else:
+                    forbid |= low
+                rec(j + 1, r, c, m)
+            split[j].append((mask, forbid, att))
+
+    rec(0, 0, 0, 0)
+    return split
+
+
 def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """All cells of the arrangement, sorted by their packed bit pattern.
 
-    Columns are chosen left to right.  A tabulated bijection whose largest
-    column is j has exactly one entry in column j, at some row r, so once
-    the columns before j (the prefix) are fixed each constraint of column j
-    is a fact about r: a non-attaining bijection whose part below column j
-    lies in the prefix forbids r; an attaining one forbids r if the prefix
-    misses part of its argmax union below column j, and otherwise makes r
+    Columns are chosen left to right.  Once the columns before j (the
+    prefix) are fixed, each group of ``_column_constraints`` whose parent
+    lies in the prefix is a fact about the row r of column j: ``forbid``
+    forbids its rows; an attaining entry forbids r if the prefix misses
+    part of its argmax union below column j, and otherwise makes r
     require the union's rows in column j.  Column j then takes every
     non-empty subset of the allowed rows that is closed under those
     implications.  ``cap`` bounds n*d (default 24).
@@ -156,24 +243,10 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     n, d = arr.n, arr.d
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
-    nonatt_by_col, att_by_col = permanent_structure(arr).type_tables()
+    split = _column_constraints(arr)
     full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
-
-    # column j's table entries grouped by their part below column j, as
-    # [rows the non-attaining ones forbid, [(row, argmax union below
-    # column j, the union's rows in column j) of each attaining one]]
-    split = []
-    for j in range(d):
-        below = ~(lift[full] << j)
-        groups = {}
-        for b in nonatt_by_col[j]:
-            groups.setdefault(b & below, [0, []])[0] |= _col_masks(b, d)[j]
-        for b, cl in att_by_col[j]:
-            groups.setdefault(b & below, [0, []])[1].append(
-                (_col_masks(b, d)[j], cl & below, _col_masks(cl, d)[j]))
-        split.append(list(groups.items()))
     found = []  # (bits, column row sets, dimension, bounded) of each cell
 
     def rec(j, acc, cols, comps, covered):
@@ -186,7 +259,7 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             return
         forbid = 0
         needs = {}  # row bit -> the rows of column j that it requires
-        for b, (forbidden, att) in split[j]:
+        for b, forbidden, att in split[j]:
             if b & acc == b:
                 forbid |= forbidden
                 for r, cl, need in att:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .boolmat import BoolMatrix, _grid, _mask_elems
 
-DEFAULT_ENUM_CAP = 6
+DEFAULT_PARTITION_CAP = 6
 
 
 class OrderedSetPartition:
@@ -118,7 +118,7 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     return BoolMatrix._from_cols(s.n, s.d, _grid(cols, s.d), cols)
 
 
-def partitions(n: int, cap: int = DEFAULT_ENUM_CAP):
+def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
     """Yield every ordered set partition of {0, ..., n-1} exactly once.
 
     Emission order: fewer blocks first, then lexicographic on the block

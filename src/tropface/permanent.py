@@ -12,7 +12,9 @@ solves each block once; the argmax set is gathered from the rows whose
 sub-problem ties the optimum.  Single queries run the recurrence top-down;
 a structure's drain fills its blocks level by level, reading each block's
 sub-blocks straight from the memo.  Entries are integers: the
-arrangement's matrix rescaled to a common denominator.
+arrangement's matrix rescaled to a common denominator.  This module
+answers block questions only; the cell test and the cell search, which
+ask them through ``_argmax``, live in ``complex``.
 
 Everything inside works on bit masks: a block is a (row mask, column
 mask) pair and a bijection is its grid mask, bit i*d + j for the pair
@@ -27,10 +29,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import BoolMatrix, PartialBijection, _mask_elems
+from .boolmat import PartialBijection, _mask_elems
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
+
+
+class CapExceeded(ValueError):
+    """A size cap refused the input: a block of more rows than the scan
+    cap, or a cell search whose candidate space 2^(n*d) is past the
+    enumeration cap."""
 
 
 @lru_cache(maxsize=4096)
@@ -106,11 +114,22 @@ def _block(icols, d: int, rows: int, cols: int, cap: int, memo: dict,
     return _solve(icols, d, rows, cols, memo, argmax)
 
 
+def _argmax(arr: Arrangement, rows: int, cols: int) -> tuple:
+    """The sorted argmax grid masks of the block (row mask, column mask):
+    read from the arrangement's memo, or else solved into it, refused
+    above ``DEFAULT_SCAN_CAP`` rows."""
+    got = arr._memo.get((rows, cols))
+    if got is None or got[1] is None:
+        got = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
+                     arr._memo, argmax=True)
+    return got[1]
+
+
 def _check_cap(k: int, cap: int):
     """Refuse blocks of more than ``cap`` rows: the argmax set of a k x k
     block can hold k! bijections."""
     if k > cap:
-        raise ValueError(f"size {k} exceeds the scan cap {cap}")
+        raise CapExceeded(f"size {k} exceeds the scan cap {cap}")
 
 
 def _mask(indices) -> int:
@@ -175,17 +194,16 @@ def optimal_bijections(arr: Arrangement, rows, cols,
 
 
 class PermanentStructure:
-    """All permanent-attaining partial bijections of an arrangement, held
-    as lazily computed argmax sets indexed by (image rows, domain columns),
-    plus the cell test on them and the type tables that the cell search
-    builds from them, each block size capped at ``DEFAULT_SCAN_CAP``
-    rows.  Its blocks are answered from
-    the arrangement's one block memo, which every structure of the
-    arrangement, ``optimal_bijections`` and ``is_permanent_attaining``
-    share.  It keeps the arrangement's shape, integer columns and memo,
-    not a reference to the arrangement, which holds the structure.
+    """All permanent-attaining partial bijections of an arrangement of
+    sizes 1..k_max, held as lazily computed argmax sets indexed by (image
+    rows, domain columns), each block size capped at ``DEFAULT_SCAN_CAP``
+    rows.  Its blocks are answered from the arrangement's one block memo,
+    which every structure of the arrangement, ``optimal_bijections``,
+    ``is_permanent_attaining`` and the cell test in ``complex`` share.  It
+    keeps the arrangement's shape, integer columns and memo, not a
+    reference to the arrangement.
 
-    Queries are pure; the caches only memoize deterministic recomputation,
+    Queries are pure; the memo only holds deterministic recomputation,
     and no memo entry is replaced by one without its argmax set, so racing
     fills store equal answers and concurrent use is safe.  The bijections
     handed out derive their fields lazily, where a race also stores equal
@@ -199,7 +217,6 @@ class PermanentStructure:
         self.n, self.d, self._icols = arr.n, arr.d, arr._icols
         self._memo = arr._memo
         self.k_max = k_max
-        self._tables = None
 
     def _optimal(self, rows: int, cols: int):
         return _block(self._icols, self.d, rows, cols, DEFAULT_SCAN_CAP,
@@ -251,110 +268,10 @@ class PermanentStructure:
                     for m in got[1]:
                         yield from_mask(m, d)
 
-    def _maximal_attaining(self, s: BoolMatrix) -> bool:
-        """True iff every maximal partial bijection inside s (one that no
-        entry of s extends) attains its block's permanent and s holds the
-        block's whole argmax set; the structure must cover every size up
-        to min(n, d).  Every bijection inside s extends to a maximal one,
-        and both properties pass from it down to its sub-bijections, so
-        this is conditions (b) and (c) of the cell test.
-
-        The walk takes the lines of the grid's shorter side in turn, so a
-        bijection has at most one entry per line: each line either takes
-        an entry of s whose cross line is still free, or is skipped, and
-        then its free entries are pending: a later line must take each of
-        them, or the bijection is not maximal.  A branch whose pending
-        entries outnumber the lines left holds no maximal bijection.  At
-        a leaf the block's argmax set is read from the memo, and solved
-        only if it is missing there."""
-        d, memo, bits = self.d, self._memo, s.bits
-        by_cols = d <= self.n
-        if by_cols:  # line j, cross line i, grid bit i*d + j
-            lines, step, cross = s.col_masks(), 1, d
-        else:  # line i, cross line j
-            lines, step, cross = s.row_masks(), d, 1
-        last = len(lines)
-
-        def rec(line, used, taken, mask, pending):
-            # used: the cross lines taken; taken: the lines that took one
-            if pending.bit_count() > last - line:
-                return True
-            if line == last:
-                block = (used, taken) if by_cols else (taken, used)
-                got = memo.get(block)
-                if got is None or got[1] is None:
-                    got = self._optimal(*block)
-                masks = got[1]
-                if mask not in masks:
-                    return False
-                return len(masks) == 1 or all(not a & ~bits for a in masks)
-            free = lines[line] & ~used
-            if not rec(line + 1, used, taken, mask, pending | free):
-                return False
-            here, at = 1 << line, line * step
-            while free:
-                low = free & -free
-                free ^= low
-                if not rec(line + 1, used | low, taken | here,
-                           mask | 1 << (at + (low.bit_length() - 1) * cross),
-                           pending & ~low):
-                    return False
-            return True
-
-        return rec(0, 0, 0, 0, 0)
-
-    def type_tables(self) -> tuple:
-        """(non-attaining, attaining) constraint tables of the cell search
-        in ``complex.enumerate_types``, each indexed by a bijection's
-        largest column: the grid masks of the non-empty partial bijections
-        that miss their block's permanent, and (mask, union of the block's
-        argmax masks) for those that attain it.  Built on first use by one
-        walk over the partial bijections of the full grid as masks,
-        columns ascending, reading attainment and unions off the memo's
-        argmax sets; each block is looked up once."""
-        if self._tables is not None:
-            return self._tables
-        n, d = self.n, self.d
-        if self.k_max < min(n, d):
-            raise ValueError("type tables need a structure covering every "
-                             f"size up to {min(n, d)}")
-        full = (1 << n) - 1
-        nonatt = [[] for _ in range(d)]
-        att = [[] for _ in range(d)]
-        blocks = {}  # (rows, cols) -> (argmax masks as a set, their union)
-
-        def rec(start, rows, used, mask):
-            for j in range(start, d):
-                free = full & ~rows
-                while free:
-                    low = free & -free
-                    free ^= low
-                    r, c = rows | low, used | 1 << j
-                    m = mask | 1 << ((low.bit_length() - 1) * d + j)
-                    got = blocks.get((r, c))
-                    if got is None:
-                        masks = self._optimal(r, c)[1]
-                        union = 0
-                        for a in masks:
-                            union |= a
-                        got = blocks[(r, c)] = (frozenset(masks), union)
-                    if m in got[0]:
-                        att[j].append((m, got[1]))
-                    else:
-                        nonatt[j].append(m)
-                    rec(j + 1, r, c, m)
-
-        rec(0, 0, 0, 0)
-        self._tables = (tuple(map(tuple, nonatt)), tuple(map(tuple, att)))
-        return self._tables
-
 
 def permanent_structure(arr: Arrangement, k_max=None) -> PermanentStructure:
-    """The (cached) permanent structure of the arrangement covering sizes
-    1..k_max; k_max defaults to min(n, d)."""
-    if k_max is None:
-        k_max = min(arr.n, arr.d)
-    got = arr._structures.get(k_max)
-    if got is None:
-        got = arr._structures.setdefault(k_max, PermanentStructure(arr, k_max))
-    return got
+    """The permanent structure of the arrangement covering sizes 1..k_max;
+    k_max defaults to min(n, d).  Nothing is cached here: every structure
+    answers from the arrangement's one block memo."""
+    return PermanentStructure(
+        arr, min(arr.n, arr.d) if k_max is None else k_max)

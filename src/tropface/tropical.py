@@ -71,7 +71,6 @@ class Arrangement:
         self._icols = tuple(
             tuple(int(entries[i][j] * scale) for i in range(self.n))
             for j in range(d))
-        self._structures = {}  # k_max -> PermanentStructure, filled lazily
         self._memo = {}  # (row mask, column mask) -> block permanent, argmax
         self._offsets = None  # per-column row offsets, see _offsets
 

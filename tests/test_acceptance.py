@@ -102,7 +102,7 @@ def test_05_oracle_equivalences_exhaustive():
                     att for mask, att in bij if mask & bits == mask)
                 assert is_satisfiable(arr, s) == every_contained_attains, \
                     (arr.entries, s)
-                assert is_type(arr, s, structure) == is_realized_type(arr, s), \
+                assert is_type(arr, s) == is_realized_type(arr, s), \
                     (arr.entries, s)
                 candidates += 1
             matrices += 1

@@ -173,6 +173,18 @@ def test_cmd_act_rejects_non_type(demo_file, capsys):
     assert "not a type" in capsys.readouterr().err
 
 
+def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
+    # the diagonal type of a 9x9 with a heavy diagonal needs a 9x9 block,
+    # past the permanent scan cap
+    rng = random.Random(9)
+    path = write_matrix(tmp_path, [[200 if i == j else rng.randint(-50, 50)
+                                    for j in range(9)] for i in range(9)])
+    diagonal = "(" + ",".join(f"{{{j}}}" for j in range(1, 10)) + ")"
+    assert main(["act", path, diagonal, "({1,2,3,4,5,6,7,8,9})"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "size cap exceeded" in err and "Traceback" not in err
+
+
 def test_cmd_render_dimension_guard(tmp_path, capsys):
     path = write_matrix(tmp_path, [[0], [0]])
     assert main(["render", path]) == EXIT_RENDER_DIM

@@ -13,6 +13,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       is_realized_type, is_type, partitions,
                       permanent_structure, realize_type, type_of_point,
                       witness)
+import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.complex import _ties
 
@@ -119,35 +120,28 @@ def test_generic_counts_match_closed_forms_beyond_exhaustive_scan():
         assert len(f_vectors) == 1
 
 
-def test_structure_of_another_arrangement_is_refused():
+def test_cell_queries_take_no_structure():
+    # the cell test reads the arrangement's own block memo; a structure
+    # passed in is refused, by position or by name
     arr = Arrangement([[0, 1], [1, 0]])
-    foreign = permanent_structure(Arrangement([[0, -1], [-1, 0]]))
-    partial = permanent_structure(arr, 1)
     own = PermanentStructure(arr, 2)
     swap = OrderedSetPartition.from_sets(2, [[1], [0]])
     cells = enumerate_types(arr)
     assert len(cells) == 5
     for cell in cells:
-        assert is_type(arr, cell.type, own)
-        assert cell_of(arr, cell.type, own) == cell
-        assert act_on_type(arr, cell, swap, own).type in {
-            c.type for c in cells}
-        for bad in (foreign, partial):
-            with pytest.raises(ValueError):
-                is_type(arr, cell.type, bad)
-            with pytest.raises(ValueError):
-                cell_of(arr, cell.type, bad)
-            with pytest.raises(ValueError):
-                act_on_type(arr, cell, swap, bad)
-    types = {c.type for c in cells}
-    for bits in range(16):
-        s = BoolMatrix(2, 2, bits)
-        if s not in types:
-            for bad in (foreign, partial):
-                with pytest.raises(ValueError):
-                    cell_of(arr, s, bad)
-            with pytest.raises(ValueError):
-                cell_of(arr, s, own)
+        t = cell.type
+        for call in (lambda: is_type(arr, t, own),
+                     lambda: is_type(arr, t, structure=own),
+                     lambda: cell_of(arr, t, own),
+                     lambda: cell_of(arr, t, structure=own),
+                     lambda: cell_dimension(arr, t, own),
+                     lambda: cell_dimension(arr, t, structure=own),
+                     lambda: act_on_type(arr, cell, swap, own),
+                     lambda: act_on_type(arr, cell, swap, structure=own)):
+            with pytest.raises(TypeError):
+                call()
+        assert is_type(arr, t) and cell_of(arr, t) == cell
+        assert act_on_type(arr, cell, swap).type in {c.type for c in cells}
 
 
 def test_enumerate_cap():
@@ -245,7 +239,7 @@ def test_combinatorial_and_geometric_type_tests_agree_small():
 
 
 def test_is_type_large_grid_fallback_path():
-    # 5x6 exceeds the tabulation limit, exercising the direct walk
+    # a 5x6 grid, past the exhaustive scans, walked by rows (d > n)
     rng = random.Random(46)
     arr = rand_arrangement(rng, 5, 6, span=3)
     for _ in range(40):
@@ -257,9 +251,13 @@ def test_is_type_large_grid_fallback_path():
         assert is_type(arr, s) == is_realized_type(arr, s)
 
 
-def test_queries_build_no_type_tables():
+def test_queries_build_no_type_tables(monkeypatch):
     # the cell test walks maximal bijections; only the search builds the
-    # type tables
+    # column constraints
+    def refuse(arr):
+        raise AssertionError("a cell query built the search's constraints")
+
+    monkeypatch.setattr(complex_module, "_column_constraints", refuse)
     rng = random.Random(47)
     for arr in (_tie_heavy_arrangement(rng, 3, 8),
                 _generic_arrangement(rng, 6, 4)):
@@ -269,7 +267,26 @@ def test_queries_build_no_type_tables():
         cell = cell_of(arr, t)
         shift = OrderedSetPartition.from_sets(n, [[0], list(range(1, n))])
         assert is_type(arr, act_on_type(arr, cell, shift).type)
-        assert permanent_structure(arr)._tables is None
+    with pytest.raises(AssertionError):
+        enumerate_types(arr)  # the patch is where the search looks
+
+
+def test_is_type_past_the_scan_cap_is_a_cap_error():
+    # a 9x9 with a heavy diagonal: the diagonal type's one maximal
+    # bijection spans all 9 rows, past permanent.DEFAULT_SCAN_CAP
+    rng = random.Random(9)
+    arr = Arrangement([[200 if i == j else rng.randint(-50, 50)
+                        for j in range(9)] for i in range(9)])
+    diagonal = BoolMatrix.from_columns(9, [{j} for j in range(9)])
+    t = type_of_point(arr, witness(arr, diagonal))
+    assert t == diagonal
+    for call in (lambda: is_type(arr, t), lambda: cell_of(arr, t)):
+        with pytest.raises(CapExceeded, match="scan cap 8"):
+            call()
+    assert issubclass(CapExceeded, ValueError)
+    # a query whose blocks stay within the cap is answered: one row
+    # taking every column is the type of a point far down that row
+    assert is_type(arr, BoolMatrix.from_columns(9, [{0}] * 9))
 
 
 def test_is_type_matches_geometry_beyond_exhaustive_scan():
@@ -371,8 +388,7 @@ def test_enumerated_cells_decorate_like_ties():
     for n, d in [(8, 3), (6, 4), (3, 8), (1, 5), (5, 1), (12, 2)]:
         for arr in (_generic_arrangement(rng, n, d),
                     _tie_heavy_arrangement(rng, n, d)):
-            structure = permanent_structure(arr)
             for cell in enumerate_types(arr, cap=24):
                 fresh = BoolMatrix(n, d, cell.type.bits)
                 assert (cell.dimension, cell.bounded) == _ties(fresh)
-                assert cell_of(arr, fresh, structure) == cell
+                assert cell_of(arr, fresh) == cell

@@ -14,6 +14,8 @@ from tropface import (Arrangement, BoolMatrix, PartialBijection,
                       optimal_bijections, permanent_structure,
                       tropical_permanent, type_of_point)
 
+from tropface.complex import _column_constraints
+
 from demo_data import rand_arrangement, rand_boolmatrix, rand_scalar
 from oracle_helpers import brute_assignment_optimum, column_space_witness
 
@@ -153,7 +155,6 @@ def test_structure_constructor_checks_k_max():
 
 def test_structure_caching_and_consistency(demo):
     s = permanent_structure(demo)
-    assert permanent_structure(demo) is s
     for sigma in s.bijections():
         assert s.is_attaining(sigma)
         assert is_permanent_attaining(demo, sigma)
@@ -219,33 +220,54 @@ def _same_as_validated(sigma, n, d):
     assert repr(sigma) == repr(plain)
 
 
-def _brute_type_tables(arr):
-    """The type tables rebuilt from the stream of contained bijections of
-    the full grid, with attainment and argmax unions by permutation scan."""
+def _canonical(split):
+    """The column constraints of the cell search with the walk's order
+    taken out: per column, the sorted (parent, forbid, sorted attaining
+    entries) groups."""
+    return tuple(tuple(sorted((b, forbid, tuple(sorted(att)))
+                              for b, forbid, att in groups))
+                 for groups in split)
+
+
+def _brute_column_constraints(arr):
+    """(the canonical column constraints, the sorted grid masks of the
+    attaining bijections), rebuilt from the stream of contained
+    bijections of the full grid, with attainment and argmax sets by
+    permutation scan."""
     n, d = arr.n, arr.d
-    nonatt = [[] for _ in range(d)]
-    att = [[] for _ in range(d)]
-    blocks = {}  # (rows, cols) -> (best, grid mask union of the argmax)
+    groups = [{} for _ in range(d)]  # parent mask -> [forbid, attaining]
+    attaining = []
+    blocks = {}  # (rows, cols) -> (best, argmax union below the last
+    # column, the rows the argmax set takes in the last column)
     full = BoolMatrix(n, d, (1 << (n * d)) - 1)
     for sigma in contained_partial_bijections(full):
         if not sigma.pairs:
             continue
         rows, cols = sigma.image, sigma.domain
+        j = cols[-1]
         if (rows, cols) not in blocks:
             best = brute_assignment_optimum(
-                [[arr.entries[i][j] for j in cols] for i in rows])
-            union = 0
+                [[arr.entries[i][c] for c in cols] for i in rows])
+            below = need = 0
             for p in permutations(rows):
-                if sum(arr.entries[i][j] for i, j in zip(p, cols)) == best:
-                    union |= PartialBijection(zip(p, cols)).as_matrix(n, d).bits
-            blocks[rows, cols] = best, union
-        best, union = blocks[rows, cols]
-        mask = sigma.as_matrix(n, d).bits
-        if sum(arr.entries[i][j] for i, j in sigma.pairs) == best:
-            att[cols[-1]].append((mask, union))
+                if sum(arr.entries[i][c] for i, c in zip(p, cols)) == best:
+                    below |= PartialBijection(
+                        zip(p[:-1], cols[:-1])).as_matrix(n, d).bits
+                    need |= 1 << p[-1]
+            blocks[rows, cols] = best, below, need
+        best, below, need = blocks[rows, cols]
+        parent = PartialBijection(
+            [(i, c) for i, c in sigma.pairs if c < j]).as_matrix(n, d).bits
+        row = 1 << sigma.mapping[j]
+        group = groups[j].setdefault(parent, [0, []])
+        if sum(arr.entries[i][c] for i, c in sigma.pairs) == best:
+            group[1].append((row, below, need))
+            attaining.append(sigma.as_matrix(n, d).bits)
         else:
-            nonatt[cols[-1]].append(mask)
-    return tuple(map(tuple, nonatt)), tuple(map(tuple, att))
+            group[0] |= row
+    split = [[(b, forbid, att) for b, (forbid, att) in g.items()]
+             for g in groups]
+    return _canonical(split), sorted(attaining)
 
 
 def test_mask_built_bijections_match_validated_ones():
@@ -255,13 +277,12 @@ def test_mask_built_bijections_match_validated_ones():
         ties = Arrangement([[rng.randint(-1, 1) for _ in range(d)]
                             for _ in range(n)])
         for arr in (generic, ties):
-            brute = _brute_type_tables(arr)
+            brute, attaining = _brute_column_constraints(arr)
             s = PermanentStructure(arr, min(n, d))
             drained = list(s.bijections())
             for sigma in drained:
                 _same_as_validated(sigma, n, d)
             # exactly the attaining bijections, each once
-            attaining = sorted(m for per_col in brute[1] for m, _ in per_col)
             assert sorted(sigma.as_matrix(n, d).bits
                           for sigma in drained[1:]) == attaining
             for rows, cols in _blocks(n, d, min(n, d)):
@@ -273,7 +294,7 @@ def test_mask_built_bijections_match_validated_ones():
                         assert (sigma.image, sigma.domain) == (rows, cols)
                     for sigma in optimal_bijections(arr, rows, cols):
                         _same_as_validated(sigma, n, d)
-            assert s.type_tables() == brute
+            assert _canonical(_column_constraints(arr)) == brute
 
 
 def test_structure_holds_no_reference_to_its_arrangement():
@@ -285,7 +306,6 @@ def test_structure_holds_no_reference_to_its_arrangement():
                            for _ in range(4)])
         kept = permanent_structure(arr)
         drained = list(kept.bijections())
-        kept.type_tables()
         ref = weakref.ref(arr)
         whole = tuple(range(4))
         best = kept.optimal(whole, whole)
@@ -318,31 +338,33 @@ def test_one_block_memo_per_arrangement():
 
 
 # SHA-256 of repr of the bijections() pair sequence with k_max = 4, and of
-# type_tables() where n * d <= 40 (else None), on the arrangements that
-# _pinned_arrangement builds; recorded from the top-down drain that the
-# level-order fill replaced
+# the _canonical form of _column_constraints() where n * d <= 40 (else
+# None), on the arrangements that _pinned_arrangement builds; the drains
+# were recorded from the top-down drain that the level-order fill
+# replaced, and the constraints from the type tables of the full grid as
+# the search used to regroup them by column and parent
 PINNED_DRAINS = {
     ("ties", 6, 6): (
         "f03fd2ca353e030f7b8f2ec66d39567f9280bd39d6878829a2f36b8086dabd6a",
-        "05d668db8fa32370e4f2de17273f35d43bd473391d54dff4a28d769080546060"),
+        "fcc3232567fd206eb56424f8356009a053c03764efa00fe6f0c965c59d57b988"),
     ("ties", 7, 5): (
         "ed8f258f20dcbb91027ce5f6ab1763d40d9a0926f94043dc6945d5876b8cd798",
-        "be298bb0ece98c48eac0805cd682f18cfbaf4ac845b430c85bcb27c6d9335a91"),
+        "772be7569e4c7c0f6443db79f8dc9852e44eb49370ac139fa372d9223b107d15"),
     ("ties", 5, 8): (
         "3e8acd32aaaba4818a6fcd3a0928ff0ff6435573cfd8fbfbd426898f4b540200",
-        "ffedf4f414e980960496d61498d504f2e089c18b1ce12bef3d93e212bba2d288"),
+        "cb4be0d5161dd10f1b865de108c505c403ce0c2df356d5c6321800e3a58fbaba"),
     ("ties", 8, 8): (
         "08c7a2544eb71b4266945617271f04674aced4dcd15f62e6fc5423a226bedb76",
         None),
     ("generic", 6, 6): (
         "02bd40352363b456a33a0de35490670a669fc30a1fe403d7f17ab05d8b32c87e",
-        "9bbae57d962570827e81b3919292de94262c1f74545288c09d09198854d09c8a"),
+        "3a91314e4b20bb7c27282c34c2e82ac71146cac773db8a81c86f764c3c65540b"),
     ("generic", 7, 5): (
         "2fc92b8f324c6a6796d0b4ddc08f098e3b19631c3ea5c718f264af31535e494b",
-        "faaca400e0968418a18157e6202f222630cc94b18bf315b22048f1528101e5d9"),
+        "20a0897ea1d34a9a7e83641eff159a7cdc45d735c423921f4cd1aa161d5c113e"),
     ("generic", 5, 8): (
         "2b729b2fa297b1981620c5031ba090b062535c706c595406f6671f28f98fb401",
-        "ea204523e731ad793d46ae7ddc67140b7aa7476eede9949be71dbed27b9c1564"),
+        "6d8c8b8277bb6a8067592823e131997ff6e1e769c8f4def7b7468717c94d7439"),
     ("generic", 8, 8): (
         "74f9778e09ab6401a14a15b58b50bac8af6e7d57166fedbfb30ae2359ad17751",
         None),
@@ -364,7 +386,7 @@ def _sha(obj) -> str:
 def test_drain_order_and_type_tables_are_pinned(kind, n, d):
     arr = _pinned_arrangement(kind, n, d)
     drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
-    tables = (_sha(PermanentStructure(arr, min(n, d)).type_tables())
+    tables = (_sha(_canonical(_column_constraints(arr)))
               if n * d <= 40 else None)
     assert (_sha(drain), tables) == PINNED_DRAINS[kind, n, d]
 
