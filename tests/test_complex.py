@@ -284,8 +284,8 @@ def test_is_type_past_the_scan_cap_is_a_cap_error():
         with pytest.raises(CapExceeded, match="scan cap 8"):
             call()
     assert issubclass(CapExceeded, ValueError)
-    # a query whose blocks stay within the cap is answered: one row
-    # taking every column is the type of a point far down that row
+    # a query whose blocks stay within the cap is answered: with one row
+    # taking every column, each maximal bijection is a single entry
     assert is_type(arr, BoolMatrix.from_columns(9, [{0}] * 9))
 
 
