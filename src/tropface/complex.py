@@ -221,62 +221,100 @@ def _column_constraints(arr: Arrangement) -> list:
 def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """All cells of the arrangement, sorted by their packed bit pattern.
 
-    Columns are chosen left to right.  Once the columns before j (the
-    prefix) are fixed, each group of ``_column_constraints`` whose parent
-    lies in the prefix is a fact about the row r of column j: ``forbid``
-    forbids its rows; an attaining entry forbids r if the prefix misses
-    part of its argmax union below column j, and otherwise makes r
-    require the union's rows in column j.  Column j then takes every
-    non-empty subset of the allowed rows that is closed under those
-    implications.  ``cap`` bounds n*d (default 24).
+    Columns are chosen left to right.  The constraints of column j are
+    those groups of ``_column_constraints`` whose parent lies in the
+    columns chosen before j (the prefix), read through a per-column index,
+    parent -> (forbid, kept entries).  ``forbid`` forbids its rows; a kept
+    attaining entry forbids its row r if the prefix misses part of its
+    argmax union below column j, and otherwise makes r require the union's
+    rows in column j.  Column j then takes every non-empty subset of the
+    allowed rows that is closed under those implications.  ``cap`` bounds
+    n*d (default 24).
 
-    The search carries the tie components of the columns chosen so far
-    (``_merge``, one column per level) and the rows they cover, so a leaf
-    knows its cell's dimension and boundedness, as ``_ties`` would compute
-    them, without a pass over its columns.  The cell's matrix holds the
-    column row sets the search chose, so ``col_masks()`` on it, in the
-    geometric cross-check and the CLI report, derives nothing again.
-    The leaves are sorted once, on their packed bits, and only then made
-    into cells: building each cell in the search, among its short-lived
-    lists, raised the peak RSS of the tall benchmark jobs by about 1 MB.
+    An attaining entry whose argmax set takes only its own row r in
+    column j is dropped from the index, because it holds for every prefix
+    the search reaches.  Every optimal bijection of its block is then an
+    optimal bijection of the parent's block plus (r, j), so its union
+    below column j is the parent's argmax set; and the search put that set
+    into the prefix when it took the parent's last entry (by induction
+    from the empty parent), so the entry neither forbids r nor requires
+    more than r.  On generic arrangements nearly every entry is of this
+    kind.
+
+    The search carries ``inside``, the (grid mask, row set) pairs of the
+    partial bijections inside the prefix: a child adds each of them
+    extended by a free row of the column just chosen, so a node reads
+    only the index entries of its own parents.  It also carries the tie
+    components of the columns chosen so far (``_merge``, one column per
+    level) and the rows they cover.  The last column's loop emits the
+    leaves: a cell's dimension, as ``_ties`` would compute it, counts the
+    components the last column meets, so no leaf merges.  The cell's
+    matrix holds the column row sets the search chose, so ``col_masks()``
+    on it, in the geometric cross-check and the CLI report, derives
+    nothing again.  The leaves are sorted once, on their packed bits, and
+    only then made into cells: building each cell in the search, among
+    its short-lived lists, raised the peak RSS of the tall benchmark jobs
+    by about 1 MB.
     """
     n, d = arr.n, arr.d
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
-    split = _column_constraints(arr)
+    index = []  # per column: parent mask -> (forbid, kept attaining entries)
+    for groups in _column_constraints(arr):
+        by_parent = {}
+        for b, forbid, att in groups:
+            kept = [(r, cl, need) for r, cl, need in att if need != r]
+            if forbid or kept:
+                by_parent[b] = (forbid, kept)
+        index.append(by_parent)
     full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
     found = []  # (bits, column row sets, dimension, bounded) of each cell
 
-    def rec(j, acc, cols, comps, covered):
+    def rec(j, acc, cols, comps, covered, inside):
         # cols: the row sets taken in columns 0..j-1; comps: their tie
-        # components; covered: the rows they cover
-        if j == d:
-            found.append((acc, cols,
-                          len(comps) + n - covered.bit_count() - 1,
-                          covered == full))
-            return
+        # components; covered: the rows they cover; inside: the (mask,
+        # rows) of every partial bijection inside them
+        at = index[j]
         forbid = 0
-        needs = {}  # row bit -> the rows of column j that it requires
-        for b, forbidden, att in split[j]:
-            if b & acc == b:
-                forbid |= forbidden
-                for r, cl, need in att:
+        implies = []  # (row bit, the rows of column j that it requires)
+        for b, _ in inside:
+            got = at.get(b)
+            if got is not None:
+                forbid |= got[0]
+                for r, cl, need in got[1]:
                     if cl & acc != cl:
                         forbid |= r
                     else:
-                        needs[r] = needs.get(r, 0) | need
+                        implies.append((r, need))
         allowed = full & ~forbid
-        implies = [(r, rows) for r, rows in needs.items() if rows != r]
+        last = j == d - 1
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
-            if all(not c & r or rows & c == rows for r, rows in implies):
-                rec(j + 1, acc | lift[c] << j, cols + (c,),
-                    _merge(comps, c), covered | c)
+            if not implies or all(not c & r or rows & c == rows
+                                  for r, rows in implies):
+                bits = acc | lift[c] << j
+                if last:  # c joins the components it meets into one
+                    cov = covered | c
+                    dim = n - cov.bit_count()
+                    for m in comps:
+                        if not m & c:
+                            dim += 1
+                    found.append((bits, cols + (c,), dim, cov == full))
+                else:
+                    ext = inside[:]
+                    for b, rows in inside:
+                        free = c & ~rows
+                        while free:
+                            low = free & -free
+                            free ^= low
+                            ext.append((b | lift[low] << j, rows | low))
+                    rec(j + 1, bits, cols + (c,), _merge(comps, c),
+                        covered | c, ext)
             c = (c - 1) & allowed
 
-    rec(0, 0, (), [], 0)
+    rec(0, 0, (), [], 0, [(0, 0)])
     found.sort(key=itemgetter(0))
     return tuple(TypeCell(BoolMatrix._from_cols(n, d, bits, cols), dim, bnd)
                  for bits, cols, dim, bnd in found)

@@ -10,6 +10,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 from __future__ import annotations
 
 from .boolmat import BoolMatrix, _grid, _mask_elems
+from .permanent import CapExceeded
 
 DEFAULT_PARTITION_CAP = 6
 
@@ -123,12 +124,13 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
 
     Emission order: fewer blocks first, then lexicographic on the block
     tuples.  The count is the n-th ordered Bell number, so ``n`` is guarded
-    by ``cap`` (default 6, i.e. at most 4683 partitions).
+    by ``cap`` (default 6, i.e. at most 4683 partitions); a larger ``n``
+    raises CapExceeded.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
 
     full = (1 << n) - 1
 

@@ -37,8 +37,9 @@ DEFAULT_SCAN_CAP = 8
 
 class CapExceeded(ValueError):
     """A size cap refused the input: a block of more rows than the scan
-    cap, or a cell search whose candidate space 2^(n*d) is past the
-    enumeration cap."""
+    cap, a cell search whose candidate space 2^(n*d) is past the
+    enumeration cap, or more ordered set partitions than the partition
+    cap allows."""
 
 
 @lru_cache(maxsize=4096)

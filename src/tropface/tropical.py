@@ -294,9 +294,10 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
         return None
     offsets = _offsets(arr)
     comp = list(range(n))  # each row's component, named by its least row
-    members = None  # each name's rows, once a first tie needs them
     p = [0] * n
+    covered = 0
     for off, m in zip(offsets, colmasks):
+        covered |= m
         if not m & (m - 1):
             continue  # one row: nothing tied
         r0, *rows = _rows(m)
@@ -310,16 +311,11 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
                 continue
             if b < a:  # keep the least row as the name, at offset 0
                 a, b, shift = b, a, -shift
-            if members is None:
-                members = [[v] for v in range(n)]
-            for v in members[b]:
-                comp[v] = a
-                p[v] += shift
-            members[a] += members[b]
+            for v in range(n):
+                if comp[v] == b:
+                    comp[v] = a
+                    p[v] += shift
 
-    covered = 0
-    for m in colmasks:
-        covered |= m
     edges = []
     for off, m in zip(offsets, colmasks):
         r0 = (m & -m).bit_length() - 1

@@ -10,7 +10,6 @@ import contextlib
 import json
 import random
 import time
-from itertools import product as iproduct
 
 from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
                       act_on_type, act_subset, cell_of,

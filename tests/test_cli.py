@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropface import BoolMatrix, enumerate_types, is_type
+from tropface import BoolMatrix, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
                           EXIT_RENDER_DIM, ParseFailure, _rank,
                           format_partition, format_scalar, format_type, main,

@@ -15,7 +15,8 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       witness)
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
-from tropface.complex import _ties
+from tropface.complex import _column_constraints, _ties
+from tropface.permanent import _argmax
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
@@ -392,3 +393,33 @@ def test_enumerated_cells_decorate_like_ties():
                 fresh = BoolMatrix(n, d, cell.type.bits)
                 assert (cell.dimension, cell.bounded) == _ties(fresh)
                 assert cell_of(arr, fresh) == cell
+
+
+def test_dropped_constraint_entries_always_hold():
+    # the search drops an attaining entry whose argmax set takes only its
+    # own row r in column j: its argmax union below column j must then lie
+    # inside the argmax set of the parent's own block, which the search
+    # has already put into every prefix that holds the parent
+    rng = random.Random(7)
+    dropped = wider = kept = 0
+    for n, d in [(6, 4), (8, 3), (4, 6), (3, 8), (10, 2), (5, 5)]:
+        for _ in range(3):
+            arr = _tie_heavy_arrangement(rng, n, d)
+            for groups in _column_constraints(arr):
+                for b, _, att in groups:
+                    rows = cols = 0
+                    for bit in range(n * d):
+                        if b >> bit & 1:
+                            rows |= 1 << bit // d
+                            cols |= 1 << bit % d
+                    parent = 0
+                    for a in _argmax(arr, rows, cols):
+                        parent |= a
+                    for r, cl, need in att:
+                        if need != r:
+                            kept += 1
+                            continue
+                        assert cl & parent == cl, (n, d, b, r)
+                        dropped += 1
+                        wider += cl != b
+    assert dropped and kept and wider

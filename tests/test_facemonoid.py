@@ -3,8 +3,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from tropface import (BoolMatrix, OrderedSetPartition, act_matrix, act_subset,
-                      is_chamber, partitions, product)
+from tropface import (BoolMatrix, CapExceeded, OrderedSetPartition,
+                      act_matrix, act_subset, is_chamber, partitions, product)
 
 from demo_data import T_UNB2, T_VERT
 from oracle_helpers import brute_ordered_set_partitions
@@ -143,7 +143,7 @@ def test_enumeration_matches_composition_oracle():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded, match="enumeration cap 6"):
         list(partitions(7))
     assert len(list(partitions(7, cap=7))) == 47293
 

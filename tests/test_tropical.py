@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
                       act_matrix, act_subset, as_point,
-                      column_space_projection, combine_satisfiers,
-                      contained_partial_bijections, dominates,
+                      column_space_projection, combine_satisfiers, dominates,
                       is_realized_type, is_satisfiable, project_to_plane,
                       realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
