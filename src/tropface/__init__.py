@@ -3,12 +3,12 @@ types of points, satisfiability, max-plus permanents, the face complex,
 and the braid-arrangement face monoid acting on all of it."""
 
 from .boolmat import (BoolMatrix, PartialBijection,
-                      contained_partial_bijections, is_partial_bijection, leq)
+                      contained_partial_bijections, is_partial_bijection)
 from .complex import (CapExceeded, TypeCell, act_on_type, cell_dimension,
                       cell_of, enumerate_types, face_relation, is_bounded,
                       is_type)
 from .facemonoid import (OrderedSetPartition, act_matrix, act_subset,
-                         is_chamber, partitions, product)
+                         is_chamber, partitions)
 from .permanent import (PermanentStructure, is_permanent_attaining,
                         optimal_bijections, permanent_structure,
                         tropical_permanent)
@@ -25,7 +25,7 @@ __all__ = [
     "contained_partial_bijections", "dominates", "enumerate_types",
     "face_relation", "is_bounded", "is_chamber", "is_partial_bijection",
     "is_permanent_attaining", "is_realized_type", "is_satisfiable",
-    "is_type", "leq", "optimal_bijections", "partitions",
-    "permanent_structure", "product", "project_to_plane", "realize_type",
+    "is_type", "optimal_bijections", "partitions",
+    "permanent_structure", "project_to_plane", "realize_type",
     "residuation", "tropical_permanent", "type_of_point", "witness",
 ]

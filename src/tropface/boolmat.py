@@ -11,6 +11,7 @@ column view is memoized on first use.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 
 class BoolMatrix:
@@ -81,7 +82,7 @@ class BoolMatrix:
                 if not 0 <= i < n:
                     raise ValueError(f"row index {i} out of range for n={n}")
         d = len(columns)
-        return cls(n, d, _grid([sum(1 << i for i in c) for c in columns], d))
+        return cls(n, d, _grid([_mask(c) for c in columns], d))
 
     @classmethod
     def from_pairs(cls, n: int, d: int, pairs) -> "BoolMatrix":
@@ -156,11 +157,6 @@ class BoolMatrix:
         return "BoolMatrix[" + "|".join(rows) + "]"
 
 
-def leq(a: BoolMatrix, b: BoolMatrix) -> bool:
-    """Entrywise partial order on equal-shaped matrices."""
-    return a <= b
-
-
 def _grid(cols, d: int) -> int:
     """The row-major bits of the grid with d columns whose column j is the
     row set ``cols[j]``; the inverse of ``_col_masks``."""
@@ -178,24 +174,30 @@ def _col_masks(bits: int, d: int) -> tuple:
     cols = [0] * d
     bit = 1  # the current row as a row set
     while bits:
-        row = bits & full
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+        for j in _mask_elems(bits & full):
+            cols[j] |= bit
         bits >>= d
         bit <<= 1
     return tuple(cols)
 
 
+@lru_cache(maxsize=4096)
 def _mask_elems(mask: int) -> tuple:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending; the one place a bit
+    set is split into its elements.  Remembered for the masks met most:
+    row sets, a type's rows and a partition's blocks recur."""
     out = []
     while mask:
         low = mask & -mask  # one step per set bit, however wide the mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _mask(indices) -> int:
+    """The bit set of an iterable of indices; the inverse of
+    ``_mask_elems``."""
+    return sum(1 << i for i in indices)
 
 
 def _index(v) -> int:

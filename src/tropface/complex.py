@@ -113,12 +113,10 @@ def _maximal_attaining(arr: Arrangement, s: BoolMatrix) -> bool:
         if not rec(line + 1, used, taken, mask, pending | free):
             return False
         here, at = 1 << line, line * step
-        while free:
-            low = free & -free
-            free ^= low
+        for k in _mask_elems(free):
+            low = 1 << k
             if not rec(line + 1, used | low, taken | here,
-                       mask | 1 << (at + (low.bit_length() - 1) * cross),
-                       pending & ~low):
+                       mask | 1 << (at + k * cross), pending & ~low):
                 return False
         return True
 
@@ -192,12 +190,10 @@ def _column_constraints(arr: Arrangement) -> list:
         for j in range(start, d):
             top, c = col0 << j, used | 1 << j
             forbid, att = 0, []
-            free = full & ~rows
-            while free:
-                low = free & -free
-                free ^= low
+            for i in _mask_elems(full & ~rows):
+                low = 1 << i
                 r = rows | low
-                m = mask | 1 << ((low.bit_length() - 1) * d + j)
+                m = mask | 1 << (i * d + j)
                 got = blocks.get((r, c))
                 if got is None:
                     masks = _argmax(arr, r, c)
@@ -303,6 +299,11 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
                             dim += 1
                     found.append((bits, cols + (c,), dim, cov == full))
                 else:
+                    # the one lowest-set-bit walk outside _mask_elems: it
+                    # runs once per (node, bijection inside the prefix),
+                    # and a call per step made 3 x d enumeration 18%
+                    # slower and the render_3row benchmark 6% slower
+                    # (CPython 3.11, 2 vCPU x86-64)
                     ext = inside[:]
                     for b, rows in inside:
                         free = c & ~rows

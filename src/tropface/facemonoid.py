@@ -9,7 +9,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix, _grid, _mask_elems
+from .boolmat import BoolMatrix, _grid, _index, _mask_elems
 from .permanent import CapExceeded
 
 DEFAULT_PARTITION_CAP = 6
@@ -25,7 +25,9 @@ class OrderedSetPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
-        blocks = tuple(int(b) for b in blocks)
+        if n < 1:
+            raise ValueError("n must be positive")
+        blocks = tuple(_index(b) for b in blocks)
         seen = 0
         for b in blocks:
             if b <= 0:
@@ -40,7 +42,7 @@ class OrderedSetPartition:
 
     @classmethod
     def _raw(cls, n: int, blocks: tuple) -> "OrderedSetPartition":
-        # trusted fast path: product() output is valid by construction
+        # trusted fast path: f * g and partitions() build valid blocks
         self = object.__new__(cls)
         self.n = n
         self.blocks = blocks
@@ -55,7 +57,7 @@ class OrderedSetPartition:
         masks = []
         for s in sets:
             m = 0
-            for e in s:
+            for e in map(_index, s):
                 if not 0 <= e < n:
                     raise ValueError(f"element {e} out of range for n={n}")
                 m |= 1 << e
@@ -87,11 +89,6 @@ class OrderedSetPartition:
         return f"OrderedSetPartition({inside})"
 
 
-def product(f: OrderedSetPartition, g: OrderedSetPartition) -> OrderedSetPartition:
-    """Interleave blocks of f with blocks of g, dropping empty intersections."""
-    return f * g
-
-
 def is_chamber(f: OrderedSetPartition) -> bool:
     """True iff every block is a singleton (a left zero of the monoid)."""
     return all(b & (b - 1) == 0 for b in f.blocks)
@@ -102,13 +99,14 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
 
     The empty subset is fixed.  The result is always contained in ``subset``.
     """
+    if subset < 0 or subset >> f.n:
+        raise ValueError("subset has bits outside the partition's ground set")
     if subset == 0:
         return 0
     for b in reversed(f.blocks):
         m = subset & b
         if m:
             return m
-    raise ValueError("subset has bits outside the partition's ground set")
 
 
 def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import PartialBijection, _mask_elems
+from .boolmat import PartialBijection, _mask, _mask_elems
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
@@ -131,10 +131,6 @@ def _check_cap(k: int, cap: int):
     block can hold k! bijections."""
     if k > cap:
         raise CapExceeded(f"size {k} exceeds the scan cap {cap}")
-
-
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
 
 
 def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .boolmat import BoolMatrix, _mask_elems
@@ -261,12 +260,6 @@ def _offsets(arr: Arrangement) -> tuple:
     return off
 
 
-@lru_cache(maxsize=4096)
-def _rows(mask: int) -> tuple:
-    """``_mask_elems`` of a row set, remembered for the row sets met most."""
-    return _mask_elems(mask)
-
-
 def _strict_solve(arr: Arrangement, t: BoolMatrix):
     """Solve the exact-type system of t: (comp, p, dist, covered rows),
     the first three scaled by K = n + 1, or None if no point has type t.
@@ -300,7 +293,7 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
         covered |= m
         if not m & (m - 1):
             continue  # one row: nothing tied
-        r0, *rows = _rows(m)
+        r0, *rows = _mask_elems(m)
         o = off[r0]
         for r in rows:
             a, b = comp[r0], comp[r]
@@ -318,11 +311,11 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
 
     edges = []
     for off, m in zip(offsets, colmasks):
-        r0 = (m & -m).bit_length() - 1
+        r0 = _mask_elems(m)[0]
         u = comp[r0]
         o = off[r0]
         base = p[r0] + 1  # the 1 makes the edge strict
-        for k in _rows(covered ^ m):
+        for k in _mask_elems(covered ^ m):
             v = comp[k]
             w = o[k] - base + p[k]  # need x_r0 - x_k < M_r0j - M_kj
             if u != v:
@@ -348,12 +341,12 @@ def realize_type(arr: Arrangement, t: BoolMatrix):
     if solved is None:
         return None
     comp, p, dist, covered = solved
-    free = _rows(((1 << arr.n) - 1) ^ covered)
+    free = _mask_elems(((1 << arr.n) - 1) ^ covered)
     if free:
         # a row in no column only receives strict edges, one per column,
         # so its potential is the least of their ends and 0
         for off, m in zip(_offsets(arr), t.col_masks()):
-            r0 = (m & -m).bit_length() - 1
+            r0 = _mask_elems(m)[0]
             o = off[r0]
             du = dist[comp[r0]] - p[r0] - 1
             for k in free:

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from tropface import (BoolMatrix, PartialBijection,
-                      contained_partial_bijections, is_partial_bijection, leq)
+                      contained_partial_bijections, is_partial_bijection)
+from tropface.boolmat import _mask, _mask_elems
 
 from demo_data import T_EDGE, T_UNB2, T_VERT, rand_boolmatrix
 from oracle_helpers import brute_contained_bijections
@@ -18,12 +19,24 @@ def test_construction_and_views():
     assert m.entry(0, 1) == 1 and m.entry(2, 3) == 0
     assert m.row_mask(0) == 0b1110
     assert m.col_mask(0) == 0b010
-    # col_masks walks the set bits; col_mask probes each position
+    # col_masks walks the set bits; entry reads each position off bits
     rng = random.Random(13)
     for n, d in [(1, 1), (1, 5), (5, 1), (3, 4), (6, 6)]:
         for _ in range(20):
             m = rand_boolmatrix(rng, n, d)
-            assert m.col_masks() == tuple(m.col_mask(j) for j in range(d))
+            assert m.col_masks() == tuple(
+                sum(m.entry(i, j) << i for i in range(n)) for j in range(d))
+
+
+def test_mask_elems_and_mask():
+    rng = random.Random(14)
+    for _ in range(300):
+        w = rng.randint(0, 300)
+        mask = rng.getrandbits(w) if w else 0
+        want = tuple(i for i in range(w) if mask >> i & 1)
+        for _ in range(2):  # the second split reads the cached answer
+            assert _mask_elems(mask) == want
+        assert _mask(want) == mask
 
 
 def test_construction_rejects_bad_input():
@@ -50,7 +63,7 @@ def test_leq_reflexive_and_demo_cells():
     # the edge cell extends the unbounded 2-cell by one entry at (2, 3)
     assert T_UNB2 <= T_EDGE
     assert not T_EDGE <= T_UNB2
-    assert leq(T_UNB2, T_VERT)
+    assert T_UNB2 <= T_VERT
 
 
 def test_leq_dimension_mismatch():

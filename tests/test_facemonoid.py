@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from tropface import (BoolMatrix, CapExceeded, OrderedSetPartition,
-                      act_matrix, act_subset, is_chamber, partitions, product)
+from tropface import (Arrangement, BoolMatrix, CapExceeded,
+                      OrderedSetPartition, act_matrix, act_subset, is_chamber,
+                      partitions, type_of_point)
 
 from demo_data import T_UNB2, T_VERT
 from oracle_helpers import brute_ordered_set_partitions
@@ -23,6 +25,19 @@ def test_construction_validation():
         osp(3, [0, 1], [1, 2])  # overlap
     with pytest.raises(ValueError):
         OrderedSetPartition(3, (0, 7))  # empty block
+    # a block is an int bit mask: no rounding, parsing or bools
+    for bad in (1.9, "1", True):
+        with pytest.raises(TypeError):
+            OrderedSetPartition(3, (bad, 6))
+    with pytest.raises(TypeError):
+        osp(3, [True], [0, 2])
+    with pytest.raises(TypeError):
+        osp(3, [1.0], [0, 2])
+    for n in (0, -1):  # an empty ground set is refused, as identity(0) is
+        with pytest.raises(ValueError):
+            OrderedSetPartition(n, ())
+    with pytest.raises(ValueError):
+        OrderedSetPartition.identity(0)
     assert osp(3, [2], [0, 1]).block_sets() == ((2,), (0, 1))
 
 
@@ -68,6 +83,10 @@ def test_act_subset_examples():
         assert act_subset(subset, ident) == subset
     # rightmost block meeting {0, 2} is {0}
     assert act_subset(0b101, f) == 0b001
+    # a subset with bits outside {0, 1, 2} is refused, not trimmed
+    for subset in (0b1001, 0b1000, -1):
+        with pytest.raises(ValueError):
+            act_subset(subset, f)
 
 
 def test_act_subset_shrinks_and_caveat():
@@ -148,7 +167,27 @@ def test_enumeration_cap():
     assert len(list(partitions(7, cap=7))) == 47293
 
 
-def test_product_alias():
-    f = osp(2, [0], [1])
-    g = OrderedSetPartition.identity(2)
-    assert product(f, g) == f * g
+def _perturbation_partition(u):
+    """F(u): the rows in blocks of equal u_i, the largest u first."""
+    return OrderedSetPartition.from_sets(
+        len(u), [[i for i, v in enumerate(u) if v == w]
+                 for w in sorted(set(u), reverse=True)])
+
+
+def test_action_is_perturbation():
+    """The refinement action read as geometry: moving x a little along u
+    keeps, in each column, the tied rows whose u is least, which is the
+    rightmost block of F(u) that the column meets.  Entries and x are
+    integers, so two differences that are not tied are at least 1 apart,
+    and eps = 1/100 moves a difference by at most 4 * eps."""
+    rng = random.Random(20)
+    eps = Fraction(1, 100)
+    for _ in range(3000):
+        n, d = rng.randint(1, 6), rng.randint(1, 4)
+        arr = Arrangement([[rng.randint(-2, 2) for _ in range(d)]
+                           for _ in range(n)])
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        u = [rng.randint(-2, 2) for _ in range(n)]
+        moved = [a + eps * b for a, b in zip(x, u)]
+        assert type_of_point(arr, moved) == act_matrix(
+            type_of_point(arr, x), _perturbation_partition(u))
