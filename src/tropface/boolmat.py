@@ -27,6 +27,7 @@ class BoolMatrix:
     __slots__ = ("n", "d", "bits", "_cols")
 
     def __init__(self, n: int, d: int, bits: int = 0):
+        n, d, bits = _index(n), _index(d), _index(bits)
         if n < 1 or d < 1:
             raise ValueError("matrix dimensions must be positive")
         if bits < 0 or bits >> (n * d):
@@ -203,6 +204,8 @@ def _mask(indices) -> int:
 def _index(v) -> int:
     """An integer index; bools, floats and strings raise TypeError rather
     than being rounded or parsed."""
+    if type(v) is int:  # the common case, checked first for speed
+        return v
     if isinstance(v, bool):
         raise TypeError("bool is not an index; pass int")
     return operator.index(v)

@@ -25,6 +25,7 @@ class OrderedSetPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
+        n = _index(n)
         if n < 1:
             raise ValueError("n must be positive")
         blocks = tuple(_index(b) for b in blocks)
@@ -99,6 +100,7 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
 
     The empty subset is fixed.  The result is always contained in ``subset``.
     """
+    subset = _index(subset)
     if subset < 0 or subset >> f.n:
         raise ValueError("subset has bits outside the partition's ground set")
     if subset == 0:
@@ -125,6 +127,7 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
     by ``cap`` (default 6, i.e. at most 4683 partitions); a larger ``n``
     raises CapExceeded.
     """
+    n = _index(n)
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:

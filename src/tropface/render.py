@@ -1,22 +1,32 @@
 """Deterministic SVG figures for 3-row arrangements, drawn in the plane
 obtained by quotienting out the all-ones direction.
 
-Every coordinate is exact until the final formatting step, which rounds
-to a fixed milli-unit grid, so a given arrangement and viewport always
-produce byte-identical output.  Each hyperplane is drawn as three rays
+Every coordinate is exact.  The viewport corners, the projected apexes
+and the vertices are put on one integer grid, over the lcm of all their
+denominators, once per render; ray ends, pixel coordinates and the
+corner order are then worked out in ints.  A pixel coordinate is rounded
+to the nearest milli-unit, halves to even (as ``round`` does on a
+``Fraction``), so a given arrangement and viewport always produce
+byte-identical output.  Each hyperplane is drawn as three rays
 from its projected apex (one per pair of rows that can tie), bounded
 cells are shaded, and apexes carry their 1-based column label.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
 from .complex import enumerate_types
 from .tropical import Arrangement, as_point, project_to_plane, realize_type
 
 _WIDTH = 720  # pixel width; height follows the viewport's aspect ratio
+_MILLS = 1000 * _WIDTH
+
+# the tie locus of a pair of rows runs along the projected image of the
+# remaining coordinate axis, into the sector where that row loses; the
+# axes e_1, e_2, e_3 project to these
+_RAYS = ((1, 0), (0, 1), (-1, -1))
 
 _FILL_2CELL = "#c9d4ee"
 _STROKE_1CELL = "#8fa3d6"
@@ -25,30 +35,30 @@ _COLOR_VERTEX = "#1a1a1a"
 _COLOR_APEX = "#b03030"
 
 
-def _fmt(q: Fraction) -> str:
-    """Fixed 3-decimal formatting on an exact milli-unit grid."""
-    mill = round(q * 1000)
+def _round(num: int, den: int) -> int:
+    """The integer nearest num/den (den > 0), halves to even, as
+    ``round(Fraction(num, den))``."""
+    q, r = divmod(num, den)
+    r *= 2
+    if r > den or (r == den and q & 1):
+        q += 1
+    return q
+
+
+def _fmt(mill: int) -> str:
+    """Fixed 3-decimal formatting of a count of milli-units."""
     sign = "-" if mill < 0 else ""
-    mill = abs(mill)
-    return f"{sign}{mill // 1000}.{mill % 1000:03d}"
-
-
-def _ray_directions(n: int) -> tuple:
-    # the tie locus of a pair of rows runs along the projected image of
-    # the remaining coordinate axis, into the sector where that row loses
-    dirs = []
-    for m in range(n):
-        e = [Fraction(0)] * n
-        e[m] = Fraction(1)
-        dirs.append(project_to_plane(e))
-    return tuple(dirs)
+    whole, frac = divmod(abs(mill), 1000)
+    return f"{sign}{whole}.{frac:03d}"
 
 
 def _clip_ray(p, direction, box):
     """Parameter range [t0, t1] where p + t*direction stays in box, with
-    t >= 0; None when the ray misses the box."""
+    t >= 0; None when the ray misses the box.  Every value is an int and
+    each component of ``direction`` is 0, 1 or -1, so t0 and t1 are ints
+    too."""
     x0, x1, y0, y1 = box
-    tmin = Fraction(0)
+    tmin = 0
     tmax = None
     for c, dc, lo, hi in ((p[0], direction[0], x0, x1),
                           (p[1], direction[1], y0, y1)):
@@ -56,7 +66,7 @@ def _clip_ray(p, direction, box):
             if not lo <= c <= hi:
                 return None
             continue
-        ta, tb = (lo - c) / dc, (hi - c) / dc
+        ta, tb = (lo - c) * dc, (hi - c) * dc  # dividing by ±1
         if ta > tb:
             ta, tb = tb, ta
         if ta > tmin:
@@ -68,26 +78,32 @@ def _clip_ray(p, direction, box):
     return tmin, tmax
 
 
-def _ccw_order(points):
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
+def _ccw_order(corners):
+    """Corners sorted counter-clockwise about their centroid, from the
+    ray that leaves it to the right.  Each corner starts with its integer
+    coordinates; offsets from the centroid are taken times the corner
+    count, which keeps them integer and changes no comparison."""
+    k = len(corners)
+    sx = sum(c[0] for c in corners)
+    sy = sum(c[1] for c in corners)
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
+    def half(a):
+        dx, dy = a[0], a[1]
         return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
 
     def cmp(a, b):
         ha, hb = half(a), half(b)
         if ha != hb:
             return ha - hb
-        cross = ((a[0] - cx) * (b[1] - cy)) - ((a[1] - cy) * (b[0] - cx))
+        cross = a[0] * b[1] - a[1] * b[0]
         if cross > 0:
             return -1
         if cross < 0:
             return 1
         return 0
 
-    return sorted(points, key=cmp_to_key(cmp))
+    offsets = [(k * c[0] - sx, k * c[1] - sy, c) for c in corners]
+    return [a[2] for a in sorted(offsets, key=cmp_to_key(cmp))]
 
 
 def default_viewport(points) -> tuple:
@@ -107,40 +123,59 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
 
     cells = enumerate_types(arr)
     vertex_cells = [c for c in cells if c.dimension == 0]
-    vertex_pt = {c.type: project_to_plane(realize_type(arr, c.type))
-                 for c in vertex_cells}
+    vertex_pts = [project_to_plane(realize_type(arr, c.type))
+                  for c in vertex_cells]
     apexes = [project_to_plane(arr.column(j)) for j in range(arr.d)]
 
     if viewport is None:
-        viewport = default_viewport(apexes + list(vertex_pt.values()))
-    x0, x1, y0, y1 = as_point(viewport)
-    if not (x0 < x1 and y0 < y1):
+        viewport = default_viewport(apexes + vertex_pts)
+    box = as_point(viewport)
+    if not (box[0] < box[1] and box[2] < box[3]):
         raise ValueError("empty viewport")
-    box = (x0, x1, y0, y1)
 
-    scale = Fraction(_WIDTH) / (x1 - x0)
-    height = (y1 - y0) * scale
+    # one integer grid for everything drawn: each coordinate times the
+    # lcm of all their denominators; from here on only ints
+    den = lcm(*(v.denominator for p in (box, *apexes, *vertex_pts)
+                for v in p))
 
-    def px(p):
-        return ((p[0] - x0) * scale, (y1 - p[1]) * scale)
+    def grid(p):
+        return tuple(v.numerator * (den // v.denominator) for v in p)
 
+    box = x0, x1, y0, y1 = grid(box)
+    width = x1 - x0
+
+    def mills(x, y):
+        """Pixel coordinates of the grid point (x, y), in milli-units."""
+        return (_round(_MILLS * (x - x0), width),
+                _round(_MILLS * (y1 - y), width))
+
+    height = _fmt(_round(_MILLS * (y1 - y0), width))
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_WIDTH} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_fmt(height)}" '
+        f'width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" '
         f'fill="#ffffff"/>',
     ]
+
+    # each vertex once: its type's bits, then (x, y, pixel x, pixel y)
+    vertices = []
+    for cell, p in zip(vertex_cells, vertex_pts):
+        x, y = grid(p)
+        vertices.append((cell.type.bits,
+                         (x, y, *map(_fmt, mills(x, y)))))
+
+    def faces(cell):
+        # the vertices whose type contains the cell's type
+        bits = cell.type.bits
+        return [v for vbits, v in vertices if not bits & ~vbits]
 
     # shaded bounded 2-cells: polygon over their 0-dimensional faces
     for cell in cells:
         if cell.dimension != 2 or not cell.bounded:
             continue
-        corners = [vertex_pt[v.type] for v in vertex_cells
-                   if cell.type <= v.type]
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}"
-                       for a, b in (px(p) for p in _ccw_order(corners)))
+        pts = " ".join(f"{v[2]},{v[3]}" for v in _ccw_order(faces(cell)))
         out.append(f'<polygon points="{pts}" fill="{_FILL_2CELL}" '
                    f'stroke="none"/>')
 
@@ -148,42 +183,39 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
     for cell in cells:
         if cell.dimension != 1 or not cell.bounded:
             continue
-        ends = [vertex_pt[v.type] for v in vertex_cells
-                if cell.type <= v.type]
+        ends = faces(cell)
         if len(ends) != 2:
             raise RuntimeError("bounded segment without exactly 2 endpoints")
-        (ax, ay), (bx, by) = px(ends[0]), px(ends[1])
-        out.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-                   f'x2="{_fmt(bx)}" y2="{_fmt(by)}" '
+        (_, _, ax, ay), (_, _, bx, by) = ends
+        out.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
                    f'stroke="{_STROKE_1CELL}" stroke-width="5"/>')
 
     # hyperplanes: three rays per apex, clipped to the viewport
-    directions = _ray_directions(arr.n)
-    for apex in apexes:
-        for direction in directions:
-            clipped = _clip_ray(apex, direction, box)
+    apexes = [grid(p) for p in apexes]
+    for px, py in apexes:
+        for dx, dy in _RAYS:
+            clipped = _clip_ray((px, py), (dx, dy), box)
             if clipped is None:
                 continue
             t0, t1 = clipped
-            a = (apex[0] + t0 * direction[0], apex[1] + t0 * direction[1])
-            b = (apex[0] + t1 * direction[0], apex[1] + t1 * direction[1])
-            (ax, ay), (bx, by) = px(a), px(b)
+            ax, ay = mills(px + t0 * dx, py + t0 * dy)
+            bx, by = mills(px + t1 * dx, py + t1 * dy)
             out.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
                        f'x2="{_fmt(bx)}" y2="{_fmt(by)}" '
                        f'stroke="{_COLOR_RAY}" stroke-width="1.5"/>')
 
     # 0-cells of the complex
-    for cell in vertex_cells:
-        cxp, cyp = px(vertex_pt[cell.type])
-        out.append(f'<circle cx="{_fmt(cxp)}" cy="{_fmt(cyp)}" r="4" '
+    for _, (_, _, cx, cy) in vertices:
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="4" '
                    f'fill="{_COLOR_VERTEX}"/>')
 
-    # apex labels, 1-based column indices
+    # apex labels, 1-based column indices, offset by 6 pixels; adding an
+    # even count of milli-units commutes with rounding halves to even
     for j, apex in enumerate(apexes):
-        axp, ayp = px(apex)
-        out.append(f'<circle cx="{_fmt(axp)}" cy="{_fmt(ayp)}" r="3" '
+        ax, ay = mills(*apex)
+        out.append(f'<circle cx="{_fmt(ax)}" cy="{_fmt(ay)}" r="3" '
                    f'fill="{_COLOR_APEX}"/>')
-        out.append(f'<text x="{_fmt(axp + 6)}" y="{_fmt(ayp - 6)}" '
+        out.append(f'<text x="{_fmt(ax + 6000)}" y="{_fmt(ay - 6000)}" '
                    f'font-family="monospace" font-size="16" '
                    f'fill="{_COLOR_APEX}">{j + 1}</text>')
 

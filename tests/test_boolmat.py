@@ -26,6 +26,10 @@ def test_construction_and_views():
             m = rand_boolmatrix(rng, n, d)
             assert m.col_masks() == tuple(
                 sum(m.entry(i, j) << i for i in range(n)) for j in range(d))
+    # sizes and bits are ints: a bool, a float or a string is refused
+    for args in ((True, 1), (1, True), (1, 1, True), (2.0, 1), (1, 1, "1")):
+        with pytest.raises(TypeError):
+            BoolMatrix(*args)
 
 
 def test_mask_elems_and_mask():

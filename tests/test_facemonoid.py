@@ -38,6 +38,12 @@ def test_construction_validation():
             OrderedSetPartition(n, ())
     with pytest.raises(ValueError):
         OrderedSetPartition.identity(0)
+    # so is a ground-set size that is not an int
+    for bad in (True, 3.0):
+        with pytest.raises(TypeError):
+            OrderedSetPartition(bad, (1,))
+        with pytest.raises(TypeError):
+            list(partitions(bad))
     assert osp(3, [2], [0, 1]).block_sets() == ((2,), (0, 1))
 
 
@@ -87,6 +93,10 @@ def test_act_subset_examples():
     for subset in (0b1001, 0b1000, -1):
         with pytest.raises(ValueError):
             act_subset(subset, f)
+    # and a subset that is not an int is refused, not read as one
+    for subset in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            act_subset(subset, OrderedSetPartition.identity(2))
 
 
 def test_act_subset_shrinks_and_caveat():
