@@ -75,7 +75,7 @@ class BoolMatrix:
     @classmethod
     def from_columns(cls, n: int, columns) -> "BoolMatrix":
         """Build from an iterable of columns, each a set of row indices."""
-        columns = [set(c) for c in columns]
+        columns = [set(map(_index, c)) for c in columns]
         if not columns:
             raise ValueError("matrix dimensions must be positive")
         for c in columns:
@@ -90,28 +90,34 @@ class BoolMatrix:
         """Build from an iterable of (row, column) positions of the ones."""
         bits = 0
         for i, j in pairs:
+            i, j = _index(i), _index(j)
             if not (0 <= i < n and 0 <= j < d):
                 raise ValueError(f"position ({i},{j}) out of range")
             bits |= 1 << (i * d + j)
         return cls(n, d, bits)
 
     def entry(self, i: int, j: int) -> int:
+        i, j = _index(i), _index(j)
         if not (0 <= i < self.n and 0 <= j < self.d):
             raise IndexError(f"position ({i},{j}) out of range")
         return (self.bits >> (i * self.d + j)) & 1
 
     def row_mask(self, i: int) -> int:
+        i = _index(i)
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} out of range")
         return (self.bits >> (i * self.d)) & ((1 << self.d) - 1)
 
     def col_mask(self, j: int) -> int:
+        j = _index(j)
         if not 0 <= j < self.d:
             raise IndexError(f"column {j} out of range")
         return self.col_masks()[j]
 
     def row_masks(self) -> tuple:
-        return tuple(self.row_mask(i) for i in range(self.n))
+        d, bits = self.d, self.bits
+        full = (1 << d) - 1
+        return tuple(bits >> (i * d) & full for i in range(self.n))
 
     def col_masks(self) -> tuple:
         """Every column as a row set; one pass over the set bits, the

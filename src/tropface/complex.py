@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, _mask_elems
+from .boolmat import BoolMatrix, _index, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import CapExceeded, _argmax
 from .tropical import Arrangement, _check_shape
@@ -252,7 +252,7 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     its short-lived lists, raised the peak RSS of the tall benchmark jobs
     by about 1 MB.
     """
-    n, d = arr.n, arr.d
+    n, d, cap = arr.n, arr.d, _index(cap)
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
     index = []  # per column: parent mask -> (forbid, kept attaining entries)

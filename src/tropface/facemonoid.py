@@ -127,7 +127,7 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
     by ``cap`` (default 6, i.e. at most 4683 partitions); a larger ``n``
     raises CapExceeded.
     """
-    n = _index(n)
+    n, cap = _index(n), _index(cap)
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import PartialBijection, _mask, _mask_elems
+from .boolmat import PartialBijection, _index, _mask, _mask_elems
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
@@ -140,7 +140,7 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
     if arr.n != arr.d:
         raise ValueError("input must be a non-empty square matrix")
     full = (1 << arr.n) - 1
-    best, _ = _block(arr._icols, arr.d, full, full, cap, arr._memo)
+    best, _ = _block(arr._icols, arr.d, full, full, _index(cap), arr._memo)
     return Fraction(best, arr._scale)
 
 
@@ -152,7 +152,8 @@ def _check_bijection(n: int, d: int, sigma: PartialBijection):
 
 def _check_block(n: int, d: int, rows, cols, k_max: int):
     """(row mask, column mask) of a valid block of size 1..k_max."""
-    rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
+    rows = tuple(sorted(map(_index, rows)))
+    cols = tuple(sorted(map(_index, cols)))
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
     if not 1 <= len(rows) <= k_max:
@@ -172,6 +173,7 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
                            cap: int = DEFAULT_SCAN_CAP) -> bool:
     """True iff sigma's entry sum ties the optimum over all bijections with
     the same domain and image.  The empty bijection attains vacuously."""
+    cap = _index(cap)
     _check_bijection(arr.n, arr.d, sigma)
     if not sigma.pairs:
         return True
@@ -185,7 +187,7 @@ def optimal_bijections(arr: Arrangement, rows, cols,
     """The full argmax set of bijections from ``cols`` onto ``rows``:
     exactly those whose entry sum equals the block's permanent."""
     rows, cols = _check_block(arr.n, arr.d, rows, cols, min(arr.n, arr.d))
-    _, masks = _block(arr._icols, arr.d, rows, cols, cap, arr._memo,
+    _, masks = _block(arr._icols, arr.d, rows, cols, _index(cap), arr._memo,
                       argmax=True)
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
@@ -209,6 +211,7 @@ class PermanentStructure:
 
     def __init__(self, arr: Arrangement, k_max: int):
         limit = min(arr.n, arr.d)
+        k_max = _index(k_max)
         if not 1 <= k_max <= limit:
             raise ValueError(f"k_max must be between 1 and {limit}")
         self.n, self.d, self._icols = arr.n, arr.d, arr._icols

@@ -2,14 +2,17 @@
 n x d matrix whose columns are apexes.
 
 Every predicate is decided in exact rational arithmetic: cell membership
-is a matter of exact ties, so no tolerance is ever applied.  Feasibility
-questions reduce to difference-constraint systems solved by Bellman-Ford
-relaxation with a virtual source.  Internally the matrix is rescaled to
-integers (all predicates here are invariant under a common positive
-rescaling of the matrix), which keeps the graph algorithms in plain `int`
-arithmetic; witnesses are scaled back to exact rationals on the way out.
-A point queried against the matrix is rescaled along with it, once per
-query, onto one common denominator, so point queries compare `int`s too.
+is a matter of exact ties, so no tolerance is ever applied.  Both
+feasibility questions, whether a zero-one matrix lies below some point's
+type and whether it is exactly one, go to one solver: the rows each
+column ties are contracted to one node, and the difference constraints
+left between the nodes, strict for an exact type, are solved by
+Bellman-Ford relaxation.  Internally the matrix is rescaled to integers
+(all predicates here are invariant under a common positive rescaling of
+the matrix), which keeps the graph algorithms in plain `int` arithmetic;
+witnesses are scaled back to exact rationals on the way out.  A point
+queried against the matrix is rescaled along with it, once per query,
+onto one common denominator, so point queries compare `int`s too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .boolmat import BoolMatrix, _mask_elems
+from .boolmat import BoolMatrix, _index, _mask_elems
 
 
 # An integer, p/q or a decimal, in ASCII digits, with optional sign and
@@ -74,6 +77,7 @@ class Arrangement:
         self._offsets = None  # per-column row offsets, see _offsets
 
     def column(self, j: int) -> tuple:
+        j = _index(j)
         if not 0 <= j < self.d:
             raise IndexError(f"column {j} out of range")
         return tuple(row[j] for row in self.entries)
@@ -108,6 +112,7 @@ def residuation(x, y) -> Fraction:
 def dominates(arr: Arrangement, j: int, y, i: int) -> bool:
     """True iff column j's apex reaches its residuation with y at row i,
     i.e. y_i - M_ij = min_k(y_k - M_kj)."""
+    j, i = _index(j), _index(i)
     if not 0 <= j < arr.d:
         raise IndexError(f"column {j} out of range")
     if not 0 <= i < arr.n:
@@ -170,30 +175,20 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# difference-constraint feasibility
+# feasibility: is s below some point's type (weak), or exactly one (strict)?
 #
-# A 1 at (i, j) of S demands x_i - M_ij <= x_k - M_kj for every k, i.e. the
-# difference constraints x_i - x_k <= M_ij - M_kj.  An edge (u, v, w) below
-# encodes x_u - x_v <= w; the system is feasible iff the edge graph has no
-# negative cycle, and x = -dist (Bellman-Ford potentials from a virtual
-# source) is then a solution.
-
-
-def _weak_edges(arr: Arrangement, s: BoolMatrix):
-    icols = arr._icols
-    n = arr.n
-    edges = []
-    for i in range(n):
-        row = s.row_mask(i)
-        if not row:
-            continue
-        cols = _mask_elems(row)
-        for k in range(n):
-            if k == i:
-                continue
-            w = min(icols[j][i] - icols[j][k] for j in cols)
-            edges.append((i, k, w))
-    return edges
+# A 1 at (i, j) of s demands x_i - M_ij <= x_k - M_kj for every row k.  Two
+# rows sharing a column of s get both directions, so they are tied, which
+# fixes their difference.  The tied rows are contracted to one node each
+# (checking on the way that the forced offsets agree), and each row outside
+# a column gives one difference constraint between contracted nodes.  The
+# weak system is that and no more.  The strict system also refuses an empty
+# column and makes every row outside a column lose strictly: scaling all
+# weights by K = n + 1 and charging -1 per strict edge turns a cycle of
+# weight <= 0 into a negative one, since no simple cycle has more than n
+# edges.  An edge (u, v, w) encodes x_u - x_v <= w; the system is feasible
+# iff the edge graph has no negative cycle, and x = -dist (Bellman-Ford
+# potentials from a virtual source) is then a solution.
 
 
 def _bellman(num_nodes: int, edges):
@@ -218,35 +213,6 @@ def _check_shape(arr: Arrangement, s: BoolMatrix):
             f"matrix is {s.n}x{s.d}, arrangement is {arr.n}x{arr.d}")
 
 
-def is_satisfiable(arr: Arrangement, s: BoolMatrix) -> bool:
-    """True iff some point lies in every sector demanded by s, i.e. iff
-    s is entrywise below the type of some point."""
-    _check_shape(arr, s)
-    return _bellman(arr.n, _weak_edges(arr, s)) is not None
-
-
-def witness(arr: Arrangement, s: BoolMatrix):
-    """A point whose type contains s, or None if s is unsatisfiable."""
-    _check_shape(arr, s)
-    dist = _bellman(arr.n, _weak_edges(arr, s))
-    if dist is None:
-        return None
-    return tuple(Fraction(-dv, arr._scale) for dv in dist)
-
-
-# ---------------------------------------------------------------------------
-# exact realizability: is T the type of some point?
-#
-# Rows sharing a column of T are tied, which fixes their differences; rows
-# outside a column must lose strictly.  The tied rows are contracted to
-# one node each (checking on the way that the forced offsets agree), the
-# strict constraints become strict difference constraints between the
-# contracted nodes, and the system is feasible iff the contracted graph
-# has no cycle of weight <= 0.  Scaling all weights by K = n + 1 and
-# charging -1 per strict edge turns that into ordinary negative-cycle
-# detection, since no simple cycle has more than n edges.
-
-
 def _offsets(arr: Arrangement) -> tuple:
     """``off[j][r][k]`` = K * (M_rj - M_kj) in the integer scaling of
     ``arr._icols``, for every column j and pair of rows: O(d*n^2) ints,
@@ -260,31 +226,26 @@ def _offsets(arr: Arrangement) -> tuple:
     return off
 
 
-def _strict_solve(arr: Arrangement, t: BoolMatrix):
-    """Solve the exact-type system of t: (comp, p, dist, covered rows),
-    the first three scaled by K = n + 1, or None if no point has type t.
+def _solve(arr: Arrangement, colmasks: tuple, strict: int):
+    """Solve the system of the column row sets ``colmasks``, weak for
+    ``strict`` = 0 and strict for 1: (comp, p, dist, covered rows), the
+    first three scaled by K = n + 1, or None if it has no solution.
 
-    Reads only ``arr.n``, the offsets ``_offsets`` derives from
-    ``arr._icols``, and the column row sets of t, which ``t.col_masks()``
-    derives at most once per matrix.  One pass over the columns contracts
-    the tied rows.  Every row r of column j has the same x_r - M_rj, so r
-    joins the component of the column's least row r0 at offset p[r] =
-    p[r0] + M_rj - M_r0j; a row already there at another offset means two
-    columns force incompatible offsets.  A component is named by its least
-    row, which sits at offset 0, and ``comp`` maps each row to that name.
-    A row k outside column j must lose strictly, and after the contraction
-    x_r - x_k < M_rj - M_kj is the same constraint for every r of the
-    column, so each (column, losing row) gives one strict edge between two
-    names.  A row in no column sends no edge and only has to lose, so it
-    never makes the system infeasible; its edges are left to
-    ``realize_type``.  ``dist`` holds the Bellman-Ford potentials over all
-    n rows of the remaining edges; a row that names no component, or lies
-    in no column, has none.
+    One pass over the columns contracts the tied rows.  Every row r of
+    column j has the same x_r - M_rj, so r joins the component of the
+    column's least row r0 at offset p[r] = p[r0] + M_rj - M_r0j; a row
+    already there at another offset means two columns force incompatible
+    offsets.  A component is named by its least row, which sits at offset
+    0, and ``comp`` maps each row to that name.  After the contraction
+    x_r - x_k <= M_rj - M_kj, less ``strict``, is the same constraint for
+    every r of the column, so each (column, losing row) gives one edge
+    between two names.  A row in no column only receives edges, so it
+    never makes the system infeasible; ``_realize`` places it.  ``dist``
+    holds the Bellman-Ford potentials of the other edges over all n rows.
     """
+    if strict and not all(colmasks):
+        return None  # every column of a type is non-empty
     n = arr.n
-    colmasks = t.col_masks()
-    if not all(colmasks):
-        return None
     offsets = _offsets(arr)
     comp = list(range(n))  # each row's component, named by its least row
     p = [0] * n
@@ -292,7 +253,7 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
     for off, m in zip(offsets, colmasks):
         covered |= m
         if not m & (m - 1):
-            continue  # one row: nothing tied
+            continue  # at most one row: nothing tied
         r0, *rows = _mask_elems(m)
         o = off[r0]
         for r in rows:
@@ -311,46 +272,66 @@ def _strict_solve(arr: Arrangement, t: BoolMatrix):
 
     edges = []
     for off, m in zip(offsets, colmasks):
+        if not m:
+            continue  # demands nothing of a weak system
         r0 = _mask_elems(m)[0]
         u = comp[r0]
         o = off[r0]
-        base = p[r0] + 1  # the 1 makes the edge strict
+        base = p[r0] + strict
         for k in _mask_elems(covered ^ m):
             v = comp[k]
-            w = o[k] - base + p[k]  # need x_r0 - x_k < M_r0j - M_kj
+            w = o[k] - base + p[k]  # need x_r0 - x_k <= M_r0j - M_kj
             if u != v:
                 edges.append((u, v, w))
             elif w < 0:
                 return None
     dist = _bellman(n, edges)
-    if dist is None:
-        return None
-    return comp, p, dist, covered
+    return None if dist is None else (comp, p, dist, covered)
 
 
-def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
-    """True iff some point's type is exactly t."""
-    _check_shape(arr, t)
-    return _strict_solve(arr, t) is not None
-
-
-def realize_type(arr: Arrangement, t: BoolMatrix):
-    """A point whose type is exactly t, or None if there is none."""
-    _check_shape(arr, t)
-    solved = _strict_solve(arr, t)
+def _realize(arr: Arrangement, colmasks: tuple, strict: int):
+    """A solution of ``_solve``'s system as exact rationals, or None."""
+    solved = _solve(arr, colmasks, strict)
     if solved is None:
         return None
     comp, p, dist, covered = solved
     free = _mask_elems(((1 << arr.n) - 1) ^ covered)
     if free:
-        # a row in no column only receives strict edges, one per column,
-        # so its potential is the least of their ends and 0
-        for off, m in zip(_offsets(arr), t.col_masks()):
+        # a row in no column only receives edges, one per non-empty
+        # column, so its potential is the least of their ends and 0
+        for off, m in zip(_offsets(arr), colmasks):
+            if not m:
+                continue
             r0 = _mask_elems(m)[0]
             o = off[r0]
-            du = dist[comp[r0]] - p[r0] - 1
+            du = dist[comp[r0]] - p[r0] - strict
             for k in free:
                 if du + o[k] < dist[k]:
                     dist[k] = du + o[k]
     denom = (arr.n + 1) * arr._scale
     return tuple(Fraction(p[i] - dist[comp[i]], denom) for i in range(arr.n))
+
+
+def is_satisfiable(arr: Arrangement, s: BoolMatrix) -> bool:
+    """True iff some point lies in every sector demanded by s, i.e. iff
+    s is entrywise below the type of some point."""
+    _check_shape(arr, s)
+    return _solve(arr, s.col_masks(), 0) is not None
+
+
+def witness(arr: Arrangement, s: BoolMatrix):
+    """A point whose type contains s, or None if s is unsatisfiable."""
+    _check_shape(arr, s)
+    return _realize(arr, s.col_masks(), 0)
+
+
+def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
+    """True iff some point's type is exactly t."""
+    _check_shape(arr, t)
+    return _solve(arr, t.col_masks(), 1) is not None
+
+
+def realize_type(arr: Arrangement, t: BoolMatrix):
+    """A point whose type is exactly t, or None if there is none."""
+    _check_shape(arr, t)
+    return _realize(arr, t.col_masks(), 1)

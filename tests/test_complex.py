@@ -7,11 +7,13 @@ from math import comb
 import pytest
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
-                      OrderedSetPartition, PermanentStructure, act_on_type,
-                      cell_dimension, cell_of, column_space_projection,
+                      OrderedSetPartition, PartialBijection,
+                      PermanentStructure, act_on_type, cell_dimension,
+                      cell_of, column_space_projection, dominates,
                       enumerate_types, face_relation, is_bounded,
-                      is_realized_type, is_type, partitions,
-                      permanent_structure, realize_type, type_of_point,
+                      is_permanent_attaining, is_realized_type, is_type,
+                      optimal_bijections, partitions, permanent_structure,
+                      realize_type, tropical_permanent, type_of_point,
                       witness)
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
@@ -150,6 +152,47 @@ def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         enumerate_types(arr)
     assert enumerate_types(arr, cap=25)  # explicit knob overrides
+
+
+_ARR = Arrangement([[0, 1], [2, 0]])
+_M = BoolMatrix(2, 2, 0b1001)
+_SIGMA = PartialBijection([(0, 0)])
+
+
+_NOT_INTS = {
+    "column-bool": lambda: _ARR.column(True),
+    "column-float": lambda: _ARR.column(1.0),
+    "dominates-bool": lambda: dominates(_ARR, True, (0, 0), False),
+    "dominates-float": lambda: dominates(_ARR, 0, (0, 0), 1.0),
+    "entry": lambda: _M.entry(True, 0),
+    "row_mask": lambda: _M.row_mask(True),
+    "col_mask": lambda: _M.col_mask(True),
+    "from_pairs": lambda: BoolMatrix.from_pairs(2, 2, [(True, 0)]),
+    "from_columns": lambda: BoolMatrix.from_columns(2, [{0}, {1.0}]),
+    "optimal_bijections-row": lambda: optimal_bijections(
+        _ARR, [True, 0], [0, 1]),
+    "optimal_bijections-cap": lambda: optimal_bijections(
+        _ARR, [1, 0], [0, 1], cap=2.0),
+    "structure-optimal": lambda: permanent_structure(_ARR).optimal(
+        [True, 0], [0, 1]),
+    "permanent_structure-k_max": lambda: permanent_structure(_ARR, 1.0),
+    "PermanentStructure-k_max": lambda: PermanentStructure(_ARR, True),
+    "partitions-cap": lambda: list(partitions(1, cap=True)),
+    "enumerate_types-cap": lambda: enumerate_types(_ARR, cap=24.5),
+    "tropical_permanent-cap": lambda: tropical_permanent(
+        [[0, 1], [2, 0]], cap=1.5),
+    "is_permanent_attaining-cap": lambda: is_permanent_attaining(
+        _ARR, _SIGMA, cap=True),
+    "is_permanent_attaining-empty": lambda: is_permanent_attaining(
+        _ARR, PartialBijection(), cap="8"),
+}
+
+
+@pytest.mark.parametrize("call", _NOT_INTS.values(), ids=_NOT_INTS.keys())
+def test_positions_and_caps_must_be_ints(call):
+    # a bool, a float or a string is refused, not rounded or read as 0/1
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_cell_dimension_fixtures(demo):

@@ -1,0 +1,56 @@
+"""Satisfiability, witnesses and exact realizability share one
+difference-constraint solver: ``tropical._solve`` is the only caller of
+``tropical._bellman`` in the library, and the separate weak system
+``_weak_edges`` stays gone."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tropface"
+
+
+def _sites(tree: ast.Module, callee: str) -> tuple:
+    """(calls of ``callee``, by name or attribute, as (line, enclosing
+    top-level function or class), and definitions of a function named
+    ``callee``, by line)."""
+    calls, defs = [], []
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", None) == callee or (
+                        getattr(f, "attr", None) == callee):
+                    calls.append((node.lineno, name))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name == callee):
+                defs.append(node.lineno)
+    return calls, defs
+
+
+def _package_sites(callee: str) -> tuple:
+    calls, defs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        c, d = _sites(tree, callee)
+        calls += [(path.stem, name) for _, name in c]
+        defs += [(path.stem, line) for line in d]
+    return calls, defs
+
+
+def test_one_difference_constraint_solver():
+    assert _package_sites("_bellman")[0] == [("tropical", "_solve")]
+    assert _package_sites("_weak_edges") == ([], [])
+
+
+def test_calls_and_definitions_are_found():
+    tree = ast.parse("def f(e):\n"
+                     "    return _bellman(3, e)\n"
+                     "class C:\n"
+                     "    def g(self):\n"
+                     "        return tropical._bellman(1, [])\n"
+                     "    def _bellman(self):\n"
+                     "        pass\n"
+                     "x = _bellman\n")
+    assert _sites(tree, "_bellman") == ([(2, "f"), (5, "C")], [6])

@@ -166,11 +166,32 @@ def test_witness_fixtures(demo):
 
 def test_witness_soundness_random():
     rng = random.Random(10)
+    cases = []  # (arrangement, matrix, known to be satisfiable)
     for _ in range(150):
         arr = rand_arrangement(rng, rng.randint(2, 4), rng.randint(1, 4))
-        s = rand_boolmatrix(rng, arr.n, arr.d)
+        cases.append((arr, rand_boolmatrix(rng, arr.n, arr.d), False))
+    # {-1, 0, 1} entries, one-row and one-column shapes, and parts of
+    # types that leave columns empty and rows in no column
+    for k in range(300):
+        n, d = ((1, rng.randint(1, 5)), (rng.randint(2, 5), 1),
+                (rng.randint(2, 4), rng.randint(2, 4)))[k % 3]
+        if k % 2:
+            arr = Arrangement(
+                [[rng.choice((-1, 0, 1)) for _ in range(d)] for _ in range(n)])
+            x = [rng.randint(-1, 1) for _ in range(n)]
+        else:
+            arr, x = rand_arrangement(rng, n, d), rand_point(rng, n)
+        cases.append((arr, rand_boolmatrix(rng, n, d), False))
+        rows, cols = rng.randrange(1 << n), rng.randrange(1 << d)
+        keep = sum(1 << (i * d + j) for i in range(n) for j in range(d)
+                   if rows >> i & cols >> j & 1)
+        t = type_of_point(arr, x).bits
+        for bits in (t & keep, t & rng.randrange(1 << (n * d))):
+            cases.append((arr, BoolMatrix(n, d, bits), True))
+    for arr, s, known in cases:
         w = witness(arr, s)
         assert (w is None) == (not is_satisfiable(arr, s))
+        assert w is not None or not known
         if w is not None:
             assert s <= type_of_point(arr, w)
 
