@@ -55,7 +55,8 @@ class BoolMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "BoolMatrix":
-        """Build from an iterable of rows of 0/1 entries."""
+        """Build from an iterable of rows of 0/1 entries.  Entries are read
+        through ``_index``, so a bool or a float raises TypeError."""
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0:
@@ -66,6 +67,7 @@ class BoolMatrix:
         bits = 0
         for i, r in enumerate(rows):
             for j, e in enumerate(r):
+                e = _index(e)
                 if e not in (0, 1):
                     raise ValueError(f"entry {e!r} is not 0 or 1")
                 if e:

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
@@ -275,7 +276,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="tropface",
         description="exact combinatorics of min-plus hyperplane arrangements")

@@ -5,16 +5,24 @@ The permanent of a k x k block is the maximum over permutations of the
 sum of selected entries; a partial bijection attains it when its own sum
 equals that maximum on the block it selects.  Both questions are the
 assignment problem, solved exactly by one recurrence on (row set, column
-set): the last column goes to some row, and what is left is the block
-without both.  That sub-problem is a block too, so each arrangement keeps
-one memo of block answers, shared by all its structures and queries, and
-solves each block once; the argmax set is gathered from the rows whose
-sub-problem ties the optimum.  Single queries run the recurrence top-down;
-a structure's drain fills its blocks level by level, reading each block's
-sub-blocks straight from the memo.  Entries are integers: the
-arrangement's matrix rescaled to a common denominator.  This module
-answers block questions only; the cell test and the cell search, which
-ask them through ``_argmax``, live in ``complex``.
+set), ``_recur``: the last column goes to some row, and what is left is
+the block without both.  That sub-problem is a block too, so each
+arrangement keeps one memo of block answers, shared by all its structures
+and queries, and solves each block once; the argmax set is gathered from
+the rows whose sub-problem ties the optimum.
+
+The memo has two levels, column set first: memo[cols] is that column
+set's *slab*, a dict from row set to (permanent, argmax masks).  The k
+sub-blocks of a k x k block all lie in one slab, memo[cols without its
+last column], and are read by their row masks alone.  Single queries run
+the recurrence top-down (``_solve``); a structure's drain fills its
+blocks level by level and, within a level, one column set at a time,
+writing each answer straight into that column set's slab.  Both make a
+new slab with ``memo.setdefault(cols, {})``, so fills that race never
+drop one.  Entries are integers: the arrangement's matrix rescaled to a
+common denominator.  This module answers block questions only; the cell
+test and the cell search, which ask them through ``_argmax``, live in
+``complex``.
 
 Everything inside works on bit masks: a block is a (row mask, column
 mask) pair and a bijection is its grid mask, bit i*d + j for the pair
@@ -50,61 +58,78 @@ def _drops(rows: int) -> tuple:
     return tuple([(a, rows ^ (1 << a)) for a in _mask_elems(rows)])
 
 
-def _recur(icols, d: int, drops, c: int, rest: int, memo: dict):
-    """(best, tight) of the block with the rows that ``drops`` lists (see
+def _recur(icols, d: int, drops, c: int, rest: int, memo: dict, sub: dict,
+           argmax: bool):
+    """(best, masks) of the block with the rows that ``drops`` lists (see
     ``_drops``) and column mask ``rest`` plus its last column c, where
-    icols[j][i] is entry (i, j): best is the max over rows a of the
-    sub-problem (rows without a, ``rest``) plus entry (a, c), and tight
-    lists the (a, sub-problem rows) that reach it.  Sub-problems missing
-    from the memo are solved value-only."""
+    icols[j][i] is entry (i, j).  best is the max over rows a of the
+    sub-block (rows without a, ``rest``) plus entry (a, c).  With
+    ``argmax``, masks are the sorted grid masks of the block's optimal
+    bijections: each tight entry (a, c) joined to every argmax mask of its
+    sub-block; otherwise masks is None.
+
+    The sub-blocks are read by row mask from ``sub``, the slab
+    memo[rest], which must hold every one of them; a tight one without its
+    argmax set is completed by ``_solve``.  With one tight row the
+    sub-block's order stands."""
     col = icols[c]
-    best, tight = None, []
-    for a, sub in drops:
-        v = (memo.get((sub, rest))
-             or _solve(icols, d, sub, rest, memo, False))[0] + col[a]
+    best = None
+    for t in drops:
+        v = sub[t[1]][0] + col[t[0]]
         if best is None or v > best:
-            best, tight = v, [(a, sub)]
+            best, top, ties = v, t, False
         elif v == best:
-            tight.append((a, sub))
-    return best, tight
-
-
-def _join(tight, d: int, c: int, rest: int, memo: dict) -> tuple:
-    """The sorted grid masks (bit i*d + j for entry (i, j)) of a block's
-    optimal bijections: each tight entry (a, c) joined to every argmax
-    mask of its sub-problem, which the memo must hold.  With one tight
-    row the sub-problem's order stands."""
-    if len(tight) == 1:
-        a, sub = tight[0]
+            ties = True
+    if not argmax:
+        return best, None
+    if not ties:
+        a, r = top
         bit = 1 << (a * d + c)
-        return tuple([m | bit for m in memo[(sub, rest)][1]])
-    return tuple(sorted([m | 1 << (a * d + c) for a, sub in tight
-                         for m in memo[(sub, rest)][1]]))
+        masks = sub[r][1] or _solve(icols, d, r, rest, memo, True)[1]
+        if len(masks) == 1:  # the common case, without a comprehension
+            return best, (masks[0] | bit,)
+        return best, tuple([m | bit for m in masks])
+    joined = []
+    for a, r in drops:
+        if sub[r][0] + col[a] == best:
+            bit = 1 << (a * d + c)
+            masks = sub[r][1] or _solve(icols, d, r, rest, memo, True)[1]
+            joined += [m | bit for m in masks]
+    joined.sort()
+    return best, tuple(joined)
 
 
 def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
     """(optimum, masks) of assigning the columns in bit mask ``cols`` onto
-    the rows in bit mask ``rows``, top-down through ``_recur``.  With
-    ``argmax``, masks are the sorted grid masks of every optimal
+    the rows in bit mask ``rows``, top-down: the block's sub-blocks are
+    solved value-only into their slab first, then ``_recur`` answers it.
+    With ``argmax``, masks are the sorted grid masks of every optimal
     bijection, gathered from the tight rows only; otherwise masks may be
-    None.  memo[(rows, cols)] holds each sub-problem's answer, the empty
-    block's among them; an entry without masks is only ever completed,
-    never replaced by one with less.
+    None.
+
+    memo[cols][rows] holds each block's answer, the empty block's among
+    them.  A missing slab is made by ``memo.setdefault(cols, {})``, and an
+    entry without masks is only ever completed, never replaced by one
+    with less.
     """
-    got = memo.get((rows, cols))
+    slab = memo.get(cols) or memo.setdefault(cols, {})
+    got = slab.get(rows)
     if got is not None and (got[1] is not None or not argmax):
         return got
     if not cols:  # the empty block: one bijection, the empty one
-        got = memo[(0, 0)] = (0, (0,))
+        got = slab[rows] = (0, (0,))
         return got
     c = cols.bit_length() - 1
     rest = cols ^ (1 << c)
-    best, tight = _recur(icols, d, _drops(rows), c, rest, memo)
+    drops = _drops(rows)
+    sub = memo.get(rest) or memo.setdefault(rest, {})
+    for _, r in drops:
+        if r not in sub:
+            _solve(icols, d, r, rest, memo, False)
+    got = _recur(icols, d, drops, c, rest, memo, sub, argmax)
     if not argmax:
-        return memo.setdefault((rows, cols), (best, None))
-    for _, sub in tight:
-        _solve(icols, d, sub, rest, memo, True)
-    got = memo[(rows, cols)] = (best, _join(tight, d, c, rest, memo))
+        return slab.setdefault(rows, got)
+    slab[rows] = got
     return got
 
 
@@ -119,7 +144,8 @@ def _argmax(arr: Arrangement, rows: int, cols: int) -> tuple:
     """The sorted argmax grid masks of the block (row mask, column mask):
     read from the arrangement's memo, or else solved into it, refused
     above ``DEFAULT_SCAN_CAP`` rows."""
-    got = arr._memo.get((rows, cols))
+    slab = arr._memo.get(cols)
+    got = slab.get(rows) if slab else None
     if got is None or got[1] is None:
         got = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
                      arr._memo, argmax=True)
@@ -197,16 +223,17 @@ class PermanentStructure:
     sizes 1..k_max, held as lazily computed argmax sets indexed by (image
     rows, domain columns), each block size capped at ``DEFAULT_SCAN_CAP``
     rows.  Its blocks are answered from the arrangement's one block memo,
-    which every structure of the arrangement, ``optimal_bijections``,
-    ``is_permanent_attaining`` and the cell test in ``complex`` share.  It
-    keeps the arrangement's shape, integer columns and memo, not a
-    reference to the arrangement.
+    slab by column set and then entry by row set, which every structure of
+    the arrangement, ``optimal_bijections``, ``is_permanent_attaining`` and
+    the cell test in ``complex`` share.  It keeps the arrangement's shape,
+    integer columns and memo, not a reference to the arrangement.
 
-    Queries are pure; the memo only holds deterministic recomputation,
-    and no memo entry is replaced by one without its argmax set, so racing
-    fills store equal answers and concurrent use is safe.  The bijections
-    handed out derive their fields lazily, where a race also stores equal
-    values.
+    Queries are pure; the memo only holds deterministic recomputation.  A
+    new slab is made with ``memo.setdefault(cols, {})``, so racing fills
+    never drop a slab, and no memo entry is replaced by one without its
+    argmax set, so racing fills store equal answers and concurrent use is
+    safe.  The bijections handed out derive their fields lazily, where a
+    race also stores equal values.
     """
 
     def __init__(self, arr: Arrangement, k_max: int):
@@ -243,29 +270,37 @@ class PermanentStructure:
         """Yield the empty bijection plus every attaining one of size up to
         k_max, grouped by (size, rows, cols), deterministically.
 
-        The blocks are filled level by level: every block of size k - 1
-        is in the memo with its argmax set before the first of size k, so
-        ``_recur`` and ``_join`` read a block's k sub-blocks straight from
-        the memo."""
+        The blocks are filled level by level, and within a level one
+        column set at a time: every block of size k - 1 is in the memo
+        with its argmax set before the first of size k, so ``_recur`` reads
+        a block's k sub-blocks by row mask from the one slab
+        memo[cols without its last column], and its answer goes straight
+        into the slab memo[cols].  An entry that value-only queries left
+        without its argmax set is completed.  A level is filled whole
+        before it is yielded, rows then cols."""
         yield PartialBijection.empty()
         n, d, icols, memo = self.n, self.d, self._icols, self._memo
         from_mask = PartialBijection._from_mask
+        _solve(icols, d, 0, 0, memo, True)  # the empty block, under level 1
         for k in range(1, self.k_max + 1):
             _check_cap(k, DEFAULT_SCAN_CAP)
             row_sets = [(rows, _drops(rows))
                         for rows in map(_mask, combinations(range(n), k))]
-            col_sets = []  # (column mask, last column, the others)
+            slabs = []
             for c in combinations(range(d), k):
                 cols = _mask(c)
-                col_sets.append((cols, c[-1], cols ^ (1 << c[-1])))
-            for rows, drops in row_sets:
-                for cols, c, rest in col_sets:
-                    got = memo.get((rows, cols))
+                rest = cols ^ (1 << c[-1])
+                sub = memo[rest]  # made by the level below
+                slab = memo.get(cols) or memo.setdefault(cols, {})
+                for rows, drops in row_sets:
+                    got = slab.get(rows)
                     if got is None or got[1] is None:
-                        best, tight = _recur(icols, d, drops, c, rest, memo)
-                        got = memo[(rows, cols)] = (
-                            best, _join(tight, d, c, rest, memo))
-                    for m in got[1]:
+                        slab[rows] = _recur(icols, d, drops, c[-1], rest,
+                                            memo, sub, True)
+                slabs.append(slab)
+            for rows, _ in row_sets:
+                for slab in slabs:
+                    for m in slab[rows][1]:
                         yield from_mask(m, d)
 
 

@@ -50,6 +50,10 @@ def test_construction_rejects_bad_input():
         BoolMatrix(2, 2, 1 << 4)
     with pytest.raises(ValueError):
         BoolMatrix.from_rows([[0, 2]])
+    # entries read as indices: 1.0 and True are not silently taken as 1
+    for rows in ([[1.0, True], [0, False]], [[1.0]], [[0, True]], [[0.0]]):
+        with pytest.raises(TypeError):
+            BoolMatrix.from_rows(rows)
     with pytest.raises(ValueError):
         BoolMatrix.from_rows([[0, 1], [1]])
     with pytest.raises(ValueError):

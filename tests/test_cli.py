@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tropface import BoolMatrix, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
-                          EXIT_RENDER_DIM, ParseFailure, _rank,
+                          EXIT_RENDER_DIM, ParseFailure, _build_parser, _rank,
                           format_partition, format_scalar, format_type, main,
                           parse_partition, parse_scalar, parse_type_matrix)
 
@@ -106,6 +106,21 @@ def test_cmd_type_of_point_missing_file(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == EXIT_PARSE
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(demo_file, capsys):
+    assert _build_parser() is _build_parser()
+    # a failed parse leaves nothing behind in the shared parser
+    for _ in range(2):
+        assert main(["type-of-point", demo_file]) == EXIT_PARSE
+        assert "usage: tropface" in capsys.readouterr().err
+        assert main(["type-of-point", demo_file, "0,0,0"]) == EXIT_OK
+        assert capsys.readouterr().out == "({2},{1,2},{1},{1,3})\n"
+        assert main(["enumerate", demo_file, "--cap", "0"]) == EXIT_PARSE
+        assert "not a positive integer" in capsys.readouterr().err
+        assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
+                     "({1,2,3})"]) == EXIT_OK
+        assert capsys.readouterr().out == "({2},{1,2},{1},{1,3})\n"
 
 
 def test_cmd_enumerate_report(demo_file, tmp_path, capsys):

@@ -1,7 +1,11 @@
-"""Satisfiability, witnesses and exact realizability share one
-difference-constraint solver: ``tropical._solve`` is the only caller of
-``tropical._bellman`` in the library, and the separate weak system
-``_weak_edges`` stays gone."""
+"""One solver per problem.  Satisfiability, witnesses and exact
+realizability share one difference-constraint solver: ``tropical._solve``
+is the only caller of ``tropical._bellman`` in the library, and the
+separate weak system ``_weak_edges`` stays gone.  Block permanents and
+argmax sets have one recurrence, ``permanent._recur``, which both the
+top-down ``permanent._solve`` and the level-order drain
+``PermanentStructure.bijections`` call; the separate join ``_join`` stays
+gone."""
 
 import ast
 from pathlib import Path
@@ -39,6 +43,21 @@ def _package_sites(callee: str) -> tuple:
     return calls, defs
 
 
+def _callers(tree: ast.Module, callee: str) -> list:
+    """The sorted names, ``function`` or ``Class.method``, of the top-level
+    functions and the methods that call ``callee``."""
+    funcs = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            funcs += [(f"{top.name}.{f.name}", f) for f in top.body
+                      if isinstance(f, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            funcs.append((top.name, top))
+    return sorted(name for name, f in funcs
+                  if _sites(ast.Module(body=[f], type_ignores=[]),
+                            callee)[0])
+
+
 def test_one_difference_constraint_solver():
     assert _package_sites("_bellman")[0] == [("tropical", "_solve")]
     assert _package_sites("_weak_edges") == ([], [])
@@ -54,3 +73,28 @@ def test_calls_and_definitions_are_found():
                      "        pass\n"
                      "x = _bellman\n")
     assert _sites(tree, "_bellman") == ([(2, "f"), (5, "C")], [6])
+
+
+def test_one_block_recurrence():
+    calls, defs = _package_sites("_recur")
+    assert [module for module, _ in defs] == ["permanent"]
+    assert {module for module, _ in calls} == {"permanent"}
+    path = PACKAGE / "permanent.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _callers(tree, "_recur") == ["PermanentStructure.bijections",
+                                         "_solve"]
+    assert _package_sites("_join") == ([], [])
+
+
+def test_callers_are_named_by_method():
+    tree = ast.parse("def f():\n"
+                     "    return k()\n"
+                     "class C:\n"
+                     "    def g(self):\n"
+                     "        def inner():\n"
+                     "            return m.k()\n"
+                     "        return inner\n"
+                     "    def h(self):\n"
+                     "        return k\n"
+                     "k()\n")
+    assert _callers(tree, "k") == ["C.g", "f"]

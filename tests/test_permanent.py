@@ -14,6 +14,7 @@ from tropface import (Arrangement, BoolMatrix, PartialBijection,
                       optimal_bijections, permanent_structure,
                       tropical_permanent, type_of_point)
 
+from tropface.boolmat import _mask
 from tropface.complex import _column_constraints
 
 from demo_data import rand_arrangement, rand_boolmatrix, rand_scalar
@@ -320,18 +321,39 @@ def test_structure_holds_no_reference_to_its_arrangement():
             gc.enable()
 
 
+def _memo_snapshot(arr) -> dict:
+    """A copy of the block memo down to its entries: a copy of the outer
+    dict alone would share the row-set slabs it is meant to freeze."""
+    return {cols: dict(slab) for cols, slab in arr._memo.items()}
+
+
+def _memo_entry(arr, rows, cols):
+    return arr._memo[_mask(cols)][_mask(rows)]
+
+
 def test_one_block_memo_per_arrangement():
     rng = random.Random(44)
     ties = Arrangement([[rng.randint(-1, 1) for _ in range(6)]
                         for _ in range(6)])
+    blocks = list(_blocks(6, 6, 4))
     for arr in (ties, rand_arrangement(rng, 6, 6, span=10**6)):
         whole = range(6)
         argmax = optimal_bijections(arr, whole, whole)
-        filled = dict(arr._memo)
+        filled = _memo_snapshot(arr)
         # the full block's answer is in the memo: checking its argmax
         # bijections solves nothing again
         assert all(is_permanent_attaining(arr, sigma) for sigma in argmax)
-        assert arr._memo == filled
+        assert _memo_snapshot(arr) == filled
+        # a k_max = 4 drain leaves every block of size <= 4 in the memo
+        # with its argmax set, so asking for any of them adds nothing
+        list(PermanentStructure(arr, 4).bijections())
+        assert all(_memo_entry(arr, rows, cols)[1] is not None
+                   for rows, cols in blocks)
+        filled = _memo_snapshot(arr)
+        structure = permanent_structure(arr)
+        for rows, cols in blocks:
+            assert structure.optimal(rows, cols)
+        assert _memo_snapshot(arr) == filled
         assert permanent_structure(arr, 2)._memo is arr._memo
         assert permanent_structure(arr)._memo is arr._memo
         assert PermanentStructure(arr, 3)._memo is arr._memo
@@ -389,6 +411,25 @@ def test_drain_order_and_type_tables_are_pinned(kind, n, d):
     tables = (_sha(_canonical(_column_constraints(arr)))
               if n * d <= 40 else None)
     assert (_sha(drain), tables) == PINNED_DRAINS[kind, n, d]
+
+
+@pytest.mark.parametrize("kind", ["ties", "generic"])
+def test_drain_completes_value_only_entries(kind):
+    arr = _pinned_arrangement(kind, 6, 6)
+    # a value-only query on the full block leaves its sub-blocks in the
+    # memo without their argmax sets
+    diagonal = PartialBijection([(i, i) for i in range(6)])
+    assert is_permanent_attaining(arr, diagonal) in (True, False)
+    value_only = [(rows, cols) for rows, cols in _blocks(6, 6, 4)
+                  if _mask(cols) in arr._memo
+                  and _mask(rows) in arr._memo[_mask(cols)]]
+    assert value_only
+    assert all(_memo_entry(arr, rows, cols)[1] is None
+               for rows, cols in value_only)
+    drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
+    assert _sha(drain) == PINNED_DRAINS[kind, 6, 6][0]
+    assert all(_memo_entry(arr, rows, cols)[1] is not None
+               for rows, cols in value_only)
 
 
 def test_downward_closure_of_attaining():
