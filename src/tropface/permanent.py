@@ -144,12 +144,14 @@ def _argmax(arr: Arrangement, rows: int, cols: int) -> tuple:
     """The sorted argmax grid masks of the block (row mask, column mask):
     read from the arrangement's memo, or else solved into it, refused
     above ``DEFAULT_SCAN_CAP`` rows."""
-    slab = arr._memo.get(cols)
-    got = slab.get(rows) if slab else None
-    if got is None or got[1] is None:
-        got = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
-                     arr._memo, argmax=True)
-    return got[1]
+    try:
+        masks = arr._memo[cols][rows][1]
+    except KeyError:
+        masks = None
+    if masks is None:
+        masks = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
+                       arr._memo, argmax=True)[1]
+    return masks
 
 
 def _check_cap(k: int, cap: int):
