@@ -5,13 +5,16 @@ ordered set partitions on them.
 A matrix labels a cell iff (a) every column is non-empty, (b) every
 partial bijection it contains attains the permanent of its block, and
 (c) with any bijection it contains the whole argmax set of that block.
-This module owns that test in both of its forms: ``_maximal_attaining``
-decides it for one matrix, behind ``is_type``, and ``_column_constraints``
-turns it into per-column constraints for the cell search in
-``enumerate_types``.  Both read block argmax sets through
-``permanent._argmax`` and never consult the geometry; the geometric
-decision procedure in ``tropical`` is an independent implementation of
-the same set and is used to cross-validate it.
+Once a bijection's prefix attains, (b) and (c) depend only on blocks: the
+bijection attains iff the prefix block's permanent plus the new entry is
+its own block's permanent.  This module owns that test in both of its
+forms, each a walk over blocks, columns ascending: ``is_type`` decides it
+for one matrix, and ``_column_constraints`` turns it into per-column
+constraints for the cell search in ``enumerate_types``.  Both read a
+block's permanent and argmax set through ``permanent._argmax`` and never
+consult the geometry; the geometric decision procedure in ``tropical`` is
+an independent implementation of the same set and is used to
+cross-validate it.
 """
 
 from __future__ import annotations
@@ -77,63 +80,51 @@ def _cell(t: BoolMatrix) -> TypeCell:
     return TypeCell(t, *_ties(t))
 
 
-def _maximal_attaining(arr: Arrangement, s: BoolMatrix) -> bool:
-    """True iff every maximal partial bijection inside s (one that no
-    entry of s extends) attains its block's permanent and s holds the
-    block's whole argmax set.  Every bijection inside s extends to a
-    maximal one, and both properties pass from it down to its
-    sub-bijections, so this is conditions (b) and (c) of the cell test.
-
-    The walk takes the lines of the grid's shorter side in turn, so a
-    bijection has at most one entry per line: each line either takes an
-    entry of s whose cross line is still free, or is skipped, and then
-    its free entries are pending: a later line must take each of them,
-    or the bijection is not maximal.  A branch whose pending entries
-    outnumber the lines left holds no maximal bijection.  At a leaf the
-    block's argmax set comes from ``_argmax``."""
-    d, bits = arr.d, s.bits
-    by_cols = d <= arr.n
-    if by_cols:  # line j, cross line i, grid bit i*d + j
-        lines, step, cross = s.col_masks(), 1, d
-    else:  # line i, cross line j
-        lines, step, cross = s.row_masks(), d, 1
-    last = len(lines)
-
-    def rec(line, used, taken, mask, pending):
-        # used: the cross lines taken; taken: the lines that took one
-        if pending.bit_count() > last - line:
-            return True
-        if line == last:
-            masks = (_argmax(arr, used, taken) if by_cols
-                     else _argmax(arr, taken, used))
-            if mask not in masks:
-                return False
-            return len(masks) == 1 or all(not a & ~bits for a in masks)
-        free = lines[line] & ~used
-        if not rec(line + 1, used, taken, mask, pending | free):
-            return False
-        here, at = 1 << line, line * step
-        for k in _mask_elems(free):
-            low = 1 << k
-            if not rec(line + 1, used | low, taken | here,
-                       mask | 1 << (at + k * cross), pending & ~low):
-                return False
-        return True
-
-    return rec(0, 0, 0, 0, 0)
-
-
 def is_type(arr: Arrangement, s: BoolMatrix) -> bool:
     """Decide from block permanents alone whether s labels a cell: (a)
-    every column of s is non-empty, and every maximal partial bijection
-    inside s attains its block's permanent with the block's whole argmax
-    set inside s, which gives (b) and (c) for every bijection inside s
-    (``_maximal_attaining``).  Raises CapExceeded if a block it must
-    solve has more rows than ``permanent.DEFAULT_SCAN_CAP``."""
+    every column of s is non-empty, (b) every partial bijection inside s
+    attains its block's permanent, and (c) the block's whole argmax set
+    lies inside s.  Raises CapExceeded if a block it must read has more
+    rows than ``permanent.DEFAULT_SCAN_CAP``.
+
+    The walk takes the columns in turn, as the search in
+    ``enumerate_types`` grows bijections.  It carries the blocks of the
+    bijections inside the columns taken so far, each as its key cols << n
+    | rows and its permanent, starting from the empty block, and grows
+    each block by every row of s in the next column that it does not
+    use.  Then (b) is one comparison per (block, row): the block's
+    permanent plus the new entry must be the grown block's; by induction
+    over the columns, every bijection inside s then attains.  (c) is
+    checked once per grown block, on the argmax set that ``_argmax``
+    returns with the permanent; if it fails, s is no type whether or not
+    (b) holds there.  A lone argmax mask needs no check, since (b) puts it
+    inside s."""
     _check_shape(arr, s)
-    if any(m == 0 for m in s.col_masks()):
+    lines = s.col_masks()
+    if not all(lines):
         return False
-    return _maximal_attaining(arr, s)
+    n, bits = arr.n, s.bits
+    full = (1 << n) - 1
+    blocks = {0: 0}  # cols << n | rows -> permanent, the empty block first
+    for j, c in enumerate(lines):
+        col, here = arr._icols[j], 1 << (n + j)
+        grown = {}
+        for key, best in blocks.items():
+            free = c & ~key
+            if not free:
+                continue
+            for i in _mask_elems(free):
+                k = key | here | 1 << i
+                perm = grown.get(k)
+                if perm is None:
+                    perm, masks = _argmax(arr, k & full, k >> n)
+                    if len(masks) > 1 and any(a & ~bits for a in masks):
+                        return False
+                    grown[k] = perm
+                if best + col[i] != perm:
+                    return False
+        blocks.update(grown)
+    return True
 
 
 def cell_of(arr: Arrangement, t: BoolMatrix) -> TypeCell:
@@ -176,41 +167,45 @@ def _column_constraints(arr: Arrangement) -> list:
     columns ascending, files each extension, at row bit r, under its
     parent: in ``forbid`` if it misses its block's permanent, else in
     ``attaining`` as (r, the block's argmax union below column j, the
-    rows the argmax set takes in column j).  Each block is read through
-    ``_argmax`` and summarized once."""
-    n, d = arr.n, arr.d
+    rows the argmax set takes in column j).  The walk carries each
+    bijection's entry sum, so an extension attains iff that sum plus the
+    new entry is its block's permanent, the rule of ``is_type``.  Each
+    block is read through ``_argmax`` and summarized once, as (permanent,
+    below, need)."""
+    n, d, icols = arr.n, arr.d, arr._icols
     full = (1 << n) - 1
     col0 = sum(1 << (i * d) for i in range(n))  # column 0 of the grid
     split = [[] for _ in range(d)]
-    blocks = {}  # (rows, cols) -> (argmax masks, below, rows in column j)
+    blocks = {}  # (rows, cols) -> (permanent, below, rows in column j)
 
-    def rec(start, rows, used, mask):
+    def rec(start, rows, used, mask, total):
         if rows == full:
             return
         for j in range(start, d):
-            top, c = col0 << j, used | 1 << j
+            top, c, col = col0 << j, used | 1 << j, icols[j]
             forbid, att = 0, []
             for i in _mask_elems(full & ~rows):
                 low = 1 << i
                 r = rows | low
                 m = mask | 1 << (i * d + j)
+                v = total + col[i]
                 got = blocks.get((r, c))
                 if got is None:
-                    masks = _argmax(arr, r, c)
+                    perm, masks = _argmax(arr, r, c)
                     below = need = 0
                     for a in masks:
                         at = a & top
                         below |= a ^ at
                         need |= 1 << ((at.bit_length() - 1) // d)
-                    got = blocks[(r, c)] = (frozenset(masks), below, need)
-                if m in got[0]:
+                    got = blocks[(r, c)] = (perm, below, need)
+                if v == got[0]:
                     att.append((low, got[1], got[2]))
                 else:
                     forbid |= low
-                rec(j + 1, r, c, m)
+                rec(j + 1, r, c, m, v)
             split[j].append((mask, forbid, att))
 
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0, 0, 0)
     return split
 
 

@@ -141,17 +141,19 @@ def _block(icols, d: int, rows: int, cols: int, cap: int, memo: dict,
 
 
 def _argmax(arr: Arrangement, rows: int, cols: int) -> tuple:
-    """The sorted argmax grid masks of the block (row mask, column mask):
-    read from the arrangement's memo, or else solved into it, refused
-    above ``DEFAULT_SCAN_CAP`` rows."""
+    """The memo entry (permanent, sorted argmax grid masks) of the block
+    (row mask, column mask): read from the arrangement's memo, or else
+    solved into it, an entry without its argmax set being completed;
+    refused above ``DEFAULT_SCAN_CAP`` rows.  This is the one way the
+    cell layer in ``complex`` reads a block."""
     try:
-        masks = arr._memo[cols][rows][1]
+        got = arr._memo[cols][rows]
     except KeyError:
-        masks = None
-    if masks is None:
-        masks = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
-                       arr._memo, argmax=True)[1]
-    return masks
+        got = None
+    if got is None or got[1] is None:
+        got = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
+                     arr._memo, argmax=True)
+    return got
 
 
 def _check_cap(k: int, cap: int):

@@ -50,7 +50,11 @@ def _rat(v) -> Fraction:
 
 
 def as_point(values) -> tuple:
-    """Coerce an iterable of exact values to a tuple of Fractions."""
+    """Coerce an iterable of exact values to a tuple of Fractions.  A str
+    or bytes is refused with TypeError, not read character by character."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError("expected an iterable of values, not "
+                        f"{type(values).__name__}")
     return tuple(_rat(v) for v in values)
 
 
@@ -59,7 +63,7 @@ class Arrangement:
     apex at that column.  Immutable."""
 
     def __init__(self, rows):
-        entries = tuple(tuple(_rat(v) for v in row) for row in rows)
+        entries = tuple(as_point(row) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
         d = len(entries[0])
@@ -106,6 +110,8 @@ def residuation(x, y) -> Fraction:
     x, y = as_point(x), as_point(y)
     if len(x) != len(y):
         raise ValueError("points of different lengths")
+    if not x:
+        raise ValueError("points must have at least one coordinate")
     return min(yk - xk for xk, yk in zip(x, y))
 
 

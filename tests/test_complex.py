@@ -8,9 +8,9 @@ import pytest
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       OrderedSetPartition, PartialBijection,
-                      PermanentStructure, act_on_type, cell_dimension,
-                      cell_of, column_space_projection, dominates,
-                      enumerate_types, face_relation, is_bounded,
+                      PermanentStructure, act_on_type, as_point,
+                      cell_dimension, cell_of, column_space_projection,
+                      dominates, enumerate_types, face_relation, is_bounded,
                       is_permanent_attaining, is_realized_type, is_type,
                       optimal_bijections, partitions, permanent_structure,
                       realize_type, tropical_permanent, type_of_point,
@@ -185,12 +185,16 @@ _NOT_INTS = {
         _ARR, _SIGMA, cap=True),
     "is_permanent_attaining-empty": lambda: is_permanent_attaining(
         _ARR, PartialBijection(), cap="8"),
+    "type_of_point-str": lambda: type_of_point(_ARR, "12"),
+    "as_point-bytes": lambda: as_point(b"12"),
+    "as_point-str": lambda: as_point("12"),
 }
 
 
 @pytest.mark.parametrize("call", _NOT_INTS.values(), ids=_NOT_INTS.keys())
 def test_positions_and_caps_must_be_ints(call):
-    # a bool, a float or a string is refused, not rounded or read as 0/1
+    # a bool, a float or a string is refused, not rounded or read as 0/1,
+    # and a string or bytes point is not read one character at a time
     with pytest.raises(TypeError):
         call()
 
@@ -283,7 +287,7 @@ def test_combinatorial_and_geometric_type_tests_agree_small():
 
 
 def test_is_type_large_grid_fallback_path():
-    # a 5x6 grid, past the exhaustive scans, walked by rows (d > n)
+    # a 5x6 grid, past the exhaustive scans, walked column by column
     rng = random.Random(46)
     arr = rand_arrangement(rng, 5, 6, span=3)
     for _ in range(40):
@@ -295,9 +299,38 @@ def test_is_type_large_grid_fallback_path():
         assert is_type(arr, s) == is_realized_type(arr, s)
 
 
+def _equal_columns(k, rows):
+    """The k x k matrix each of whose columns is the row set ``rows``."""
+    return BoolMatrix.from_columns(k, [rows] * k)
+
+
+def test_is_type_on_dense_types():
+    # every block of the all-zero k x k has every bijection in its argmax
+    # set, so its types are exactly the matrices whose columns all equal
+    # one non-empty row set; the all-ones type has k! maximal bijections
+    for k in (1, 2, 3):
+        arr = Arrangement([[0] * k for _ in range(k)])
+        for bits in range(1 << (k * k)):
+            s = BoolMatrix(k, k, bits)
+            closed = len(set(s.col_masks())) == 1 and bits != 0
+            assert is_type(arr, s) == closed == is_realized_type(arr, s)
+    rng = random.Random(18)
+    for k in range(4, 9):
+        arr = Arrangement([[0] * k for _ in range(k)])
+        row_sets = [set(range(k))] + [
+            set(rng.sample(range(k), rng.randint(1, k - 1))) for _ in range(2)]
+        for rows in row_sets:
+            t = _equal_columns(k, rows)
+            assert is_type(arr, t), (k, rows)
+            for i in range(k):  # one entry added or dropped in one column
+                j = rng.randrange(k)
+                flipped = BoolMatrix(k, k, t.bits ^ 1 << (i * k + j))
+                assert not is_type(arr, flipped), (k, rows, i, j)
+
+
 def test_queries_build_no_type_tables(monkeypatch):
-    # the cell test walks maximal bijections; only the search builds the
-    # column constraints
+    # the cell test walks the blocks inside the query; only the search
+    # builds the column constraints
     def refuse(arr):
         raise AssertionError("a cell query built the search's constraints")
 
@@ -456,7 +489,7 @@ def test_dropped_constraint_entries_always_hold():
                             rows |= 1 << bit // d
                             cols |= 1 << bit % d
                     parent = 0
-                    for a in _argmax(arr, rows, cols):
+                    for a in _argmax(arr, rows, cols)[1]:
                         parent |= a
                     for r, cl, need in att:
                         if need != r:

@@ -5,7 +5,10 @@ separate weak system ``_weak_edges`` stays gone.  Block permanents and
 argmax sets have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
 ``PermanentStructure.bijections`` call; the separate join ``_join`` stays
-gone."""
+gone.  The cell test reads blocks only through ``permanent._argmax``: the
+walk over maximal bijections ``_maximal_attaining`` stays gone, and no
+module but ``permanent`` reads the block memo ``_memo``, which only the
+``Arrangement`` constructor makes."""
 
 import ast
 from pathlib import Path
@@ -98,3 +101,43 @@ def test_callers_are_named_by_method():
                      "        return k\n"
                      "k()\n")
     assert _callers(tree, "k") == ["C.g", "f"]
+
+
+def _attribute_uses(tree: ast.Module, attr: str) -> list:
+    """(enclosing ``function`` or ``Class.method`` at the top level, and
+    ``Load`` or ``Store``) of every use of the attribute ``attr``."""
+    uses = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            funcs = [(f"{top.name}.{f.name}" if hasattr(f, "name")
+                      else top.name, f) for f in top.body]
+        else:
+            funcs = [(getattr(top, "name", None), top)]
+        for name, f in funcs:
+            uses += [(name, type(node.ctx).__name__) for node in ast.walk(f)
+                     if isinstance(node, ast.Attribute) and node.attr == attr]
+    return uses
+
+
+def test_the_cell_test_reads_blocks_through_argmax():
+    assert _package_sites("_maximal_attaining") == ([], [])
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "permanent":
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            outside += [(path.stem,) + use
+                        for use in _attribute_uses(tree, "_memo")]
+    assert outside == [("tropical", "Arrangement.__init__", "Store")]
+
+
+def test_attribute_uses_are_found():
+    tree = ast.parse("def f(a):\n"
+                     "    return a._memo[1]\n"
+                     "class C:\n"
+                     "    'a docstring'\n"
+                     "    def __init__(self):\n"
+                     "        self._memo = {}\n"
+                     "x = y._memo\n")
+    assert _attribute_uses(tree, "_memo") == [
+        ("f", "Load"), ("C.__init__", "Store"), (None, "Load")]

@@ -33,6 +33,12 @@ def test_arrangement_rejects_floats_and_bad_shapes():
         Arrangement([])
     with pytest.raises(ValueError):
         Arrangement([[1, 2], [3]])
+    # a string row is not read character by character
+    for rows in (["12"], ["1", "2"], [b"12"], "12"):
+        with pytest.raises(TypeError):
+            Arrangement(rows)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        residuation([], [])
     arr = Arrangement([["1/2", 3], [-1, "7/3"]])
     assert arr.column(1) == (F(3), F(7, 3))
 
