@@ -299,11 +299,6 @@ def test_is_type_large_grid_fallback_path():
         assert is_type(arr, s) == is_realized_type(arr, s)
 
 
-def _equal_columns(k, rows):
-    """The k x k matrix each of whose columns is the row set ``rows``."""
-    return BoolMatrix.from_columns(k, [rows] * k)
-
-
 def test_is_type_on_dense_types():
     # every block of the all-zero k x k has every bijection in its argmax
     # set, so its types are exactly the matrices whose columns all equal
@@ -320,7 +315,7 @@ def test_is_type_on_dense_types():
         row_sets = [set(range(k))] + [
             set(rng.sample(range(k), rng.randint(1, k - 1))) for _ in range(2)]
         for rows in row_sets:
-            t = _equal_columns(k, rows)
+            t = BoolMatrix.from_columns(k, [rows] * k)
             assert is_type(arr, t), (k, rows)
             for i in range(k):  # one entry added or dropped in one column
                 j = rng.randrange(k)
