@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class BoolMatrix:
@@ -231,8 +232,9 @@ class PartialBijection:
     ``_from_mask`` trusts a grid mask instead and derives ``pairs``,
     ``image``, ``domain`` and ``mapping`` on first read, then keeps them;
     the object never changes, so two threads that derive a field at once
-    store equal values.  Equality, hashing and ``repr`` read ``pairs`` and
-    agree across both kinds.
+    store equal values.  ``mapping`` (column -> row) is a read-only view.
+    Equality, hashing, ``repr`` and pickling read ``pairs`` and agree
+    across both kinds.
     """
 
     __slots__ = ("pairs", "domain", "image", "mapping", "_mask", "_d")
@@ -246,7 +248,7 @@ class PartialBijection:
         self.pairs = pairs
         self.image = tuple(sorted(rows))
         self.domain = tuple(sorted(cols))
-        self.mapping = {j: i for i, j in pairs}
+        self.mapping = MappingProxyType({j: i for i, j in pairs})
 
     @classmethod
     def _from_mask(cls, mask: int, d: int) -> "PartialBijection":
@@ -270,7 +272,7 @@ class PartialBijection:
         elif name == "domain":
             value = tuple(sorted(j for _, j in self.pairs))
         elif name == "mapping":
-            value = {j: i for i, j in self.pairs}
+            value = MappingProxyType({j: i for i, j in self.pairs})
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -292,6 +294,10 @@ class PartialBijection:
     def __repr__(self) -> str:
         inside = ", ".join(f"{j}->{i}" for i, j in sorted(self.pairs, key=lambda p: p[1]))
         return "PartialBijection{" + inside + "}"
+
+    def __reduce__(self):
+        # the mapping view cannot be pickled; the pairs rebuild every field
+        return PartialBijection, (self.pairs,)
 
     def as_matrix(self, n: int, d: int) -> BoolMatrix:
         return BoolMatrix.from_pairs(n, d, self.pairs)

@@ -8,13 +8,13 @@ partial bijection it contains attains the permanent of its block, and
 Once a bijection's prefix attains, (b) and (c) depend only on blocks: the
 bijection attains iff the prefix block's permanent plus the new entry is
 its own block's permanent.  This module owns that test in both of its
-forms, each a walk over blocks, columns ascending: ``is_type`` decides it
-for one matrix, and ``_column_constraints`` turns it into per-column
-constraints for the cell search in ``enumerate_types``.  Both read a
-block's permanent and argmax set through ``permanent._argmax`` and never
-consult the geometry; the geometric decision procedure in ``tropical`` is
-an independent implementation of the same set and is used to
-cross-validate it.
+forms, each over blocks, columns ascending: ``is_type`` walks it for one
+matrix, and ``_rule`` gives what one block asks of a later column, the
+constraint that the cell search in ``enumerate_types`` reads for each
+block inside its chosen columns.  Both read a block's permanent and
+argmax set through ``permanent._argmax`` and never consult the geometry;
+the geometric decision procedure in ``tropical`` is an independent
+implementation of the same set and is used to cross-validate it.
 """
 
 from __future__ import annotations
@@ -159,83 +159,65 @@ def act_on_type(arr: Arrangement, cell: TypeCell,
     return _cell(moved)
 
 
-def _column_constraints(arr: Arrangement) -> list:
-    """The cell test as constraints of the search in ``enumerate_types``:
-    per column j, one (parent, forbid, attaining) group for each partial
-    bijection ``parent`` of the columns before j that a row can extend
-    in column j.  One walk over the partial bijections of the full grid,
-    columns ascending, files each extension, at row bit r, under its
-    parent: in ``forbid`` if it misses its block's permanent, else in
-    ``attaining`` as (r, the block's argmax union below column j, the
-    rows the argmax set takes in column j).  The walk carries each
-    bijection's entry sum, so an extension attains iff that sum plus the
-    new entry is its block's permanent, the rule of ``is_type``.  Each
-    block is read through ``_argmax`` and summarized once, as (permanent,
-    below, need)."""
-    n, d, icols = arr.n, arr.d, arr._icols
+def _rule(arr: Arrangement, key: int, j: int) -> tuple:
+    """(forbid, kept): what the block with key cols << n | rows asks of
+    column j of the cell search, for a column j right of its columns.
+    Each row i the block does not use grows it by the entry (i, j).  A
+    growth that misses the block's permanent plus M_ij, the grown block's
+    permanent, puts bit i in ``forbid``; an attaining one is kept as (bit
+    i, the grown block's argmax union below column j, the rows its argmax
+    set takes in column j), unless that set takes only row i there.
+    Blocks are read through ``_argmax``, the parent's being a memo hit."""
+    n, d = arr.n, arr.d
     full = (1 << n) - 1
-    col0 = sum(1 << (i * d) for i in range(n))  # column 0 of the grid
-    split = [[] for _ in range(d)]
-    blocks = {}  # (rows, cols) -> (permanent, below, rows in column j)
-
-    def rec(start, rows, used, mask, total):
-        if rows == full:
-            return
-        for j in range(start, d):
-            top, c, col = col0 << j, used | 1 << j, icols[j]
-            forbid, att = 0, []
-            for i in _mask_elems(full & ~rows):
-                low = 1 << i
-                r = rows | low
-                m = mask | 1 << (i * d + j)
-                v = total + col[i]
-                got = blocks.get((r, c))
-                if got is None:
-                    perm, masks = _argmax(arr, r, c)
-                    below = need = 0
-                    for a in masks:
-                        at = a & top
-                        below |= a ^ at
-                        need |= 1 << ((at.bit_length() - 1) // d)
-                    got = blocks[(r, c)] = (perm, below, need)
-                if v == got[0]:
-                    att.append((low, got[1], got[2]))
-                else:
-                    forbid |= low
-                rec(j + 1, r, c, m, v)
-            split[j].append((mask, forbid, att))
-
-    rec(0, 0, 0, 0, 0)
-    return split
+    rows, cols = key & full, key >> n
+    best, col = _argmax(arr, rows, cols)[0], arr._icols[j]
+    grown = cols | 1 << j
+    top = ((1 << n * d) - 1) // ((1 << d) - 1) << j  # column j of the grid
+    forbid, kept = 0, []
+    for i in _mask_elems(full & ~rows):
+        low = 1 << i
+        perm, masks = _argmax(arr, rows | low, grown)
+        if best + col[i] != perm:
+            forbid |= low
+            continue
+        below = need = 0
+        for a in masks:
+            at = a & top
+            below |= a ^ at
+            need |= 1 << ((at.bit_length() - 1) // d)
+        if need != low:
+            kept.append((low, below, need))
+    return forbid, kept
 
 
 def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """All cells of the arrangement, sorted by their packed bit pattern.
 
-    Columns are chosen left to right.  The constraints of column j are
-    those groups of ``_column_constraints`` whose parent lies in the
-    columns chosen before j (the prefix), read through a per-column index,
-    parent -> (forbid, kept entries).  ``forbid`` forbids its rows; a kept
-    attaining entry forbids its row r if the prefix misses part of its
-    argmax union below column j, and otherwise makes r require the union's
-    rows in column j.  Column j then takes every non-empty subset of the
-    allowed rows that is closed under those implications.  ``cap`` bounds
-    n*d (default 24).
+    Columns are chosen left to right.  The search carries the blocks, as
+    keys cols << n | rows, of the partial bijections inside the columns
+    chosen before j (the prefix), and reads what each asks of column j,
+    ``_rule(arr, key, j)``, once per call into ``rules[j]``.  ``forbid``
+    forbids its rows; a kept attaining growth forbids its row r if the
+    prefix misses part of its argmax union below column j, and otherwise
+    makes r require the union's rows in column j.  Column j then takes
+    every non-empty subset of the allowed rows that is closed under those
+    implications.  ``cap`` bounds n*d (default 24).
 
-    An attaining entry whose argmax set takes only its own row r in
-    column j is dropped from the index, because it holds for every prefix
-    the search reaches.  Every optimal bijection of its block is then an
-    optimal bijection of the parent's block plus (r, j), so its union
-    below column j is the parent's argmax set; and the search put that set
-    into the prefix when it took the parent's last entry (by induction
-    from the empty parent), so the entry neither forbids r nor requires
-    more than r.  On generic arrangements nearly every entry is of this
-    kind.
+    The constraint is a function of the block because every bijection
+    inside a prefix the search reaches attains: its last entry was not
+    forbidden when its column was chosen, nor, by induction from the
+    empty bijection, were its others, so its entry sum is its block's
+    permanent.  ``_rule`` drops a growth whose argmax set takes only its
+    own row r in column j, because it holds for every prefix the search
+    reaches: every optimal bijection of the grown block is then one of
+    the parent block plus (r, j), so its union below column j is the
+    parent's argmax set, which the search put into the prefix when it
+    took the parent's last entry.  On generic arrangements nearly every
+    growth is of this kind.
 
-    The search carries ``inside``, the (grid mask, row set) pairs of the
-    partial bijections inside the prefix: a child adds each of them
-    extended by a free row of the column just chosen, so a node reads
-    only the index entries of its own parents.  It also carries the tie
+    A child adds the prefix's blocks grown by each row of the column just
+    chosen that they do not use.  The search also carries the tie
     components of the columns chosen so far (``_merge``, one column per
     level) and the rows they cover.  The last column's loop emits the
     leaves: a cell's dimension, as ``_ties`` would compute it, counts the
@@ -250,37 +232,32 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     n, d, cap = arr.n, arr.d, _index(cap)
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")
-    index = []  # per column: parent mask -> (forbid, kept attaining entries)
-    for groups in _column_constraints(arr):
-        by_parent = {}
-        for b, forbid, att in groups:
-            kept = [(r, cl, need) for r, cl, need in att if need != r]
-            if forbid or kept:
-                by_parent[b] = (forbid, kept)
-        index.append(by_parent)
     full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
+    rules = [{} for _ in range(d)]  # per column: block key -> _rule
     found = []  # (bits, column row sets, dimension, bounded) of each cell
 
     def rec(j, acc, cols, comps, covered, inside):
         # cols: the row sets taken in columns 0..j-1; comps: their tie
-        # components; covered: the rows they cover; inside: the (mask,
-        # rows) of every partial bijection inside them
-        at = index[j]
+        # components; covered: the rows they cover; inside: the block
+        # keys of every partial bijection inside them
+        at = rules[j]
         forbid = 0
         implies = []  # (row bit, the rows of column j that it requires)
-        for b, _ in inside:
-            got = at.get(b)
-            if got is not None:
-                forbid |= got[0]
-                for r, cl, need in got[1]:
-                    if cl & acc != cl:
-                        forbid |= r
-                    else:
-                        implies.append((r, need))
+        for key in inside:
+            got = at.get(key)
+            if got is None:
+                got = at[key] = _rule(arr, key, j)
+            forbid |= got[0]
+            for r, cl, need in got[1]:
+                if cl & acc != cl:
+                    forbid |= r
+                else:
+                    implies.append((r, need))
         allowed = full & ~forbid
         last = j == d - 1
+        here = 1 << (n + j)
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
             if not implies or all(not c & r or rows & c == rows
@@ -295,22 +272,22 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
                     found.append((bits, cols + (c,), dim, cov == full))
                 else:
                     # the one lowest-set-bit walk outside _mask_elems: it
-                    # runs once per (node, bijection inside the prefix),
-                    # and a call per step made 3 x d enumeration 18%
-                    # slower and the render_3row benchmark 6% slower
-                    # (CPython 3.11, 2 vCPU x86-64)
-                    ext = inside[:]
-                    for b, rows in inside:
-                        free = c & ~rows
+                    # runs once per (node, block inside the prefix), and
+                    # a call per step made 3 x d enumeration 18% slower
+                    # and the render_3row benchmark 6% slower (CPython
+                    # 3.11, 2 vCPU x86-64)
+                    ext = set(inside)
+                    for key in inside:
+                        free = c & ~key
                         while free:
                             low = free & -free
                             free ^= low
-                            ext.append((b | lift[low] << j, rows | low))
+                            ext.add(key | here | low)
                     rec(j + 1, bits, cols + (c,), _merge(comps, c),
                         covered | c, ext)
             c = (c - 1) & allowed
 
-    rec(0, 0, (), [], 0, [(0, 0)])
+    rec(0, 0, (), [], 0, {0})
     found.sort(key=itemgetter(0))
     return tuple(TypeCell(BoolMatrix._from_cols(n, d, bits, cols), dim, bnd)
                  for bits, cols, dim, bnd in found)

@@ -113,6 +113,9 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
 
 def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     """Apply the subset action to every column of ``s``."""
+    if not (isinstance(s, BoolMatrix) and isinstance(f, OrderedSetPartition)):
+        raise TypeError("act_matrix takes a BoolMatrix and an "
+                        "OrderedSetPartition")
     if s.n != f.n:
         raise ValueError("matrix row count does not match partition ground set")
     cols = tuple(act_subset(m, f) for m in s.col_masks())

@@ -175,6 +175,9 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
 
 
 def _check_bijection(n: int, d: int, sigma: PartialBijection):
+    if not isinstance(sigma, PartialBijection):
+        raise TypeError(
+            f"expected a PartialBijection, not {type(sigma).__name__}")
     if sigma.pairs and (sigma.image[-1] >= n or sigma.domain[-1] >= d
                         or sigma.image[0] < 0 or sigma.domain[0] < 0):
         raise ValueError("bijection uses rows or columns outside the matrix")

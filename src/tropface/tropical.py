@@ -50,9 +50,10 @@ def _rat(v) -> Fraction:
 
 
 def as_point(values) -> tuple:
-    """Coerce an iterable of exact values to a tuple of Fractions.  A str
-    or bytes is refused with TypeError, not read character by character."""
-    if isinstance(values, (str, bytes)):
+    """Coerce an iterable of exact values to a tuple of Fractions.  A
+    str, bytes, bytearray or memoryview is refused with TypeError, not read
+    one character or byte at a time."""
+    if isinstance(values, (str, bytes, bytearray, memoryview)):
         raise TypeError("expected an iterable of values, not "
                         f"{type(values).__name__}")
     return tuple(_rat(v) for v in values)
@@ -214,6 +215,8 @@ def _bellman(num_nodes: int, edges):
 
 
 def _check_shape(arr: Arrangement, s: BoolMatrix):
+    if not isinstance(s, BoolMatrix):
+        raise TypeError(f"expected a BoolMatrix, not {type(s).__name__}")
     if (s.n, s.d) != (arr.n, arr.d):
         raise ValueError(
             f"matrix is {s.n}x{s.d}, arrangement is {arr.n}x{arr.d}")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -137,6 +139,22 @@ def test_partial_bijection_type():
     with pytest.raises(ValueError):
         PartialBijection([(0, 0), (1, 0)])  # column used twice
     assert PartialBijection.empty() == PartialBijection([])
+
+
+def test_partial_bijection_mapping_is_read_only():
+    # the mapping is a view: writing through it raises, and pairs and
+    # mapping keep telling the same bijection, for both constructors
+    for s in (PartialBijection([(1, 0), (0, 2)]),
+              PartialBijection._from_mask(0b001100, 3)):
+        m = s.mapping
+        with pytest.raises(TypeError):
+            m[0] = 7
+        with pytest.raises(TypeError):
+            del m[0]
+        assert s.mapping == {0: 1, 2: 0} == {j: i for i, j in s.pairs}
+        assert s.pairs == ((0, 2), (1, 0))
+        for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert t == s and t.mapping == s.mapping
 
 
 def test_partial_bijection_rejects_non_integer_indices():

@@ -9,16 +9,16 @@ import pytest
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       OrderedSetPartition, PartialBijection,
-                      PermanentStructure, act_on_type, as_point,
+                      PermanentStructure, act_matrix, act_on_type, as_point,
                       cell_dimension, cell_of, column_space_projection,
                       dominates, enumerate_types, face_relation, is_bounded,
-                      is_permanent_attaining, is_realized_type, is_type,
-                      optimal_bijections, partitions, permanent_structure,
-                      realize_type, tropical_permanent, type_of_point,
-                      witness)
+                      is_permanent_attaining, is_realized_type,
+                      is_satisfiable, is_type, optimal_bijections,
+                      partitions, permanent_structure, realize_type,
+                      tropical_permanent, type_of_point, witness)
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
-from tropface.complex import _column_constraints, _ties
+from tropface.complex import _rule, _ties
 from tropface.permanent import _argmax
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
@@ -187,15 +187,34 @@ _NOT_INTS = {
     "is_permanent_attaining-empty": lambda: is_permanent_attaining(
         _ARR, PartialBijection(), cap="8"),
     "type_of_point-str": lambda: type_of_point(_ARR, "12"),
+    "type_of_point-bytearray": lambda: type_of_point(_ARR, bytearray(b"12")),
     "as_point-bytes": lambda: as_point(b"12"),
     "as_point-str": lambda: as_point("12"),
+    "as_point-bytearray": lambda: as_point(bytearray(b"12")),
+    "as_point-memoryview": lambda: as_point(memoryview(b"12")),
+    "is_type-list": lambda: is_type(_ARR, [[1, 0], [0, 1]]),
+    "cell_of-list": lambda: cell_of(_ARR, [[1, 0], [0, 1]]),
+    "is_satisfiable-list": lambda: is_satisfiable(_ARR, [[1, 0], [0, 1]]),
+    "witness-list": lambda: witness(_ARR, [[1, 0], [0, 1]]),
+    "is_realized_type-list": lambda: is_realized_type(
+        _ARR, [[1, 0], [0, 1]]),
+    "realize_type-list": lambda: realize_type(_ARR, [[1, 0], [0, 1]]),
+    "act_matrix-list": lambda: act_matrix(
+        [[1, 0], [0, 1]], OrderedSetPartition.from_sets(2, [[0, 1]])),
+    "act_matrix-partition-list": lambda: act_matrix(_M, [[0, 1]]),
+    "is_permanent_attaining-list": lambda: is_permanent_attaining(
+        _ARR, [(0, 0)]),
+    "structure-is_attaining-list": lambda: permanent_structure(
+        _ARR).is_attaining([(0, 0)]),
 }
 
 
 @pytest.mark.parametrize("call", _NOT_INTS.values(), ids=_NOT_INTS.keys())
 def test_positions_and_caps_must_be_ints(call):
-    # a bool, a float or a string is refused, not rounded or read as 0/1,
-    # and a string or bytes point is not read one character at a time
+    # a bool, a float or a string is refused, not rounded or read as 0/1;
+    # a string, bytes, bytearray or memoryview point is not read one
+    # character or byte at a time; and a list is not taken for a matrix or
+    # a bijection
     with pytest.raises(TypeError):
         call()
 
@@ -326,11 +345,11 @@ def test_is_type_on_dense_types():
 
 def test_queries_build_no_type_tables(monkeypatch):
     # the cell test walks the blocks inside the query; only the search
-    # builds the column constraints
-    def refuse(arr):
-        raise AssertionError("a cell query built the search's constraints")
+    # reads the column constraints
+    def refuse(arr, key, j):
+        raise AssertionError("a cell query read the search's constraints")
 
-    monkeypatch.setattr(complex_module, "_column_constraints", refuse)
+    monkeypatch.setattr(complex_module, "_rule", refuse)
     rng = random.Random(47)
     for arr in (_tie_heavy_arrangement(rng, 3, 8),
                 _generic_arrangement(rng, 6, 4)):
@@ -495,31 +514,41 @@ def test_enumerated_cells_decorate_like_ties():
                 assert cell_of(arr, fresh) == cell
 
 
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
 def test_dropped_constraint_entries_always_hold():
-    # the search drops an attaining entry whose argmax set takes only its
-    # own row r in column j: its argmax union below column j must then lie
-    # inside the argmax set of the parent's own block, which the search
-    # has already put into every prefix that holds the parent
+    # _rule drops an attaining growth of a block by row i in column j when
+    # the grown block's argmax set takes only row i in column j: its
+    # argmax union below column j must then lie inside the argmax set of
+    # the block itself, which the search has already put into every
+    # prefix that holds the block's bijections
     rng = random.Random(7)
     dropped = wider = kept = 0
     for n, d in [(6, 4), (8, 3), (4, 6), (3, 8), (10, 2), (5, 5)]:
+        blocks = [(sum(1 << i for i in r), sum(1 << j for j in c))
+                  for k in range(min(n, d))
+                  for r in combinations(range(n), k)
+                  for c in combinations(range(d), k)]
         for _ in range(3):
             arr = _tie_heavy_arrangement(rng, n, d)
-            for groups in _column_constraints(arr):
-                for b, _, att in groups:
-                    rows = cols = 0
-                    for bit in range(n * d):
-                        if b >> bit & 1:
-                            rows |= 1 << bit // d
-                            cols |= 1 << bit % d
-                    parent = 0
-                    for a in _argmax(arr, rows, cols)[1]:
-                        parent |= a
-                    for r, cl, need in att:
-                        if need != r:
-                            kept += 1
+            for rows, cols in blocks:
+                parent = _union(_argmax(arr, rows, cols)[1])
+                for j in range(cols.bit_length(), d):
+                    forbid, att = _rule(arr, cols << n | rows, j)
+                    kept += len(att)
+                    taken = rows | forbid | sum(r for r, _, _ in att)
+                    for i in range(n):
+                        if taken >> i & 1:
                             continue
-                        assert cl & parent == cl, (n, d, b, r)
+                        entry = 1 << (i * d + j)
+                        _, masks = _argmax(arr, rows | 1 << i, cols | 1 << j)
+                        assert all(a & entry for a in masks), (n, d, i, j)
+                        assert _union(masks) & ~entry & ~parent == 0
                         dropped += 1
-                        wider += cl != b
+                        wider += len(masks) > 1
     assert dropped and kept and wider

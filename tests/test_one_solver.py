@@ -8,7 +8,10 @@ top-down ``permanent._solve`` and the level-order drain
 gone.  The cell test reads blocks only through ``permanent._argmax``: the
 walk over maximal bijections ``_maximal_attaining`` stays gone, and no
 module but ``permanent`` reads the block memo ``_memo``, which only the
-``Arrangement`` constructor makes."""
+``Arrangement`` constructor makes.  The cell search reads its column
+constraints per block from one helper, ``complex._rule``, which only
+``enumerate_types`` calls; the walk over every partial bijection of the
+grid, ``_column_constraints``, stays gone."""
 
 import ast
 from pathlib import Path
@@ -141,3 +144,25 @@ def test_attribute_uses_are_found():
                      "x = y._memo\n")
     assert _attribute_uses(tree, "_memo") == [
         ("f", "Load"), ("C.__init__", "Store"), (None, "Load")]
+
+
+def test_the_search_reads_one_rule_per_block():
+    assert _package_sites("_column_constraints") == ([], [])
+    calls, defs = _package_sites("_rule")
+    assert [module for module, _ in defs] == ["complex"]
+    assert calls == [("complex", "enumerate_types")]
+    path = PACKAGE / "complex.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _callers(tree, "_rule") == ["enumerate_types"]
+
+
+def test_calls_in_nested_functions_belong_to_the_top_level():
+    tree = ast.parse("def f(a):\n"
+                     "    def rec(j):\n"
+                     "        return _rule(a, 0, j)\n"
+                     "    return rec(0)\n"
+                     "def _rule(a, key, j):\n"
+                     "    return key\n"
+                     "g = _rule\n")
+    assert _sites(tree, "_rule") == ([(3, "f")], [5])
+    assert _callers(tree, "_rule") == ["f"]

@@ -15,7 +15,7 @@ from tropface import (Arrangement, BoolMatrix, PartialBijection,
                       tropical_permanent, type_of_point)
 
 from tropface.boolmat import _mask
-from tropface.complex import _column_constraints
+from tropface.complex import _rule
 
 from demo_data import rand_arrangement, rand_boolmatrix, rand_scalar
 from oracle_helpers import brute_assignment_optimum, column_space_witness
@@ -221,20 +221,14 @@ def _same_as_validated(sigma, n, d):
     assert repr(sigma) == repr(plain)
 
 
-def _canonical(split):
-    """The column constraints of the cell search with the walk's order
-    taken out: per column, the sorted (parent, forbid, sorted attaining
-    entries) groups."""
-    return tuple(tuple(sorted((b, forbid, tuple(sorted(att)))
-                              for b, forbid, att in groups))
-                 for groups in split)
-
-
 def _brute_column_constraints(arr):
-    """(the canonical column constraints, the sorted grid masks of the
-    attaining bijections), rebuilt from the stream of contained
-    bijections of the full grid, with attainment and argmax sets by
-    permutation scan."""
+    """(per column j, parent mask -> (forbid, sorted attaining entries),
+    the sorted grid masks of the attaining bijections), rebuilt from the
+    stream of contained bijections of the full grid, with attainment and
+    argmax sets by permutation scan.  Each bijection is filed under its
+    part left of its last column j, its parent: at its row bit in
+    ``forbid`` if it misses its block's permanent, else as (row bit,
+    argmax union below column j, rows the argmax set takes in column j)."""
     n, d = arr.n, arr.d
     groups = [{} for _ in range(d)]  # parent mask -> [forbid, attaining]
     attaining = []
@@ -266,9 +260,26 @@ def _brute_column_constraints(arr):
             attaining.append(sigma.as_matrix(n, d).bits)
         else:
             group[0] |= row
-    split = [[(b, forbid, att) for b, (forbid, att) in g.items()]
-             for g in groups]
-    return _canonical(split), sorted(attaining)
+    return ([{b: (forbid, sorted(att)) for b, (forbid, att) in g.items()}
+             for g in groups], sorted(attaining))
+
+
+def _check_rules(arr, brute, attaining):
+    """``_rule`` on the block of every attaining parent b and every column
+    j right of b's columns is b's brute group there, without the entries
+    whose argmax set takes only their own row in column j; a parent that
+    uses every row has no group and no rule."""
+    n, d = arr.n, arr.d
+    for b in [0] + attaining:
+        rows = cols = 0
+        for bit in range(n * d):
+            if b >> bit & 1:
+                rows |= 1 << bit // d
+                cols |= 1 << bit % d
+        for j in range(cols.bit_length(), d):
+            forbid, att = brute[j].get(b, (0, []))
+            kept = [(r, cl, need) for r, cl, need in att if need != r]
+            assert _rule(arr, cols << n | rows, j) == (forbid, kept), (b, j)
 
 
 def test_mask_built_bijections_match_validated_ones():
@@ -295,7 +306,7 @@ def test_mask_built_bijections_match_validated_ones():
                         assert (sigma.image, sigma.domain) == (rows, cols)
                     for sigma in optimal_bijections(arr, rows, cols):
                         _same_as_validated(sigma, n, d)
-            assert _canonical(_column_constraints(arr)) == brute
+            _check_rules(arr, brute, attaining)
 
 
 def test_structure_holds_no_reference_to_its_arrangement():
@@ -359,37 +370,26 @@ def test_one_block_memo_per_arrangement():
         assert PermanentStructure(arr, 3)._memo is arr._memo
 
 
-# SHA-256 of repr of the bijections() pair sequence with k_max = 4, and of
-# the _canonical form of _column_constraints() where n * d <= 40 (else
-# None), on the arrangements that _pinned_arrangement builds; the drains
-# were recorded from the top-down drain that the level-order fill
-# replaced, and the constraints from the type tables of the full grid as
-# the search used to regroup them by column and parent
+# SHA-256 of repr of the bijections() pair sequence with k_max = 4 on the
+# arrangements that _pinned_arrangement builds, recorded from the top-down
+# drain that the level-order fill replaced
 PINNED_DRAINS = {
-    ("ties", 6, 6): (
+    ("ties", 6, 6):
         "f03fd2ca353e030f7b8f2ec66d39567f9280bd39d6878829a2f36b8086dabd6a",
-        "fcc3232567fd206eb56424f8356009a053c03764efa00fe6f0c965c59d57b988"),
-    ("ties", 7, 5): (
+    ("ties", 7, 5):
         "ed8f258f20dcbb91027ce5f6ab1763d40d9a0926f94043dc6945d5876b8cd798",
-        "772be7569e4c7c0f6443db79f8dc9852e44eb49370ac139fa372d9223b107d15"),
-    ("ties", 5, 8): (
+    ("ties", 5, 8):
         "3e8acd32aaaba4818a6fcd3a0928ff0ff6435573cfd8fbfbd426898f4b540200",
-        "cb4be0d5161dd10f1b865de108c505c403ce0c2df356d5c6321800e3a58fbaba"),
-    ("ties", 8, 8): (
+    ("ties", 8, 8):
         "08c7a2544eb71b4266945617271f04674aced4dcd15f62e6fc5423a226bedb76",
-        None),
-    ("generic", 6, 6): (
+    ("generic", 6, 6):
         "02bd40352363b456a33a0de35490670a669fc30a1fe403d7f17ab05d8b32c87e",
-        "3a91314e4b20bb7c27282c34c2e82ac71146cac773db8a81c86f764c3c65540b"),
-    ("generic", 7, 5): (
+    ("generic", 7, 5):
         "2fc92b8f324c6a6796d0b4ddc08f098e3b19631c3ea5c718f264af31535e494b",
-        "20a0897ea1d34a9a7e83641eff159a7cdc45d735c423921f4cd1aa161d5c113e"),
-    ("generic", 5, 8): (
+    ("generic", 5, 8):
         "2b729b2fa297b1981620c5031ba090b062535c706c595406f6671f28f98fb401",
-        "6d8c8b8277bb6a8067592823e131997ff6e1e769c8f4def7b7468717c94d7439"),
-    ("generic", 8, 8): (
+    ("generic", 8, 8):
         "74f9778e09ab6401a14a15b58b50bac8af6e7d57166fedbfb30ae2359ad17751",
-        None),
 }
 
 
@@ -408,9 +408,7 @@ def _sha(obj) -> str:
 def test_drain_order_and_type_tables_are_pinned(kind, n, d):
     arr = _pinned_arrangement(kind, n, d)
     drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
-    tables = (_sha(_canonical(_column_constraints(arr)))
-              if n * d <= 40 else None)
-    assert (_sha(drain), tables) == PINNED_DRAINS[kind, n, d]
+    assert _sha(drain) == PINNED_DRAINS[kind, n, d]
 
 
 @pytest.mark.parametrize("kind", ["ties", "generic"])
@@ -427,7 +425,7 @@ def test_drain_completes_value_only_entries(kind):
     assert all(_memo_entry(arr, rows, cols)[1] is None
                for rows, cols in value_only)
     drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
-    assert _sha(drain) == PINNED_DRAINS[kind, 6, 6][0]
+    assert _sha(drain) == PINNED_DRAINS[kind, 6, 6]
     assert all(_memo_entry(arr, rows, cols)[1] is not None
                for rows, cols in value_only)
 

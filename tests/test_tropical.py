@@ -34,7 +34,8 @@ def test_arrangement_rejects_floats_and_bad_shapes():
     with pytest.raises(ValueError):
         Arrangement([[1, 2], [3]])
     # a string row is not read character by character
-    for rows in (["12"], ["1", "2"], [b"12"], "12"):
+    for rows in (["12"], ["1", "2"], [b"12"], "12", [bytearray(b"12")],
+                 [memoryview(b"12")]):
         with pytest.raises(TypeError):
             Arrangement(rows)
     with pytest.raises(ValueError, match="at least one coordinate"):
