@@ -220,6 +220,14 @@ def _index(v) -> int:
     return operator.index(v)
 
 
+def _expect(value, cls):
+    """Refuse ``value`` with TypeError unless it is a ``cls``, before any
+    of its attributes is read: a list passed for a library object would
+    otherwise fail as an AttributeError from deep inside the call."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected {cls.__name__}, not {type(value).__name__}")
+
+
 class PartialBijection:
     """An injective partial assignment of columns to rows.
 
@@ -305,6 +313,7 @@ class PartialBijection:
 
 def is_partial_bijection(a: BoolMatrix) -> bool:
     """True iff every row and every column of ``a`` has at most one 1."""
+    _expect(a, BoolMatrix)
     used = 0  # rows met so far, over the columns in order
     for m in a.col_masks():
         if m & (m - 1) or m & used:
@@ -320,6 +329,7 @@ def contained_partial_bijections(a: BoolMatrix):
     order of the (column, row) pair sequence, the empty bijection first.
     The order is deterministic so streams can be compared verbatim.
     """
+    _expect(a, BoolMatrix)
     cols = a.col_masks()
     col_rows = [_mask_elems(m) for m in cols]
     cur = []

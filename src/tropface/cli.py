@@ -8,8 +8,10 @@ exponent notation ("1e9") so that no input builds a huge integer.  Sets
 printed or parsed on the command line are 1-based, e.g. the type
 "({2},{1,2},{1},{1,3})" and the partition "({3}|{2}|{1})".
 
-Exit codes: 0 success, 2 parse error, 3 size cap exceeded, 4 input is not
-a type, 5 rendering requested for an arrangement without exactly 3 rows.
+Exit codes: 0 success, 1 the combinatorial and geometric cell tests
+disagree under ``enumerate --check-geometric``, 2 parse error or a file
+that cannot be read or written, 3 size cap exceeded, 4 input is not a
+type, 5 rendering requested for an arrangement without exactly 3 rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
 from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
-                      enumerate_types, is_type)
+                      enumerate_types)
 from .facemonoid import OrderedSetPartition
 from .render import render_svg
 from .tropical import (Arrangement, _rat, is_realized_type,
@@ -241,11 +243,15 @@ def _cmd_act(args) -> int:
     arr = load_arrangement(args.matrix)
     t = parse_type_matrix(args.type, arr.n, arr.d)
     partition = parse_partition(args.partition, arr.n)
-    if not is_type(arr, t):
+    try:
+        cell = cell_of(arr, t)  # the one cell test of the input
+    except CapExceeded:
+        raise  # a ValueError too, but main reports it as exit 3
+    except ValueError:
         print(f"input {args.type} is not a type of this arrangement",
               file=sys.stderr)
         return EXIT_NOT_TYPE
-    moved = act_on_type(arr, cell_of(arr, t), partition)
+    moved = act_on_type(arr, cell, partition)
     print(format_type(moved.type))
     return EXIT_OK
 

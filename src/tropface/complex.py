@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, _index, _mask_elems
+from .boolmat import BoolMatrix, _expect, _index, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import CapExceeded, _argmax
 from .tropical import Arrangement, _check_shape
@@ -73,6 +73,7 @@ def _ties(t: BoolMatrix) -> tuple:
 
 def is_bounded(t: BoolMatrix) -> bool:
     """A cell is bounded exactly when every row of its label is non-empty."""
+    _expect(t, BoolMatrix)
     return _ties(t)[1]
 
 
@@ -143,6 +144,8 @@ def cell_dimension(arr: Arrangement, t: BoolMatrix) -> int:
 
 def face_relation(c1: TypeCell, c2: TypeCell) -> bool:
     """True iff c2 is a face of c1, i.e. c1's label is entrywise below c2's."""
+    _expect(c1, TypeCell)
+    _expect(c2, TypeCell)
     return c1.type <= c2.type
 
 
@@ -151,6 +154,7 @@ def act_on_type(arr: Arrangement, cell: TypeCell,
     """Apply the block-partition action to a cell's label.  The result is
     again a cell; if it ever were not, the implementation is broken, so
     this aborts rather than returning."""
+    _expect(cell, TypeCell)
     moved = act_matrix(cell.type, partition)
     if not is_type(arr, moved):
         raise RuntimeError(
@@ -229,6 +233,7 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     its short-lived lists, raised the peak RSS of the tall benchmark jobs
     by about 1 MB.
     """
+    _expect(arr, Arrangement)
     n, d, cap = arr.n, arr.d, _index(cap)
     if n * d > cap:
         raise CapExceeded(f"candidate space 2^{n * d} exceeds cap 2^{cap}")

@@ -9,7 +9,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix, _grid, _index, _mask_elems
+from .boolmat import BoolMatrix, _expect, _grid, _index, _mask_elems
 from .permanent import CapExceeded
 
 DEFAULT_PARTITION_CAP = 6
@@ -92,6 +92,7 @@ class OrderedSetPartition:
 
 def is_chamber(f: OrderedSetPartition) -> bool:
     """True iff every block is a singleton (a left zero of the monoid)."""
+    _expect(f, OrderedSetPartition)
     return all(b & (b - 1) == 0 for b in f.blocks)
 
 
@@ -101,6 +102,7 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
     The empty subset is fixed.  The result is always contained in ``subset``.
     """
     subset = _index(subset)
+    _expect(f, OrderedSetPartition)
     if subset < 0 or subset >> f.n:
         raise ValueError("subset has bits outside the partition's ground set")
     if subset == 0:
@@ -113,9 +115,8 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
 
 def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     """Apply the subset action to every column of ``s``."""
-    if not (isinstance(s, BoolMatrix) and isinstance(f, OrderedSetPartition)):
-        raise TypeError("act_matrix takes a BoolMatrix and an "
-                        "OrderedSetPartition")
+    _expect(s, BoolMatrix)
+    _expect(f, OrderedSetPartition)
     if s.n != f.n:
         raise ValueError("matrix row count does not match partition ground set")
     cols = tuple(act_subset(m, f) for m in s.col_masks())

@@ -14,15 +14,19 @@ the rows whose sub-problem ties the optimum.
 The memo has two levels, column set first: memo[cols] is that column
 set's *slab*, a dict from row set to (permanent, argmax masks).  The k
 sub-blocks of a k x k block all lie in one slab, memo[cols without its
-last column], and are read by their row masks alone.  Single queries run
-the recurrence top-down (``_solve``); a structure's drain fills its
-blocks level by level and, within a level, one column set at a time,
-writing each answer straight into that column set's slab.  Both make a
-new slab with ``memo.setdefault(cols, {})``, so fills that race never
-drop one.  Entries are integers: the arrangement's matrix rescaled to a
-common denominator.  This module answers block questions only; the cell
-test and the cell search, which ask them through ``_argmax``, live in
-``complex``.
+last column], and are read by their row masks alone.  Every question
+about one block, its permanent, whether a bijection attains it, its
+argmax set, goes through one reader, ``_argmax``: the module functions,
+the structures' queries and the cell test and cell search in ``complex``
+all ask it.  It reads the memo first and runs the recurrence top-down
+(``_solve``) only for what the memo lacks; only such a solve is refused
+above the scan cap, so a block in the memo is read back at any size.
+A structure's drain fills its blocks level by level and, within a
+level, one column set at a time, writing each answer straight into that
+column set's slab.  Both make a new slab with ``memo.setdefault(cols, {})``, so
+fills that race never drop one.  Entries are integers: the arrangement's
+matrix rescaled to a common denominator.  This module answers block
+questions only; the cell test and the cell search live in ``complex``.
 
 Everything inside works on bit masks: a block is a (row mask, column
 mask) pair and a bijection is its grid mask, bit i*d + j for the pair
@@ -37,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .boolmat import PartialBijection, _index, _mask, _mask_elems
+from .boolmat import PartialBijection, _expect, _index, _mask, _mask_elems
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
@@ -45,9 +49,11 @@ DEFAULT_SCAN_CAP = 8
 
 class CapExceeded(ValueError):
     """A size cap refused the input: a block of more rows than the scan
-    cap, a cell search whose candidate space 2^(n*d) is past the
-    enumeration cap, or more ordered set partitions than the partition
-    cap allows."""
+    cap that a call would have to solve, a cell search whose candidate
+    space 2^(n*d) is past the enumeration cap, or more ordered set
+    partitions than the partition cap allows.  The scan cap bounds only
+    what is solved: a block already in the arrangement's memo with what
+    a call asks of it is read back at any size."""
 
 
 @lru_cache(maxsize=4096)
@@ -133,26 +139,22 @@ def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
     return got
 
 
-def _block(icols, d: int, rows: int, cols: int, cap: int, memo: dict,
-           argmax: bool = False):
-    """_solve on one block, refused above ``cap`` rows."""
-    _check_cap(rows.bit_count(), cap)
-    return _solve(icols, d, rows, cols, memo, argmax)
-
-
-def _argmax(arr: Arrangement, rows: int, cols: int) -> tuple:
+def _argmax(arr: Arrangement, rows: int, cols: int,
+            cap: int = DEFAULT_SCAN_CAP, argmax: bool = True) -> tuple:
     """The memo entry (permanent, sorted argmax grid masks) of the block
-    (row mask, column mask): read from the arrangement's memo, or else
-    solved into it, an entry without its argmax set being completed;
-    refused above ``DEFAULT_SCAN_CAP`` rows.  This is the one way the
-    cell layer in ``complex`` reads a block."""
+    (row mask, column mask); without ``argmax`` the masks may be None.
+    This is the one reader of a single block: the module functions, the
+    structures' queries and the cell layer in ``complex`` all ask through
+    it.  The arrangement's memo is read first, and only what it lacks, the
+    whole entry or the argmax set that was asked for, is solved into it
+    by ``_solve``; only that solve is refused above ``cap`` rows."""
     try:
         got = arr._memo[cols][rows]
     except KeyError:
         got = None
-    if got is None or got[1] is None:
-        got = _block(arr._icols, arr.d, rows, cols, DEFAULT_SCAN_CAP,
-                     arr._memo, argmax=True)
+    if got is None or (argmax and got[1] is None):
+        _check_cap(rows.bit_count(), cap)
+        got = _solve(arr._icols, arr.d, rows, cols, arr._memo, argmax)
     return got
 
 
@@ -170,21 +172,24 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
     if arr.n != arr.d:
         raise ValueError("input must be a non-empty square matrix")
     full = (1 << arr.n) - 1
-    best, _ = _block(arr._icols, arr.d, full, full, _index(cap), arr._memo)
+    best = _argmax(arr, full, full, _index(cap), argmax=False)[0]
     return Fraction(best, arr._scale)
 
 
-def _check_bijection(n: int, d: int, sigma: PartialBijection):
-    if not isinstance(sigma, PartialBijection):
-        raise TypeError(
-            f"expected a PartialBijection, not {type(sigma).__name__}")
-    if sigma.pairs and (sigma.image[-1] >= n or sigma.domain[-1] >= d
+def _check_bijection(arr: Arrangement, sigma: PartialBijection):
+    _expect(arr, Arrangement)
+    _expect(sigma, PartialBijection)
+    if sigma.pairs and (sigma.image[-1] >= arr.n or sigma.domain[-1] >= arr.d
                         or sigma.image[0] < 0 or sigma.domain[0] < 0):
         raise ValueError("bijection uses rows or columns outside the matrix")
 
 
-def _check_block(n: int, d: int, rows, cols, k_max: int):
-    """(row mask, column mask) of a valid block of size 1..k_max."""
+def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
+    """The argmax set, as bijections, of the block of the given rows and
+    columns, checked to be a valid block of size 1..k_max (1..min(n, d)
+    for None)."""
+    _expect(arr, Arrangement)
+    k_max = min(arr.n, arr.d) if k_max is None else k_max
     rows = tuple(sorted(map(_index, rows)))
     cols = tuple(sorted(map(_index, cols)))
     if len(rows) != len(cols):
@@ -193,13 +198,10 @@ def _check_block(n: int, d: int, rows, cols, k_max: int):
         raise ValueError(f"block size must be between 1 and {k_max}")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("repeated indices")
-    if rows[0] < 0 or cols[0] < 0 or rows[-1] >= n or cols[-1] >= d:
+    if rows[0] < 0 or cols[0] < 0 or rows[-1] >= arr.n or cols[-1] >= arr.d:
         raise ValueError("indices outside the matrix")
-    return _mask(rows), _mask(cols)
-
-
-def _attains(icols, sigma: PartialBijection, best) -> bool:
-    return sum(icols[j][i] for i, j in sigma.pairs) == best
+    masks = _argmax(arr, _mask(rows), _mask(cols), cap)[1]
+    return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
 def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
@@ -207,33 +209,33 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
     """True iff sigma's entry sum ties the optimum over all bijections with
     the same domain and image.  The empty bijection attains vacuously."""
     cap = _index(cap)
-    _check_bijection(arr.n, arr.d, sigma)
+    _check_bijection(arr, sigma)
     if not sigma.pairs:
         return True
-    best, _ = _block(arr._icols, arr.d, _mask(sigma.image),
-                     _mask(sigma.domain), cap, arr._memo)
-    return _attains(arr._icols, sigma, best)
+    best = _argmax(arr, _mask(sigma.image), _mask(sigma.domain), cap,
+                   argmax=False)[0]
+    icols = arr._icols
+    return sum(icols[j][i] for i, j in sigma.pairs) == best
 
 
 def optimal_bijections(arr: Arrangement, rows, cols,
                        cap: int = DEFAULT_SCAN_CAP) -> frozenset:
     """The full argmax set of bijections from ``cols`` onto ``rows``:
     exactly those whose entry sum equals the block's permanent."""
-    rows, cols = _check_block(arr.n, arr.d, rows, cols, min(arr.n, arr.d))
-    _, masks = _block(arr._icols, arr.d, rows, cols, _index(cap), arr._memo,
-                      argmax=True)
-    return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
+    return _argmax_set(arr, rows, cols, None, _index(cap))
 
 
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement of
     sizes 1..k_max, held as lazily computed argmax sets indexed by (image
     rows, domain columns), each block size capped at ``DEFAULT_SCAN_CAP``
-    rows.  Its blocks are answered from the arrangement's one block memo,
-    slab by column set and then entry by row set, which every structure of
-    the arrangement, ``optimal_bijections``, ``is_permanent_attaining`` and
-    the cell test in ``complex`` share.  It keeps the arrangement's shape,
-    integer columns and memo, not a reference to the arrangement.
+    rows.  It keeps a reference to its arrangement and answers from the
+    arrangement's one block memo, slab by column set and then entry by
+    row set, which every structure of the arrangement, the module
+    functions and the cell test in ``complex`` share: ``is_attaining``
+    and ``optimal`` check k_max and then answer as
+    ``is_permanent_attaining`` and ``optimal_bijections`` do, through
+    ``_argmax``.
 
     Queries are pure; the memo only holds deterministic recomputation.  A
     new slab is made with ``memo.setdefault(cols, {})``, so racing fills
@@ -244,34 +246,26 @@ class PermanentStructure:
     """
 
     def __init__(self, arr: Arrangement, k_max: int):
+        _expect(arr, Arrangement)
         limit = min(arr.n, arr.d)
         k_max = _index(k_max)
         if not 1 <= k_max <= limit:
             raise ValueError(f"k_max must be between 1 and {limit}")
-        self.n, self.d, self._icols = arr.n, arr.d, arr._icols
-        self._memo = arr._memo
-        self.k_max = k_max
-
-    def _optimal(self, rows: int, cols: int):
-        return _block(self._icols, self.d, rows, cols, DEFAULT_SCAN_CAP,
-                      self._memo, argmax=True)
+        self._arr = arr
+        self.n, self.d, self.k_max = arr.n, arr.d, k_max
 
     def is_attaining(self, sigma: PartialBijection) -> bool:
-        _check_bijection(self.n, self.d, sigma)
-        k = len(sigma)
-        if k == 0:
-            return True
-        if k > self.k_max:
-            raise ValueError(f"bijection size {k} exceeds k_max={self.k_max}")
-        best, _ = self._optimal(_mask(sigma.image), _mask(sigma.domain))
-        return _attains(self._icols, sigma, best)
+        _check_bijection(self._arr, sigma)
+        if len(sigma) > self.k_max:
+            raise ValueError(
+                f"bijection size {len(sigma)} exceeds k_max={self.k_max}")
+        return is_permanent_attaining(self._arr, sigma)
 
     def optimal(self, rows, cols) -> frozenset:
         """The full argmax set of bijections from the given columns onto the
         given rows; always non-empty."""
-        rows, cols = _check_block(self.n, self.d, rows, cols, self.k_max)
-        _, masks = self._optimal(rows, cols)
-        return frozenset(PartialBijection._from_mask(m, self.d) for m in masks)
+        return _argmax_set(self._arr, rows, cols, self.k_max,
+                           DEFAULT_SCAN_CAP)
 
     def bijections(self):
         """Yield the empty bijection plus every attaining one of size up to
@@ -286,7 +280,8 @@ class PermanentStructure:
         without its argmax set is completed.  A level is filled whole
         before it is yielded, rows then cols."""
         yield PartialBijection.empty()
-        n, d, icols, memo = self.n, self.d, self._icols, self._memo
+        n, d, arr = self.n, self.d, self._arr
+        icols, memo = arr._icols, arr._memo
         from_mask = PartialBijection._from_mask
         _solve(icols, d, 0, 0, memo, True)  # the empty block, under level 1
         for k in range(1, self.k_max + 1):
@@ -315,5 +310,6 @@ def permanent_structure(arr: Arrangement, k_max=None) -> PermanentStructure:
     """The permanent structure of the arrangement covering sizes 1..k_max;
     k_max defaults to min(n, d).  Nothing is cached here: every structure
     answers from the arrangement's one block memo."""
+    _expect(arr, Arrangement)
     return PermanentStructure(
         arr, min(arr.n, arr.d) if k_max is None else k_max)

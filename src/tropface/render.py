@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from math import lcm
 
+from .boolmat import _expect
 from .complex import enumerate_types
 from .tropical import Arrangement, as_point, project_to_plane, realize_type
 
@@ -118,6 +119,7 @@ def default_viewport(points) -> tuple:
 
 def render_svg(arr: Arrangement, viewport=None) -> str:
     """Draw the arrangement (n = 3 only) and its bounded cells as SVG."""
+    _expect(arr, Arrangement)
     if arr.n != 3:
         raise ValueError("rendering is only defined for 3-row arrangements")
 

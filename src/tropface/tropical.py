@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .boolmat import BoolMatrix, _index, _mask_elems
+from .boolmat import BoolMatrix, _expect, _index, _mask_elems
 
 
 # An integer, p/q or a decimal, in ASCII digits, with optional sign and
@@ -92,6 +92,7 @@ class Arrangement:
 
 
 def _check_point(arr: Arrangement, x) -> tuple:
+    _expect(arr, Arrangement)
     x = as_point(x)
     if len(x) != arr.n:
         raise ValueError(f"point has {len(x)} coordinates, expected {arr.n}")
@@ -119,12 +120,12 @@ def residuation(x, y) -> Fraction:
 def dominates(arr: Arrangement, j: int, y, i: int) -> bool:
     """True iff column j's apex reaches its residuation with y at row i,
     i.e. y_i - M_ij = min_k(y_k - M_kj)."""
+    ys, f = _lift(arr, y)
     j, i = _index(j), _index(i)
     if not 0 <= j < arr.d:
         raise IndexError(f"column {j} out of range")
     if not 0 <= i < arr.n:
         raise IndexError(f"row {i} out of range")
-    ys, f = _lift(arr, y)
     diffs = [yk - f * ck for yk, ck in zip(ys, arr._icols[j])]
     return diffs[i] == min(diffs)
 
@@ -215,8 +216,8 @@ def _bellman(num_nodes: int, edges):
 
 
 def _check_shape(arr: Arrangement, s: BoolMatrix):
-    if not isinstance(s, BoolMatrix):
-        raise TypeError(f"expected a BoolMatrix, not {type(s).__name__}")
+    _expect(arr, Arrangement)
+    _expect(s, BoolMatrix)
     if (s.n, s.d) != (arr.n, arr.d):
         raise ValueError(
             f"matrix is {s.n}x{s.d}, arrangement is {arr.n}x{arr.d}")

@@ -211,3 +211,25 @@ def test_contained_bijections_against_subset_oracle():
             assert s.as_matrix(m.n, m.d) <= m
         assert {frozenset(s.pairs) for s in stream} == \
             brute_contained_bijections(m)
+
+
+_M = BoolMatrix(2, 2, 0b1001)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: BoolMatrix.from_rows([]), ValueError, "dimensions"),
+    (lambda: BoolMatrix.from_columns(2, []), ValueError, "dimensions"),
+    (lambda: BoolMatrix.from_pairs(2, 2, [(2, 0)]), ValueError,
+     "out of range"),
+    (lambda: BoolMatrix.from_pairs(2, 2, [(0, -1)]), ValueError,
+     "out of range"),
+    (lambda: _M.entry(2, 0), IndexError, "out of range"),
+    (lambda: _M.entry(0, -1), IndexError, "out of range"),
+    (lambda: _M.row_mask(2), IndexError, "row 2 out of range"),
+    (lambda: _M.col_mask(-1), IndexError, "column -1 out of range"),
+], ids=["from_rows-empty", "from_columns-empty", "from_pairs-row",
+        "from_pairs-column", "entry-row", "entry-column", "row_mask",
+        "col_mask"])
+def test_empty_and_out_of_range_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropface.cli as cli
+import tropface.complex as complex_module
 from tropface import BoolMatrix, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
                           EXIT_RENDER_DIM, ParseFailure, _build_parser, _rank,
@@ -188,6 +190,22 @@ def test_cmd_act_rejects_non_type(demo_file, capsys):
     assert "not a type" in capsys.readouterr().err
 
 
+def test_cmd_act_decides_its_input_once(demo_file, monkeypatch, capsys):
+    # one cell test of the input and one of its image under the action
+    tested = []
+
+    def counted(arr, t):
+        tested.append(t)
+        return is_type(arr, t)
+
+    monkeypatch.setattr(complex_module, "is_type", counted)
+    monkeypatch.setattr(cli, "is_type", counted, raising=False)
+    assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
+                 "({3}|{2}|{1})"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "({2},{1},{1},{1})"
+    assert len(tested) == len(set(tested)) == 2
+
+
 def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
     # the diagonal type of a 9x9 with a heavy diagonal needs a 9x9 block,
     # past the permanent scan cap
@@ -198,6 +216,30 @@ def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
     assert main(["act", path, diagonal, "({1,2,3,4,5,6,7,8,9})"]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "size cap exceeded" in err and "Traceback" not in err
+
+
+def test_check_geometric_disagreement_exits_1(demo_file, monkeypatch,
+                                              capsys):
+    monkeypatch.setattr(cli, "is_realized_type", lambda arr, t: False)
+    assert main(["enumerate", demo_file, "--check-geometric"]) == 1
+    err = capsys.readouterr().err
+    assert "disagree" in err and "Traceback" not in err
+
+
+def test_unwritable_output_exits_2(demo_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["enumerate", demo_file, "--out", str(out)]) == EXIT_PARSE
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("(2,{1,2},{1},{1,3})", "blocks must look like"),
+    ("({2}x{1,2},{1},{1,3})", "must be separated by ','"),
+], ids=["bare-element", "bad-separator"])
+def test_malformed_type_blocks(text, match):
+    with pytest.raises(ParseFailure, match=match):
+        parse_type_matrix(text, 3, 4)
 
 
 def test_cmd_render_dimension_guard(tmp_path, capsys):

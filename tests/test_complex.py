@@ -9,17 +9,21 @@ import pytest
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       OrderedSetPartition, PartialBijection,
-                      PermanentStructure, act_matrix, act_on_type, as_point,
-                      cell_dimension, cell_of, column_space_projection,
-                      dominates, enumerate_types, face_relation, is_bounded,
-                      is_permanent_attaining, is_realized_type,
-                      is_satisfiable, is_type, optimal_bijections,
-                      partitions, permanent_structure, realize_type,
-                      tropical_permanent, type_of_point, witness)
+                      PermanentStructure, act_matrix, act_on_type, act_subset,
+                      as_point, cell_dimension, cell_of,
+                      column_space_projection, combine_satisfiers,
+                      contained_partial_bijections, dominates,
+                      enumerate_types, face_relation, is_bounded, is_chamber,
+                      is_partial_bijection, is_permanent_attaining,
+                      is_realized_type, is_satisfiable, is_type,
+                      optimal_bijections, partitions, permanent_structure,
+                      realize_type, tropical_permanent, type_of_point,
+                      witness)
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.complex import _rule, _ties
 from tropface.permanent import _argmax
+from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
@@ -155,7 +159,8 @@ def test_enumerate_cap():
     assert enumerate_types(arr, cap=25)  # explicit knob overrides
 
 
-_ARR = Arrangement([[0, 1], [2, 0]])
+_ROWS = [[0, 1], [2, 0]]
+_ARR = Arrangement(_ROWS)
 _M = BoolMatrix(2, 2, 0b1001)
 _SIGMA = PartialBijection([(0, 0)])
 
@@ -206,6 +211,39 @@ _NOT_INTS = {
         _ARR, [(0, 0)]),
     "structure-is_attaining-list": lambda: permanent_structure(
         _ARR).is_attaining([(0, 0)]),
+    "act_subset-list": lambda: act_subset(1, [[0, 1]]),
+    "is_chamber-list": lambda: is_chamber([[0, 1]]),
+    "act_on_type-list": lambda: act_on_type(
+        _ARR, [[1, 0], [0, 1]], OrderedSetPartition.identity(2)),
+    "face_relation-first-list": lambda: face_relation(
+        [[1]], enumerate_types(_ARR)[0]),
+    "face_relation-second-list": lambda: face_relation(
+        enumerate_types(_ARR)[0], [[1]]),
+    "is_bounded-list": lambda: is_bounded([[1]]),
+    "contained_partial_bijections-list": lambda: list(
+        contained_partial_bijections([[1]])),
+    "is_partial_bijection-list": lambda: is_partial_bijection([[1]]),
+    # a list where an Arrangement belongs
+    "is_permanent_attaining-arrangement-list": lambda: is_permanent_attaining(
+        _ROWS, _SIGMA),
+    "optimal_bijections-arrangement-list": lambda: optimal_bijections(
+        _ROWS, [0], [0]),
+    "PermanentStructure-arrangement-list": lambda: PermanentStructure(
+        _ROWS, 1),
+    "permanent_structure-arrangement-list": lambda: permanent_structure(
+        _ROWS),
+    "type_of_point-arrangement-list": lambda: type_of_point(_ROWS, (0, 0)),
+    "dominates-arrangement-list": lambda: dominates(_ROWS, 0, (0, 0), 0),
+    "column_space_projection-arrangement-list": lambda:
+        column_space_projection(_ROWS, (0, 0)),
+    "combine_satisfiers-arrangement-list": lambda: combine_satisfiers(
+        _ROWS, (0, 0), (0, 0)),
+    "is_type-arrangement-list": lambda: is_type(_ROWS, _M),
+    "is_satisfiable-arrangement-list": lambda: is_satisfiable(_ROWS, _M),
+    "act_on_type-arrangement-list": lambda: act_on_type(
+        _ROWS, enumerate_types(_ARR)[0], OrderedSetPartition.identity(2)),
+    "enumerate_types-arrangement-list": lambda: enumerate_types(_ROWS),
+    "render_svg-arrangement-list": lambda: render_svg(_ROWS),
 }
 
 

@@ -201,3 +201,13 @@ def test_action_is_perturbation():
         moved = [a + eps * b for a, b in zip(x, u)]
         assert type_of_point(arr, moved) == act_matrix(
             type_of_point(arr, x), _perturbation_partition(u))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: osp(2, [0], [2]), "element 2 out of range"),
+    (lambda: osp(2, [-1], [0, 1]), "out of range"),
+    (lambda: list(partitions(0)), "n must be positive"),
+], ids=["from_sets-past-n", "from_sets-negative", "partitions-0"])
+def test_out_of_range_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

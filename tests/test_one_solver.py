@@ -5,10 +5,15 @@ separate weak system ``_weak_edges`` stays gone.  Block permanents and
 argmax sets have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
 ``PermanentStructure.bijections`` call; the separate join ``_join`` stays
-gone.  The cell test reads blocks only through ``permanent._argmax``: the
-walk over maximal bijections ``_maximal_attaining`` stays gone, and no
-module but ``permanent`` reads the block memo ``_memo``, which only the
-``Arrangement`` constructor makes.  The cell search reads its column
+gone.  Every question about one block goes through one reader,
+``permanent._argmax``: within ``permanent`` only it and the level-order
+drain read the block memo ``_memo``, and only they and the recurrence
+itself call the top-down ``permanent._solve``; the earlier readers
+``_block``, ``_attains`` and ``PermanentStructure._optimal`` stay gone.
+The cell test reads blocks only through ``_argmax`` too: the walk over
+maximal bijections ``_maximal_attaining`` stays gone, and no module but
+``permanent`` reads ``_memo``, which only the ``Arrangement`` constructor
+makes.  The cell search reads its column
 constraints per block from one helper, ``complex._rule``, which only
 ``enumerate_types`` calls; the walk over every partial bijection of the
 grid, ``_column_constraints``, stays gone."""
@@ -132,6 +137,17 @@ def test_the_cell_test_reads_blocks_through_argmax():
             outside += [(path.stem,) + use
                         for use in _attribute_uses(tree, "_memo")]
     assert outside == [("tropical", "Arrangement.__init__", "Store")]
+
+
+def test_one_block_reader():
+    path = PACKAGE / "permanent.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(set(_attribute_uses(tree, "_memo"))) == [
+        ("PermanentStructure.bijections", "Load"), ("_argmax", "Load")]
+    assert _callers(tree, "_solve") == [
+        "PermanentStructure.bijections", "_argmax", "_recur", "_solve"]
+    for gone in ("_block", "_attains", "_optimal"):
+        assert _package_sites(gone) == ([], []), gone
 
 
 def test_attribute_uses_are_found():

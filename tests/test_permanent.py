@@ -7,10 +7,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from tropface import (Arrangement, BoolMatrix, PartialBijection,
-                      PermanentStructure,
+from tropface import (Arrangement, BoolMatrix, CapExceeded,
+                      PartialBijection, PermanentStructure,
                       column_space_projection, contained_partial_bijections,
-                      is_permanent_attaining, is_satisfiable,
+                      is_permanent_attaining, is_satisfiable, is_type,
                       optimal_bijections, permanent_structure,
                       tropical_permanent, type_of_point)
 
@@ -322,11 +322,14 @@ def test_structure_holds_no_reference_to_its_arrangement():
         whole = tuple(range(4))
         best = kept.optimal(whole, whole)
         del arr
-        assert ref() is None
         # a structure the caller still holds keeps answering
         assert all(kept.is_attaining(sigma) for sigma in drained)
         assert kept.optimal(whole, whole) == best
         assert kept.optimal([0, 2], [1, 3])
+        # it refers to its arrangement, but through no cycle: once both
+        # names are dropped, reference counting alone frees the arrangement
+        del kept
+        assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -365,9 +368,50 @@ def test_one_block_memo_per_arrangement():
         for rows, cols in blocks:
             assert structure.optimal(rows, cols)
         assert _memo_snapshot(arr) == filled
-        assert permanent_structure(arr, 2)._memo is arr._memo
-        assert permanent_structure(arr)._memo is arr._memo
-        assert PermanentStructure(arr, 3)._memo is arr._memo
+        assert permanent_structure(arr, 2)._arr is arr
+        assert permanent_structure(arr)._arr is arr
+        assert PermanentStructure(arr, 3)._arr is arr
+
+
+def test_the_scan_cap_bounds_only_what_is_solved():
+    # a 9 x 9 with a heavy diagonal: the diagonal is its block's one
+    # optimal bijection, and the diagonal type is a cell
+    rng = random.Random(9)
+    rows = [[200 if i == j else rng.randint(-50, 50) for j in range(9)]
+            for i in range(9)]
+    whole = range(9)
+    diagonal = PartialBijection([(i, i) for i in whole])
+    t = diagonal.as_matrix(9, 9)
+    queries = (lambda arr: optimal_bijections(arr, whole, whole),
+               lambda arr: is_permanent_attaining(arr, diagonal),
+               lambda arr: is_type(arr, t))
+    for query in queries:  # each on a cold arrangement
+        with pytest.raises(CapExceeded, match="scan cap 8"):
+            query(Arrangement(rows))
+    arr = Arrangement(rows)
+    assert optimal_bijections(arr, whole, whole, cap=9) == {diagonal}
+    # the 9 x 9 block is in the memo with its argmax set: read back at the
+    # default cap by every query
+    assert [query(arr) for query in queries] == [{diagonal}, True, True]
+
+
+def test_structure_is_attaining_solves_no_argmax_set():
+    # every bijection of the all-zero 6 x 6 attains; its argmax set would
+    # hold all 720 of them
+    arr = Arrangement([[0] * 6 for _ in range(6)])
+    diagonal = PartialBijection([(i, i) for i in range(6)])
+    assert permanent_structure(arr).is_attaining(diagonal)
+    assert _memo_entry(arr, range(6), range(6))[1] is None
+
+
+@pytest.mark.parametrize("rows, cols, match", [
+    ([], [], "block size must be between 1 and 3"),
+    ([0, 0], [0, 1], "repeated indices"),
+    ([0, 1], [2, 2], "repeated indices"),
+], ids=["empty", "repeated-row", "repeated-column"])
+def test_optimal_bijections_refuses_bad_blocks(demo, rows, cols, match):
+    with pytest.raises(ValueError, match=match):
+        optimal_bijections(demo, rows, cols)
 
 
 # SHA-256 of repr of the bijections() pair sequence with k_max = 4 on the

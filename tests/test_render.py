@@ -2,6 +2,8 @@ import hashlib
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from tropface import Arrangement
 from tropface.render import _fmt, _round, render_svg
 
@@ -92,3 +94,13 @@ def test_milli_rounding_matches_fraction_round():
     assert [_round(k, 2) for k in (-3, -1, 1, 3, 5)] == [-2, 0, 0, 2, 2]
     assert [_fmt(m) for m in (0, 5, -5, 1000, -1234, 720000)] == \
         ["0.000", "0.005", "-0.005", "1.000", "-1.234", "720.000"]
+
+
+@pytest.mark.parametrize("rows, viewport, match", [
+    ([[0, 1], [1, 0]], None, "3-row"),
+    (DEMO_ROWS, (1, 1, 0, 2), "empty viewport"),
+    (DEMO_ROWS, (0, 2, 3, -3), "empty viewport"),
+], ids=["two-rows", "empty-x", "empty-y"])
+def test_render_svg_refuses_what_it_cannot_draw(rows, viewport, match):
+    with pytest.raises(ValueError, match=match):
+        render_svg(Arrangement(rows), viewport)

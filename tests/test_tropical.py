@@ -44,6 +44,12 @@ def test_arrangement_rejects_floats_and_bad_shapes():
     assert arr.column(1) == (F(3), F(7, 3))
 
 
+@pytest.mark.parametrize("j", [2, -1], ids=["past-d", "negative"])
+def test_arrangement_column_out_of_range(j):
+    with pytest.raises(IndexError, match=f"column {j} out of range"):
+        Arrangement([[0, 1], [1, 0]]).column(j)
+
+
 def test_library_scalars_follow_one_rule():
     # the CLI's rule: an integer, p/q or a decimal, in ASCII digits
     start = time.perf_counter()
