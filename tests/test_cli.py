@@ -199,6 +199,7 @@ def test_cmd_act_decides_its_input_once(demo_file, monkeypatch, capsys):
         return is_type(arr, t)
 
     monkeypatch.setattr(complex_module, "is_type", counted)
+    # and the CLI's own name for it, should it import is_type again
     monkeypatch.setattr(cli, "is_type", counted, raising=False)
     assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
                  "({3}|{2}|{1})"]) == EXIT_OK
