@@ -323,7 +323,7 @@ def is_partial_bijection(a: BoolMatrix) -> bool:
 
 
 def contained_partial_bijections(a: BoolMatrix):
-    """Yield every partial bijection lying entrywise below ``a``.
+    """Iterate every partial bijection entrywise below ``a`` (checked now).
 
     Recursive column choice with a used-row mask; emitted in lexicographic
     order of the (column, row) pair sequence, the empty bijection first.
@@ -344,4 +344,4 @@ def contained_partial_bijections(a: BoolMatrix):
                 yield from rec(j + 1, used_rows | (1 << i))
                 cur.pop()
 
-    yield from rec(0, 0)
+    return rec(0, 0)

@@ -5,16 +5,18 @@ ordered set partitions on them.
 A matrix labels a cell iff (a) every column is non-empty, (b) every
 partial bijection it contains attains the permanent of its block, and
 (c) with any bijection it contains the whole argmax set of that block.
-Once a bijection's prefix attains, (b) and (c) depend only on blocks: the
-bijection attains iff the prefix block's permanent plus the new entry is
-its own block's permanent.  This module owns that test in both of its
-forms, each over blocks, columns ascending: ``is_type`` walks it for one
-matrix, and ``_rule`` gives what one block asks of a later column, the
-constraint that the cell search in ``enumerate_types`` reads for each
-block inside its chosen columns.  Both read a block's permanent and
-argmax set through ``permanent._argmax`` and never consult the geometry;
-the geometric decision procedure in ``tropical`` is an independent
-implementation of the same set and is used to cross-validate it.
+Once a bijection's prefix attains, (b) and (c) depend only on blocks and
+their tight rows (see ``permanent``): the bijection attains iff its row
+in the last column is tight in its block, and a block's argmax set is
+each tight row's entry joined to the argmax set of that row's sub-block.
+This module owns that test in both of its forms, each over blocks,
+columns ascending: ``is_type`` walks it for one matrix, and ``_rule``
+gives what one block asks of a later column, the constraint that the
+cell search in ``enumerate_types`` reads for each block inside its chosen
+columns.  Both read tight rows through ``permanent._argmax``, never an
+argmax set, and never consult the geometry; the geometric decision
+procedure in ``tropical`` is an independent implementation of the same
+set and is used to cross-validate it.
 """
 
 from __future__ import annotations
@@ -90,39 +92,40 @@ def is_type(arr: Arrangement, s: BoolMatrix) -> bool:
 
     The walk takes the columns in turn, as the search in
     ``enumerate_types`` grows bijections.  It carries the blocks of the
-    bijections inside the columns taken so far, each as its key cols << n
-    | rows and its permanent, starting from the empty block, and grows
-    each block by every row of s in the next column that it does not
-    use.  Then (b) is one comparison per (block, row): the block's
-    permanent plus the new entry must be the grown block's; by induction
+    bijections inside the columns taken so far, as keys cols << n | rows,
+    from the empty block, and grows each block by every row of s in the
+    next column j that it does not use.  Then (b) is one bit test per
+    (block, row), the row being tight in the grown block; by induction
     over the columns, every bijection inside s then attains.  (c) is
-    checked once per grown block, on the argmax set that ``_argmax``
-    returns with the permanent; if it fails, s is no type whether or not
-    (b) holds there.  A lone argmax mask needs no check, since (b) puts it
-    inside s."""
+    checked once per grown block: its tight rows lie in column j of s,
+    and the sub-block of each is among the walk's blocks, which have
+    passed (c) already."""
     _check_shape(arr, s)
     lines = s.col_masks()
     if not all(lines):
         return False
-    n, bits = arr.n, s.bits
+    n = arr.n
     full = (1 << n) - 1
-    blocks = {0: 0}  # cols << n | rows -> permanent, the empty block first
+    blocks = {0}  # keys cols << n | rows, the empty block first
     for j, c in enumerate(lines):
-        col, here = arr._icols[j], 1 << (n + j)
-        grown = {}
-        for key, best in blocks.items():
+        here = 1 << (n + j)
+        grown = {}  # key -> tight rows
+        for key in blocks:
             free = c & ~key
             if not free:
                 continue
             for i in _mask_elems(free):
                 k = key | here | 1 << i
-                perm = grown.get(k)
-                if perm is None:
-                    perm, masks = _argmax(arr, k & full, k >> n)
-                    if len(masks) > 1 and any(a & ~bits for a in masks):
+                tight = grown.get(k)
+                if tight is None:
+                    tight = grown[k] = _argmax(arr, k & full, k >> n)[1]
+                    if tight & ~c:
                         return False
-                    grown[k] = perm
-                if best + col[i] != perm:
+                    if tight & (tight - 1) and any(
+                            k ^ here ^ 1 << a not in blocks
+                            for a in _mask_elems(tight)):
+                        return False
+                if not tight >> i & 1:
                     return False
         blocks.update(grown)
     return True
@@ -167,31 +170,21 @@ def _rule(arr: Arrangement, key: int, j: int) -> tuple:
     """(forbid, kept): what the block with key cols << n | rows asks of
     column j of the cell search, for a column j right of its columns.
     Each row i the block does not use grows it by the entry (i, j).  A
-    growth that misses the block's permanent plus M_ij, the grown block's
-    permanent, puts bit i in ``forbid``; an attaining one is kept as (bit
-    i, the grown block's argmax union below column j, the rows its argmax
-    set takes in column j), unless that set takes only row i there.
-    Blocks are read through ``_argmax``, the parent's being a memo hit."""
-    n, d = arr.n, arr.d
+    growth in whose tight rows i is missing puts bit i in ``forbid``; an
+    attaining one is kept as (bit i, its tight rows, the keys of its other
+    tight rows' sub-blocks), unless i is its one tight row."""
+    n = arr.n
     full = (1 << n) - 1
-    rows, cols = key & full, key >> n
-    best, col = _argmax(arr, rows, cols)[0], arr._icols[j]
-    grown = cols | 1 << j
-    top = ((1 << n * d) - 1) // ((1 << d) - 1) << j  # column j of the grid
+    rows, grown = key & full, (key >> n) | 1 << j
     forbid, kept = 0, []
     for i in _mask_elems(full & ~rows):
         low = 1 << i
-        perm, masks = _argmax(arr, rows | low, grown)
-        if best + col[i] != perm:
+        tight = _argmax(arr, rows | low, grown)[1]
+        if not tight & low:
             forbid |= low
-            continue
-        below = need = 0
-        for a in masks:
-            at = a & top
-            below |= a ^ at
-            need |= 1 << ((at.bit_length() - 1) // d)
-        if need != low:
-            kept.append((low, below, need))
+        elif tight != low:
+            kept.append((low, tight, tuple(
+                key ^ 1 << a | low for a in _mask_elems(tight ^ low))))
     return forbid, kept
 
 
@@ -202,9 +195,9 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     keys cols << n | rows, of the partial bijections inside the columns
     chosen before j (the prefix), and reads what each asks of column j,
     ``_rule(arr, key, j)``, once per call into ``rules[j]``.  ``forbid``
-    forbids its rows; a kept attaining growth forbids its row r if the
-    prefix misses part of its argmax union below column j, and otherwise
-    makes r require the union's rows in column j.  Column j then takes
+    forbids its rows; a kept attaining growth forbids its row r unless
+    every sub-block it names is among the prefix's blocks, and otherwise
+    makes r require its tight rows in column j.  Column j then takes
     every non-empty subset of the allowed rows that is closed under those
     implications.  ``cap`` bounds n*d (default 24).
 
@@ -212,13 +205,14 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     inside a prefix the search reaches attains: its last entry was not
     forbidden when its column was chosen, nor, by induction from the
     empty bijection, were its others, so its entry sum is its block's
-    permanent.  ``_rule`` drops a growth whose argmax set takes only its
-    own row r in column j, because it holds for every prefix the search
-    reaches: every optimal bijection of the grown block is then one of
-    the parent block plus (r, j), so its union below column j is the
-    parent's argmax set, which the search put into the prefix when it
-    took the parent's last entry.  On generic arrangements nearly every
-    growth is of this kind.
+    permanent.  A reached prefix is a cell of its columns, so a block is
+    among its blocks iff the block's whole argmax set lies inside it; the
+    growth's argmax set lies inside the prefix and column j iff its tight
+    rows are in column j and its named sub-blocks are in the prefix.
+    ``_rule`` drops a growth whose one tight row is its own row r, since
+    its argmax set is then the parent block's plus (r, j), and the parent
+    is in the prefix.  On generic arrangements nearly every growth is of
+    this kind.
 
     A child adds the prefix's blocks grown by each row of the column just
     chosen that they do not use.  The search also carries the tie
@@ -255,11 +249,11 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             if got is None:
                 got = at[key] = _rule(arr, key, j)
             forbid |= got[0]
-            for r, cl, need in got[1]:
-                if cl & acc != cl:
-                    forbid |= r
-                else:
+            for r, need, keys in got[1]:
+                if inside.issuperset(keys):
                     implies.append((r, need))
+                else:
+                    forbid |= r
         allowed = full & ~forbid
         last = j == d - 1
         here = 1 << (n + j)

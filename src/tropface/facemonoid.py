@@ -96,6 +96,15 @@ def is_chamber(f: OrderedSetPartition) -> bool:
     return all(b & (b - 1) == 0 for b in f.blocks)
 
 
+def _act(subset: int, blocks: tuple) -> int:
+    """``act_subset`` on a partition's blocks, without the checks."""
+    for b in reversed(blocks):
+        m = subset & b
+        if m:
+            return m
+    return 0
+
+
 def act_subset(subset: int, f: OrderedSetPartition) -> int:
     """Rightmost non-empty intersection of ``subset`` with a block of ``f``.
 
@@ -105,12 +114,7 @@ def act_subset(subset: int, f: OrderedSetPartition) -> int:
     _expect(f, OrderedSetPartition)
     if subset < 0 or subset >> f.n:
         raise ValueError("subset has bits outside the partition's ground set")
-    if subset == 0:
-        return 0
-    for b in reversed(f.blocks):
-        m = subset & b
-        if m:
-            return m
+    return _act(subset, f.blocks)
 
 
 def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
@@ -119,7 +123,7 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     _expect(f, OrderedSetPartition)
     if s.n != f.n:
         raise ValueError("matrix row count does not match partition ground set")
-    cols = tuple(act_subset(m, f) for m in s.col_masks())
+    cols = tuple(_act(m, f.blocks) for m in s.col_masks())
     return BoolMatrix._from_cols(s.n, s.d, _grid(cols, s.d), cols)
 
 

@@ -5,34 +5,36 @@ The permanent of a k x k block is the maximum over permutations of the
 sum of selected entries; a partial bijection attains it when its own sum
 equals that maximum on the block it selects.  Both questions are the
 assignment problem, solved exactly by one recurrence on (row set, column
-set), ``_recur``: the last column goes to some row, and what is left is
-the block without both.  That sub-problem is a block too, so each
+set), ``_recur``: the last column c goes to some row a, and what is left
+is the block without both.  That sub-problem is a block too, so each
 arrangement keeps one memo of block answers, shared by all its structures
-and queries, and solves each block once; the argmax set is gathered from
-the rows whose sub-problem ties the optimum.
+and queries, and solves each block once.  An answer is the block's
+permanent and its *tight rows*: the row mask of the rows a whose
+sub-block's permanent plus entry (a, c) reaches it.
 
 The memo has two levels, column set first: memo[cols] is that column
-set's *slab*, a dict from row set to (permanent, argmax masks).  The k
-sub-blocks of a k x k block all lie in one slab, memo[cols without its
-last column], and are read by their row masks alone.  Every question
-about one block, its permanent, whether a bijection attains it, its
-argmax set, goes through one reader, ``_argmax``: the module functions,
-the structures' queries and the cell test and cell search in ``complex``
-all ask it.  It reads the memo first and runs the recurrence top-down
-(``_solve``) only for what the memo lacks; only such a solve is refused
-above the scan cap, so a block in the memo is read back at any size.
-A structure's drain fills its blocks level by level and, within a
-level, one column set at a time, writing each answer straight into that
-column set's slab.  Both make a new slab with ``memo.setdefault(cols, {})``, so
+set's *slab*, a dict from row set to answer.  The k sub-blocks of a k x k
+block all lie in one slab, memo[cols without c], and are read by their
+row masks alone.  One reader, ``_argmax``, answers every question about
+one block, from the module functions, the structures and the cell layer
+in ``complex``.  It reads the memo first and solves top-down (``_solve``)
+only a block the memo lacks; only such a solve is refused above the scan
+cap.  A structure's drain fills its blocks level by level, one column set
+at a time.  Both make a new slab with ``memo.setdefault(cols, {})``, so
 fills that race never drop one.  Entries are integers: the arrangement's
-matrix rescaled to a common denominator.  This module answers block
-questions only; the cell test and the cell search live in ``complex``.
+matrix rescaled to a common denominator.
 
-Everything inside works on bit masks: a block is a (row mask, column
-mask) pair and a bijection is its grid mask, bit i*d + j for the pair
-(i, j).  ``PartialBijection`` objects are made only where a public
-function returns them, by the trusted ``PartialBijection._from_mask``,
-which derives the pairs from the mask when they are first read.
+A block's argmax set, the set of its optimal bijections, is each tight
+row a's entry (a, c) joined to every optimal bijection of a's sub-block.
+It is never stored: one join, ``_join_slab``, makes it for the blocks of
+one slab from the sets of the slab below, called by the drain once per
+column set and, through the top-down ``_masks``, by
+``optimal_bijections``.  Everything inside works on bit masks: a block is
+a (row mask, column mask) pair and a bijection is its grid mask, bit
+i*d + j for the pair (i, j).  ``PartialBijection`` objects are made only
+where a public function returns them, by the trusted
+``PartialBijection._from_mask``, which derives the pairs from the mask
+when they are first read.
 """
 
 from __future__ import annotations
@@ -52,110 +54,107 @@ class CapExceeded(ValueError):
     cap that a call would have to solve, a cell search whose candidate
     space 2^(n*d) is past the enumeration cap, or more ordered set
     partitions than the partition cap allows.  The scan cap bounds only
-    what is solved: a block already in the arrangement's memo with what
-    a call asks of it is read back at any size."""
+    what is solved: a block already in the arrangement's memo is read
+    back at any size, and its argmax set is joined from the memo."""
 
 
 @lru_cache(maxsize=4096)
 def _drops(rows: int) -> tuple:
     """(a, rows without a) for each row a in the bit mask ``rows``,
-    ascending; remembered for the row sets met most, since the top-down
-    ``_solve`` asks for them once per block."""
+    ascending; remembered for the row sets met most."""
     return tuple([(a, rows ^ (1 << a)) for a in _mask_elems(rows)])
 
 
-def _recur(icols, d: int, drops, c: int, rest: int, memo: dict, sub: dict,
-           argmax: bool):
-    """(best, masks) of the block with the rows that ``drops`` lists (see
-    ``_drops``) and column mask ``rest`` plus its last column c, where
-    icols[j][i] is entry (i, j).  best is the max over rows a of the
-    sub-block (rows without a, ``rest``) plus entry (a, c).  With
-    ``argmax``, masks are the sorted grid masks of the block's optimal
-    bijections: each tight entry (a, c) joined to every argmax mask of its
-    sub-block; otherwise masks is None.
-
-    The sub-blocks are read by row mask from ``sub``, the slab
-    memo[rest], which must hold every one of them; a tight one without its
-    argmax set is completed by ``_solve``.  With one tight row the
-    sub-block's order stands."""
-    col = icols[c]
+def _recur(col, drops, sub: dict) -> tuple:
+    """(permanent, tight rows) of the block of the rows that ``drops``
+    lists and last column c, where col[i] is entry (i, c): the max over
+    rows a of the sub-block without a plus entry (a, c), and the mask of
+    the rows that reach it.  ``sub``, the slab of the columns without c,
+    must hold every sub-block."""
     best = None
-    for t in drops:
-        v = sub[t[1]][0] + col[t[0]]
-        if best is None or v > best:
-            best, top, ties = v, t, False
-        elif v == best:
-            ties = True
-    if not argmax:
-        return best, None
-    if not ties:
-        a, r = top
-        bit = 1 << (a * d + c)
-        masks = sub[r][1] or _solve(icols, d, r, rest, memo, True)[1]
-        if len(masks) == 1:  # the common case, without a comprehension
-            return best, (masks[0] | bit,)
-        return best, tuple([m | bit for m in masks])
-    joined = []
     for a, r in drops:
-        if sub[r][0] + col[a] == best:
-            bit = 1 << (a * d + c)
-            masks = sub[r][1] or _solve(icols, d, r, rest, memo, True)[1]
-            joined += [m | bit for m in masks]
-    joined.sort()
-    return best, tuple(joined)
+        v = sub[r][0] + col[a]
+        if best is None or v > best:
+            best, tight = v, 1 << a
+        elif v == best:
+            tight |= 1 << a
+    return best, tight
 
 
-def _solve(icols, d: int, rows: int, cols: int, memo: dict, argmax: bool):
-    """(optimum, masks) of assigning the columns in bit mask ``cols`` onto
-    the rows in bit mask ``rows``, top-down: the block's sub-blocks are
-    solved value-only into their slab first, then ``_recur`` answers it.
-    With ``argmax``, masks are the sorted grid masks of every optimal
-    bijection, gathered from the tight rows only; otherwise masks may be
-    None.
-
-    memo[cols][rows] holds each block's answer, the empty block's among
-    them.  A missing slab is made by ``memo.setdefault(cols, {})``, and an
-    entry without masks is only ever completed, never replaced by one
-    with less.
-    """
+def _solve(icols, rows: int, cols: int, memo: dict) -> tuple:
+    """The memo entry (permanent, tight rows) of the block (row mask,
+    column mask), where icols[j][i] is entry (i, j), solved top-down: the
+    missing sub-blocks are solved into their slab first, then ``_recur``
+    answers the block.  The empty block's entry is (0, 0)."""
     slab = memo.get(cols) or memo.setdefault(cols, {})
     got = slab.get(rows)
-    if got is not None and (got[1] is not None or not argmax):
+    if got is not None:
         return got
-    if not cols:  # the empty block: one bijection, the empty one
-        got = slab[rows] = (0, (0,))
-        return got
+    if not cols:
+        return slab.setdefault(rows, (0, 0))
     c = cols.bit_length() - 1
     rest = cols ^ (1 << c)
     drops = _drops(rows)
     sub = memo.get(rest) or memo.setdefault(rest, {})
     for _, r in drops:
         if r not in sub:
-            _solve(icols, d, r, rest, memo, False)
-    got = _recur(icols, d, drops, c, rest, memo, sub, argmax)
-    if not argmax:
-        return slab.setdefault(rows, got)
-    slab[rows] = got
-    return got
+            _solve(icols, r, rest, memo)
+    return slab.setdefault(rows, _recur(icols[c], drops, sub))
 
 
 def _argmax(arr: Arrangement, rows: int, cols: int,
-            cap: int = DEFAULT_SCAN_CAP, argmax: bool = True) -> tuple:
-    """The memo entry (permanent, sorted argmax grid masks) of the block
-    (row mask, column mask); without ``argmax`` the masks may be None.
-    This is the one reader of a single block: the module functions, the
-    structures' queries and the cell layer in ``complex`` all ask through
-    it.  The arrangement's memo is read first, and only what it lacks, the
-    whole entry or the argmax set that was asked for, is solved into it
-    by ``_solve``; only that solve is refused above ``cap`` rows."""
+            cap: int = DEFAULT_SCAN_CAP) -> tuple:
+    """The memo entry (permanent, tight rows) of the block (row mask,
+    column mask), the one reader of a single block.  Only a block the
+    arrangement's memo lacks is solved into it, by ``_solve``, and only
+    that solve is refused above ``cap`` rows."""
     try:
-        got = arr._memo[cols][rows]
+        return arr._memo[cols][rows]
     except KeyError:
-        got = None
-    if got is None or (argmax and got[1] is None):
         _check_cap(rows.bit_count(), cap)
-        got = _solve(arr._icols, arr.d, rows, cols, arr._memo, argmax)
-    return got
+        return _solve(arr._icols, rows, cols, arr._memo)
+
+
+def _join_slab(d: int, c: int, slab: dict, row_sets, below: dict,
+               out: dict):
+    """Set out[rows], for each row mask in ``row_sets``, to the sorted grid
+    masks of the argmax set of that block of ``slab``, a memo slab whose
+    last column is c: each tight row a's entry (a, c) joined to every
+    mask of its sub-block, which ``below`` holds by row mask.  With one
+    tight row the sub-block's order stands."""
+    for rows in row_sets:
+        tight = slab[rows][1]
+        if tight & (tight - 1):
+            joined = []
+            for a in _mask_elems(tight):
+                bit = 1 << (a * d + c)
+                joined += [m | bit for m in below[rows ^ (1 << a)]]
+            joined.sort()
+            out[rows] = tuple(joined)
+        else:
+            bit = 1 << ((tight.bit_length() - 1) * d + c)
+            masks = below[rows ^ tight]
+            if len(masks) == 1:  # the common case, without a comprehension
+                out[rows] = (masks[0] | bit,)
+            else:
+                out[rows] = tuple([m | bit for m in masks])
+
+
+def _masks(arr: Arrangement, rows: int, cols: int, known: dict) -> tuple:
+    """The sorted grid masks of the argmax set of the block (row mask,
+    column mask), which ``_argmax`` must have put in the memo, joined
+    after its tight rows' sub-blocks.  ``known``, column mask -> row mask
+    -> masks, holds what one call has joined; it starts as
+    {0: {0: (0,)}}, the empty block's one bijection."""
+    slab = known.setdefault(cols, {})
+    if rows not in slab:
+        c = cols.bit_length() - 1
+        rest = cols ^ (1 << c)
+        entries = arr._memo[cols]
+        for a in _mask_elems(entries[rows][1]):
+            _masks(arr, rows ^ (1 << a), rest, known)
+        _join_slab(arr.d, c, entries, (rows,), known[rest], slab)
+    return slab[rows]
 
 
 def _check_cap(k: int, cap: int):
@@ -172,7 +171,7 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
     if arr.n != arr.d:
         raise ValueError("input must be a non-empty square matrix")
     full = (1 << arr.n) - 1
-    best = _argmax(arr, full, full, _index(cap), argmax=False)[0]
+    best = _argmax(arr, full, full, _index(cap))[0]
     return Fraction(best, arr._scale)
 
 
@@ -200,7 +199,9 @@ def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
         raise ValueError("repeated indices")
     if rows[0] < 0 or cols[0] < 0 or rows[-1] >= arr.n or cols[-1] >= arr.d:
         raise ValueError("indices outside the matrix")
-    masks = _argmax(arr, _mask(rows), _mask(cols), cap)[1]
+    rows, cols = _mask(rows), _mask(cols)
+    _argmax(arr, rows, cols, cap)
+    masks = _masks(arr, rows, cols, {0: {0: (0,)}})
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
@@ -212,8 +213,7 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
     _check_bijection(arr, sigma)
     if not sigma.pairs:
         return True
-    best = _argmax(arr, _mask(sigma.image), _mask(sigma.domain), cap,
-                   argmax=False)[0]
+    best = _argmax(arr, _mask(sigma.image), _mask(sigma.domain), cap)[0]
     icols = arr._icols
     return sum(icols[j][i] for i, j in sigma.pairs) == best
 
@@ -227,20 +227,17 @@ def optimal_bijections(arr: Arrangement, rows, cols,
 
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement of
-    sizes 1..k_max, held as lazily computed argmax sets indexed by (image
-    rows, domain columns), each block size capped at ``DEFAULT_SCAN_CAP``
-    rows.  It keeps a reference to its arrangement and answers from the
-    arrangement's one block memo, slab by column set and then entry by
-    row set, which every structure of the arrangement, the module
-    functions and the cell test in ``complex`` share: ``is_attaining``
-    and ``optimal`` check k_max and then answer as
-    ``is_permanent_attaining`` and ``optimal_bijections`` do, through
-    ``_argmax``.
+    sizes 1..k_max, indexed by (image rows, domain columns), each block
+    size capped at ``DEFAULT_SCAN_CAP`` rows.  It keeps a reference to its
+    arrangement and answers from the arrangement's one block memo, which
+    every structure of the arrangement, the module functions and the cell
+    layer in ``complex`` share: ``is_attaining`` and ``optimal`` check
+    k_max and then answer as ``is_permanent_attaining`` and
+    ``optimal_bijections`` do.
 
-    Queries are pure; the memo only holds deterministic recomputation.  A
-    new slab is made with ``memo.setdefault(cols, {})``, so racing fills
-    never drop a slab, and no memo entry is replaced by one without its
-    argmax set, so racing fills store equal answers and concurrent use is
+    Queries are pure; the memo only holds deterministic recomputation.
+    Racing fills never drop a slab (``memo.setdefault``) and store equal
+    answers, and argmax sets are joined per call, so concurrent use is
     safe.  The bijections handed out derive their fields lazily, where a
     race also stores equal values.
     """
@@ -273,37 +270,39 @@ class PermanentStructure:
 
         The blocks are filled level by level, and within a level one
         column set at a time: every block of size k - 1 is in the memo
-        with its argmax set before the first of size k, so ``_recur`` reads
-        a block's k sub-blocks by row mask from the one slab
-        memo[cols without its last column], and its answer goes straight
-        into the slab memo[cols].  An entry that value-only queries left
-        without its argmax set is completed.  A level is filled whole
-        before it is yielded, rows then cols."""
+        before the first of size k, so ``_recur`` reads a block's k
+        sub-blocks from the one slab memo[cols without its last column],
+        and its answer goes straight into the slab memo[cols].  Then
+        ``_join_slab`` joins the column set's argmax sets from those of
+        the level below, which the drain keeps for one level only.  A
+        level is filled whole before it is yielded, rows then cols."""
         yield PartialBijection.empty()
         n, d, arr = self.n, self.d, self._arr
         icols, memo = arr._icols, arr._memo
         from_mask = PartialBijection._from_mask
-        _solve(icols, d, 0, 0, memo, True)  # the empty block, under level 1
+        _solve(icols, 0, 0, memo)  # the empty block, under level 1
+        below = {0: {0: (0,)}}  # column mask -> row mask -> argmax masks
         for k in range(1, self.k_max + 1):
             _check_cap(k, DEFAULT_SCAN_CAP)
-            row_sets = [(rows, _drops(rows))
-                        for rows in map(_mask, combinations(range(n), k))]
-            slabs = []
+            row_sets = list(map(_mask, combinations(range(n), k)))
+            drops = [_drops(rows) for rows in row_sets]
+            level = {}
             for c in combinations(range(d), k):
                 cols = _mask(c)
                 rest = cols ^ (1 << c[-1])
                 sub = memo[rest]  # made by the level below
                 slab = memo.get(cols) or memo.setdefault(cols, {})
-                for rows, drops in row_sets:
-                    got = slab.get(rows)
-                    if got is None or got[1] is None:
-                        slab[rows] = _recur(icols, d, drops, c[-1], rest,
-                                            memo, sub, True)
-                slabs.append(slab)
-            for rows, _ in row_sets:
-                for slab in slabs:
-                    for m in slab[rows][1]:
+                col = icols[c[-1]]
+                for rows, drop in zip(row_sets, drops):
+                    if rows not in slab:
+                        slab[rows] = _recur(col, drop, sub)
+                _join_slab(d, c[-1], slab, row_sets, below[rest],
+                           level.setdefault(cols, {}))
+            for rows in row_sets:
+                for joined in level.values():
+                    for m in joined[rows]:
                         yield from_mask(m, d)
+            below = level
 
 
 def permanent_structure(arr: Arrangement, k_max=None) -> PermanentStructure:

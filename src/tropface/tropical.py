@@ -78,7 +78,7 @@ class Arrangement:
         self._icols = tuple(
             tuple(int(entries[i][j] * scale) for i in range(self.n))
             for j in range(d))
-        self._memo = {}  # column mask -> {row mask -> block permanent, argmax}
+        self._memo = {}  # column mask -> {row mask -> permanent, tight rows}
         self._offsets = None  # per-column row offsets, see _offsets
 
     def column(self, j: int) -> tuple:

@@ -22,7 +22,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.complex import _rule, _ties
-from tropface.permanent import _argmax
+from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
@@ -222,6 +222,8 @@ _NOT_INTS = {
     "is_bounded-list": lambda: is_bounded([[1]]),
     "contained_partial_bijections-list": lambda: list(
         contained_partial_bijections([[1]])),
+    "contained_partial_bijections-call": lambda:
+        contained_partial_bijections([[1]]),
     "is_partial_bijection-list": lambda: is_partial_bijection([[1]]),
     # a list where an Arrangement belongs
     "is_permanent_attaining-arrangement-list": lambda: is_permanent_attaining(
@@ -559,6 +561,13 @@ def _union(masks) -> int:
     return out
 
 
+def _argmax_masks(arr, rows, cols) -> tuple:
+    """The block's argmax set as sorted grid masks, joined from the
+    memo."""
+    _argmax(arr, rows, cols)
+    return _masks(arr, rows, cols, {0: {0: (0,)}})
+
+
 def test_dropped_constraint_entries_always_hold():
     # _rule drops an attaining growth of a block by row i in column j when
     # the grown block's argmax set takes only row i in column j: its
@@ -575,7 +584,7 @@ def test_dropped_constraint_entries_always_hold():
         for _ in range(3):
             arr = _tie_heavy_arrangement(rng, n, d)
             for rows, cols in blocks:
-                parent = _union(_argmax(arr, rows, cols)[1])
+                parent = _union(_argmax_masks(arr, rows, cols))
                 for j in range(cols.bit_length(), d):
                     forbid, att = _rule(arr, cols << n | rows, j)
                     kept += len(att)
@@ -584,7 +593,8 @@ def test_dropped_constraint_entries_always_hold():
                         if taken >> i & 1:
                             continue
                         entry = 1 << (i * d + j)
-                        _, masks = _argmax(arr, rows | 1 << i, cols | 1 << j)
+                        masks = _argmax_masks(arr, rows | 1 << i,
+                                              cols | 1 << j)
                         assert all(a & entry for a in masks), (n, d, i, j)
                         assert _union(masks) & ~entry & ~parent == 0
                         dropped += 1

@@ -2,21 +2,25 @@
 realizability share one difference-constraint solver: ``tropical._solve``
 is the only caller of ``tropical._bellman`` in the library, and the
 separate weak system ``_weak_edges`` stays gone.  Block permanents and
-argmax sets have one recurrence, ``permanent._recur``, which both the
+tight rows have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
-``PermanentStructure.bijections`` call; the separate join ``_join`` stays
+``PermanentStructure.bijections`` call; the old join ``_join`` stays
 gone.  Every question about one block goes through one reader,
-``permanent._argmax``: within ``permanent`` only it and the level-order
-drain read the block memo ``_memo``, and only they and the recurrence
-itself call the top-down ``permanent._solve``; the earlier readers
-``_block``, ``_attains`` and ``PermanentStructure._optimal`` stay gone.
-The cell test reads blocks only through ``_argmax`` too: the walk over
-maximal bijections ``_maximal_attaining`` stays gone, and no module but
-``permanent`` reads ``_memo``, which only the ``Arrangement`` constructor
-makes.  The cell search reads its column
-constraints per block from one helper, ``complex._rule``, which only
-``enumerate_types`` calls; the walk over every partial bijection of the
-grid, ``_column_constraints``, stays gone."""
+``permanent._argmax``: only it and the drain call the top-down
+``_solve`` (besides ``_solve`` itself, and no longer the recurrence),
+and the earlier readers ``_block``, ``_attains`` and
+``PermanentStructure._optimal`` stay gone.  Argmax sets are made by one
+join, ``permanent._join_slab``, which only the drain and the top-down
+``permanent._masks`` call; within ``permanent`` only those two and
+``_argmax`` read the block memo ``_memo``, and no function in the
+package takes an ``argmax`` parameter.  The cell test reads blocks only
+through ``_argmax`` too: the walk over maximal bijections
+``_maximal_attaining`` stays gone, and no module but ``permanent`` reads
+``_memo``, which only the ``Arrangement`` constructor makes.  The cell
+search reads its column constraints per block from one helper,
+``complex._rule``, which only ``enumerate_types`` calls; the walk over
+every partial bijection of the grid, ``_column_constraints``, stays
+gone."""
 
 import ast
 from pathlib import Path
@@ -143,11 +147,50 @@ def test_one_block_reader():
     path = PACKAGE / "permanent.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert sorted(set(_attribute_uses(tree, "_memo"))) == [
-        ("PermanentStructure.bijections", "Load"), ("_argmax", "Load")]
+        ("PermanentStructure.bijections", "Load"), ("_argmax", "Load"),
+        ("_masks", "Load")]
     assert _callers(tree, "_solve") == [
-        "PermanentStructure.bijections", "_argmax", "_recur", "_solve"]
+        "PermanentStructure.bijections", "_argmax", "_solve"]
     for gone in ("_block", "_attains", "_optimal"):
         assert _package_sites(gone) == ([], []), gone
+
+
+def test_one_mask_join():
+    calls, defs = _package_sites("_join_slab")
+    assert [module for module, _ in defs] == ["permanent"]
+    assert {module for module, _ in calls} == {"permanent"}
+    path = PACKAGE / "permanent.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _callers(tree, "_join_slab") == ["PermanentStructure.bijections",
+                                             "_masks"]
+
+
+def _parameters(tree: ast.Module) -> set:
+    """The names of the parameters of every function in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names.update(p.arg for p in a.posonlyargs + a.args
+                         + a.kwonlyargs + [a.vararg, a.kwarg] if p)
+    return names
+
+
+def test_no_function_takes_an_argmax_flag():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert "argmax" not in _parameters(tree), path.stem
+
+
+def test_parameters_are_found():
+    tree = ast.parse("def f(a, /, b=1, *c, argmax, **e):\n"
+                     "    return lambda g: g\n"
+                     "class C:\n"
+                     "    def m(self, h):\n"
+                     "        pass\n")
+    assert _parameters(tree) == {"a", "b", "c", "argmax", "e", "g", "self",
+                                 "h"}
 
 
 def test_attribute_uses_are_found():

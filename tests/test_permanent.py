@@ -16,6 +16,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
 
 from tropface.boolmat import _mask
 from tropface.complex import _rule
+from tropface.permanent import _argmax
 
 from demo_data import rand_arrangement, rand_boolmatrix, rand_scalar
 from oracle_helpers import brute_assignment_optimum, column_space_witness
@@ -264,11 +265,31 @@ def _brute_column_constraints(arr):
              for g in groups], sorted(attaining))
 
 
+def _brute_union(arr, key):
+    """The union of the grid masks of the optimal bijections of the block
+    with key cols << n | rows, by permutation scan."""
+    n, d = arr.n, arr.d
+    rows = [i for i in range(n) if key >> i & 1]
+    cols = [j for j in range(d) if key >> (n + j) & 1]
+    if not rows:
+        return 0
+    best = brute_assignment_optimum(
+        [[arr.entries[i][c] for c in cols] for i in rows])
+    union = 0
+    for p in permutations(rows):
+        if sum(arr.entries[i][c] for i, c in zip(p, cols)) == best:
+            union |= PartialBijection(zip(p, cols)).as_matrix(n, d).bits
+    return union
+
+
 def _check_rules(arr, brute, attaining):
     """``_rule`` on the block of every attaining parent b and every column
     j right of b's columns is b's brute group there, without the entries
-    whose argmax set takes only their own row in column j; a parent that
-    uses every row has no group and no rule."""
+    whose argmax set takes only their own row in column j: the same
+    forbidden rows, and per kept entry the same row and rows in column j,
+    and sub-blocks whose argmax sets, with the parent block's, make up
+    the entry's argmax union below column j.  A parent that uses every
+    row has no group and no rule."""
     n, d = arr.n, arr.d
     for b in [0] + attaining:
         rows = cols = 0
@@ -276,10 +297,19 @@ def _check_rules(arr, brute, attaining):
             if b >> bit & 1:
                 rows |= 1 << bit // d
                 cols |= 1 << bit % d
+        key = cols << n | rows
         for j in range(cols.bit_length(), d):
             forbid, att = brute[j].get(b, (0, []))
-            kept = [(r, cl, need) for r, cl, need in att if need != r]
-            assert _rule(arr, cols << n | rows, j) == (forbid, kept), (b, j)
+            want = [(r, cl, need) for r, cl, need in att if need != r]
+            got_forbid, kept = _rule(arr, key, j)
+            assert got_forbid == forbid, (b, j)
+            assert [(r, need) for r, need, _ in kept] == \
+                [(r, need) for r, _, need in want], (b, j)
+            for (_, _, keys), (_, below, _) in zip(kept, want):
+                union = _brute_union(arr, key)
+                for sub in keys:
+                    union |= _brute_union(arr, sub)
+                assert union == below, (b, j)
 
 
 def test_mask_built_bijections_match_validated_ones():
@@ -358,11 +388,10 @@ def test_one_block_memo_per_arrangement():
         # bijections solves nothing again
         assert all(is_permanent_attaining(arr, sigma) for sigma in argmax)
         assert _memo_snapshot(arr) == filled
-        # a k_max = 4 drain leaves every block of size <= 4 in the memo
-        # with its argmax set, so asking for any of them adds nothing
+        # a k_max = 4 drain leaves every block of size <= 4 in the memo,
+        # so asking for any of them adds nothing
         list(PermanentStructure(arr, 4).bijections())
-        assert all(_memo_entry(arr, rows, cols)[1] is not None
-                   for rows, cols in blocks)
+        assert all(_memo_entry(arr, rows, cols) for rows, cols in blocks)
         filled = _memo_snapshot(arr)
         structure = permanent_structure(arr)
         for rows, cols in blocks:
@@ -393,15 +422,6 @@ def test_the_scan_cap_bounds_only_what_is_solved():
     # the 9 x 9 block is in the memo with its argmax set: read back at the
     # default cap by every query
     assert [query(arr) for query in queries] == [{diagonal}, True, True]
-
-
-def test_structure_is_attaining_solves_no_argmax_set():
-    # every bijection of the all-zero 6 x 6 attains; its argmax set would
-    # hold all 720 of them
-    arr = Arrangement([[0] * 6 for _ in range(6)])
-    diagonal = PartialBijection([(i, i) for i in range(6)])
-    assert permanent_structure(arr).is_attaining(diagonal)
-    assert _memo_entry(arr, range(6), range(6))[1] is None
 
 
 @pytest.mark.parametrize("rows, cols, match", [
@@ -456,22 +476,51 @@ def test_drain_order_and_type_tables_are_pinned(kind, n, d):
 
 
 @pytest.mark.parametrize("kind", ["ties", "generic"])
-def test_drain_completes_value_only_entries(kind):
+def test_memo_holds_only_permanents_and_tight_rows(kind):
     arr = _pinned_arrangement(kind, 6, 6)
-    # a value-only query on the full block leaves its sub-blocks in the
-    # memo without their argmax sets
+    # a value query on the full block leaves blocks of size <= 4 in the
+    # memo, which the drain then reads instead of filling them
     diagonal = PartialBijection([(i, i) for i in range(6)])
     is_permanent_attaining(arr, diagonal)
-    value_only = [(rows, cols) for rows, cols in _blocks(6, 6, 4)
-                  if _mask(cols) in arr._memo
-                  and _mask(rows) in arr._memo[_mask(cols)]]
-    assert value_only
-    assert all(_memo_entry(arr, rows, cols)[1] is None
-               for rows, cols in value_only)
+    assert any(_mask(cols) in arr._memo
+               and _mask(rows) in arr._memo[_mask(cols)]
+               for rows, cols in _blocks(6, 6, 4))
     drain = [sigma.pairs for sigma in PermanentStructure(arr, 4).bijections()]
     assert _sha(drain) == PINNED_DRAINS[kind, 6, 6]
-    assert all(_memo_entry(arr, rows, cols)[1] is not None
-               for rows, cols in value_only)
+    assert optimal_bijections(arr, range(6), range(6))
+    assert is_type(arr, type_of_point(arr, [0] * 6))
+    # every bijection of the all-zero 8 x 8 attains and the all-ones
+    # matrix is its type: the cell test reads all 12,870 of its blocks,
+    # and the memo keeps none of their k! optimal bijections each
+    zeros = Arrangement([[0] * 8 for _ in range(8)])
+    assert is_type(zeros, BoolMatrix(8, 8, (1 << 64) - 1))
+    assert permanent_structure(zeros).is_attaining(
+        PartialBijection([(i, 7 - i) for i in range(8)]))
+    for a in (arr, zeros):
+        entries = [e for slab in a._memo.values() for e in slab.values()]
+        assert entries
+        assert all(type(e) is tuple and len(e) == 2
+                   and type(e[0]) is int and type(e[1]) is int
+                   for e in entries)
+    assert len(zeros._memo) == 256 and _argmax(zeros, 255, 255) == (0, 255)
+
+
+def test_tight_rows_are_the_last_column_rows_of_the_argmax_set():
+    rng = random.Random(61)
+    for n, d in ((5, 5), (5, 3), (3, 5), (4, 4), (2, 5)):
+        ties = Arrangement([[rng.randint(-1, 1) for _ in range(d)]
+                            for _ in range(n)])
+        for arr in (rand_arrangement(rng, n, d, span=10**6), ties):
+            for rows, cols in _blocks(n, d, min(n, d)):
+                sub = [[arr.entries[i][c] for c in cols] for i in rows]
+                best = brute_assignment_optimum(sub)
+                last = set()
+                for p in permutations(rows):
+                    if sum(arr.entries[i][c]
+                           for i, c in zip(p, cols)) == best:
+                        last.add(p[-1])
+                tight = _argmax(arr, _mask(rows), _mask(cols))[1]
+                assert tight == _mask(last), (n, d, rows, cols)
 
 
 def test_downward_closure_of_attaining():
