@@ -24,12 +24,11 @@ from functools import cache
 from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
-from .complex import (DEFAULT_ENUM_CAP, CapExceeded, act_on_type, cell_of,
-                      enumerate_types)
+from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _search, act_on_type,
+                      cell_of)
 from .facemonoid import OrderedSetPartition
 from .render import render_svg
-from .tropical import (Arrangement, _rat, is_realized_type,
-                       type_of_point)
+from .tropical import Arrangement, _rat, _solve, type_of_point
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -179,26 +178,34 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     """The enumerate report as text, byte for byte what
     ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` makes of
     ``{"cells": [{"bounded", "dimension", "type"}, ...], "summary":
-    {dimension: count}}``.  Cells come by falling dimension, then by their
-    columns as 1-based row tuples, so each cell sorts on one int: n minus
-    its dimension, then each column's ``_rank`` in n bits.  A column's
-    rank and indented text depend only on its row set, so they are built
-    once per row set that occurs, at most 2^n times."""
-    cells = enumerate_types(arr, cap=cap)
+    {dimension: count}}``.  It reads the leaves of the cell search,
+    ``complex._search``, with no cell or matrix made for them, and sorts
+    them once.  Cells come by falling dimension, then by their columns as
+    1-based row tuples, so each cell sorts on one int: n minus its
+    dimension, then each column's ``_rank`` in n bits.  A column's rank
+    and indented text depend only on its row set, so they are built once
+    per row set that occurs, at most 2^n times.
+
+    ``check_geometric`` re-decides every leaf with the geometric route,
+    the strict solve of ``tropical._solve`` on its column row sets, which
+    shares nothing else with the search; only a leaf it refuses is made
+    into a matrix, for the message."""
+    leaves = _search(arr, cap)
+    n = arr.n
     if check_geometric:
-        for cell in cells:
-            if not is_realized_type(arr, cell.type):
+        for bits, cols, _, _ in leaves:
+            if _solve(arr, cols, 1) is None:
                 raise RuntimeError(
                     "combinatorial and geometric type tests disagree on "
-                    + format_type(cell.type))
-    n = arr.n
+                    + format_type(BoolMatrix._from_cols(n, arr.d, bits,
+                                                        cols)))
     seen = {}  # row set -> (its _rank, its indented JSON text)
     listed = []
     counts = {}  # dimension -> number of cells
-    for cell in cells:
-        key = n - cell.dimension
+    for _, cols, dim, bounded in leaves:
+        key = n - dim
         texts = []
-        for c in cell.type.col_masks():
+        for c in cols:
             got = seen.get(c)
             if got is None:
                 got = seen[c] = (_rank(c, n), "        [\n" + ",\n".join(
@@ -207,9 +214,8 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
             key = key << n | got[0]
             texts.append(got[1])
         listed.append((key, _CELL_TEXT % (
-            "true" if cell.bounded else "false", cell.dimension,
-            ",\n".join(texts))))
-        counts[cell.dimension] = counts.get(cell.dimension, 0) + 1
+            "true" if bounded else "false", dim, ",\n".join(texts))))
+        counts[dim] = counts.get(dim, 0) + 1
     listed.sort(key=itemgetter(0))
     summary = {str(dim): count for dim, count in counts.items()}
     summary_text = json.dumps(summary, indent=2, sort_keys=True)

@@ -12,11 +12,13 @@ each tight row's entry joined to the argmax set of that row's sub-block.
 This module owns that test in both of its forms, each over blocks,
 columns ascending: ``is_type`` walks it for one matrix, and ``_rule``
 gives what one block asks of a later column, the constraint that the
-cell search in ``enumerate_types`` reads for each block inside its chosen
-columns.  Both read tight rows through ``permanent._argmax``, never an
-argmax set, and never consult the geometry; the geometric decision
-procedure in ``tropical`` is an independent implementation of the same
-set and is used to cross-validate it.
+cell search ``_search`` reads for each block inside its chosen columns.
+Both read tight rows through ``permanent._argmax``, never an argmax set,
+and never consult the geometry; the geometric decision procedure in
+``tropical`` is an independent implementation of the same set and is
+used to cross-validate it.  ``enumerate_types`` sorts the search's
+leaves and makes them into cells; the CLI report reads the leaves
+directly.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def _ties(t: BoolMatrix) -> tuple:
     ``col_masks()`` derives once per matrix.  Rows that share a column are
     tied; the dimension is the number of tie components, a row in no
     column counting as one, minus one, and the cell is bounded iff the
-    columns cover every row.  ``enumerate_types`` reaches the same answer
-    column by column through the same ``_merge``; this serves ``cell_of``
-    and ``act_on_type``."""
+    columns cover every row.  ``_search`` reaches the same answer column
+    by column through the same ``_merge``; this serves ``cell_of`` and
+    ``act_on_type``."""
     comps = []
     covered = 0
     for c in t.col_masks():
@@ -90,11 +92,11 @@ def is_type(arr: Arrangement, s: BoolMatrix) -> bool:
     lies inside s.  Raises CapExceeded if a block it must read has more
     rows than ``permanent.DEFAULT_SCAN_CAP``.
 
-    The walk takes the columns in turn, as the search in
-    ``enumerate_types`` grows bijections.  It carries the blocks of the
-    bijections inside the columns taken so far, as keys cols << n | rows,
-    from the empty block, and grows each block by every row of s in the
-    next column j that it does not use.  Then (b) is one bit test per
+    The walk takes the columns in turn, as the cell search ``_search``
+    grows bijections.  It carries the blocks of the bijections inside
+    the columns taken so far, as keys cols << n | rows, from the empty
+    block, and grows each block by every row of s in the next column j
+    that it does not use.  Then (b) is one bit test per
     (block, row), the row being tight in the grown block; by induction
     over the columns, every bijection inside s then attains.  (c) is
     checked once per grown block: its tight rows lie in column j of s,
@@ -188,8 +190,11 @@ def _rule(arr: Arrangement, key: int, j: int) -> tuple:
     return forbid, kept
 
 
-def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
-    """All cells of the arrangement, sorted by their packed bit pattern.
+def _search(arr: Arrangement, cap: int) -> list:
+    """The leaves of the cell search, one per cell, in search order: the
+    tuples (bits, column row sets, dimension, bounded), bits being the
+    cell's matrix packed as ``BoolMatrix`` packs it.  Raises CapExceeded
+    if n*d is past ``cap``.
 
     Columns are chosen left to right.  The search carries the blocks, as
     keys cols << n | rows, of the partial bijections inside the columns
@@ -199,7 +204,7 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     every sub-block it names is among the prefix's blocks, and otherwise
     makes r require its tight rows in column j.  Column j then takes
     every non-empty subset of the allowed rows that is closed under those
-    implications.  ``cap`` bounds n*d (default 24).
+    implications.
 
     The constraint is a function of the block because every bijection
     inside a prefix the search reaches attains: its last entry was not
@@ -219,13 +224,10 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     components of the columns chosen so far (``_merge``, one column per
     level) and the rows they cover.  The last column's loop emits the
     leaves: a cell's dimension, as ``_ties`` would compute it, counts the
-    components the last column meets, so no leaf merges.  The cell's
-    matrix holds the column row sets the search chose, so ``col_masks()``
-    on it, in the geometric cross-check and the CLI report, derives
-    nothing again.  The leaves are sorted once, on their packed bits, and
-    only then made into cells: building each cell in the search, among
-    its short-lived lists, raised the peak RSS of the tall benchmark jobs
-    by about 1 MB.
+    components the last column meets, so no leaf merges.  A leaf holds
+    the column row sets the search chose, so neither ``enumerate_types``
+    nor the CLI report, which reads the leaves itself, derives them
+    again.
     """
     _expect(arr, Arrangement)
     n, d, cap = arr.n, arr.d, _index(cap)
@@ -287,6 +289,19 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
             c = (c - 1) & allowed
 
     rec(0, 0, (), [], 0, {0})
+    return found
+
+
+def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+    """All cells of the arrangement, sorted by their packed bit pattern.
+    ``cap`` bounds n*d (default 24).  The cells are the leaves of
+    ``_search``, sorted once on their bits and only then made into cells:
+    building each cell in the search, among its short-lived lists, raised
+    the peak RSS of the tall benchmark jobs by about 1 MB.  Each cell's
+    matrix holds the column row sets the search chose, so ``col_masks()``
+    on it derives nothing again."""
+    found = _search(arr, cap)
     found.sort(key=itemgetter(0))
+    n, d = arr.n, arr.d
     return tuple(TypeCell(BoolMatrix._from_cols(n, d, bits, cols), dim, bnd)
                  for bits, cols, dim, bnd in found)

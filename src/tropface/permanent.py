@@ -42,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from .boolmat import PartialBijection, _expect, _index, _mask, _mask_elems
 from .tropical import Arrangement
@@ -55,7 +56,9 @@ class CapExceeded(ValueError):
     space 2^(n*d) is past the enumeration cap, or more ordered set
     partitions than the partition cap allows.  The scan cap bounds only
     what is solved: a block already in the arrangement's memo is read
-    back at any size, and its argmax set is joined from the memo."""
+    back at any size, and its argmax set is joined from the memo, unless
+    the block has more rows than the cap and the set, counted from the
+    memo first, more than cap! bijections."""
 
 
 @lru_cache(maxsize=4096)
@@ -157,6 +160,24 @@ def _masks(arr: Arrangement, rows: int, cols: int, known: dict) -> tuple:
     return slab[rows]
 
 
+def _count(arr: Arrangement, rows: int, cols: int, known: dict) -> int:
+    """The size of the argmax set of the block (row mask, column mask),
+    which ``_argmax`` must have put in the memo: the sum, over its tight
+    rows, of the sizes of their sub-blocks' sets.  ``known`` maps the row
+    masks counted so far to their sizes: a sub-block's columns are the
+    lowest of ``cols``, as many as it has rows, so its row mask is the
+    whole key."""
+    got = known.get(rows)
+    if got is None:
+        if not cols:
+            return 1
+        rest = cols ^ (1 << (cols.bit_length() - 1))
+        got = known[rows] = sum(
+            _count(arr, rows ^ (1 << a), rest, known)
+            for a in _mask_elems(_argmax(arr, rows, cols)[1]))
+    return got
+
+
 def _check_cap(k: int, cap: int):
     """Refuse blocks of more than ``cap`` rows: the argmax set of a k x k
     block can hold k! bijections."""
@@ -201,6 +222,10 @@ def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
         raise ValueError("indices outside the matrix")
     rows, cols = _mask(rows), _mask(cols)
     _argmax(arr, rows, cols, cap)
+    k = rows.bit_count()
+    if k > cap and _count(arr, rows, cols, {}) > factorial(cap):
+        raise CapExceeded(f"size {k} argmax set exceeds {cap}! bijections "
+                          f"(scan cap {cap})")
     masks = _masks(arr, rows, cols, {0: {0: (0,)}})
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 

@@ -1,14 +1,14 @@
 """The lowest-set-bit walk has one owner: every ``X & -X`` in the library
 sits in ``boolmat._mask_elems``, which splits a bit set into its
-elements, or in ``complex.enumerate_types``, whose extension step keeps
-the walk inline for speed.  Everything else calls ``_mask_elems``."""
+elements, or in the cell search ``complex._search``, whose extension
+step keeps the walk inline for speed.  Everything else calls ``_mask_elems``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropface"
-OWNERS = {("boolmat", "_mask_elems"), ("complex", "enumerate_types")}
+OWNERS = {("boolmat", "_mask_elems"), ("complex", "_search")}
 
 
 def _lowest_bit_sites(tree: ast.Module) -> list:

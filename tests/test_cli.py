@@ -18,7 +18,7 @@ from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
                           format_partition, format_scalar, format_type, main,
                           parse_partition, parse_scalar, parse_type_matrix)
 
-from demo_data import DEMO_ROWS, demo_arrangement, rand_boolmatrix
+from demo_data import DEMO_ROWS, T_VERT, demo_arrangement, rand_boolmatrix
 
 
 @pytest.fixture()
@@ -221,10 +221,39 @@ def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
 
 def test_check_geometric_disagreement_exits_1(demo_file, monkeypatch,
                                               capsys):
-    monkeypatch.setattr(cli, "is_realized_type", lambda arr, t: False)
+    # the geometric route refuses one cell, which the message names
+    solve = cli._solve
+    refused = T_VERT.col_masks()
+    monkeypatch.setattr(cli, "_solve", lambda arr, cols, strict: None
+                        if cols == refused else solve(arr, cols, strict))
     assert main(["enumerate", demo_file, "--check-geometric"]) == 1
     err = capsys.readouterr().err
     assert "disagree" in err and "Traceback" not in err
+    assert format_type(T_VERT) in err
+
+
+def test_check_geometric_solves_every_cell_once(demo_file, tmp_path,
+                                                monkeypatch):
+    solve = cli._solve
+    calls = []
+
+    def counting(arr, cols, strict):
+        got = solve(arr, cols, strict)
+        calls.append((cols, strict, got is not None))
+        return got
+
+    monkeypatch.setattr(cli, "_solve", counting)
+    rng = random.Random(43)
+    tie_heavy = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(4)]
+    for path in (demo_file, write_matrix(tmp_path, tie_heavy)):
+        calls.clear()
+        out = tmp_path / "report.json"
+        assert main(["enumerate", path, "--check-geometric", "--out",
+                     str(out)]) == EXIT_OK
+        cells = json.loads(out.read_text())["cells"]
+        assert len(calls) == len(cells) > 0
+        assert len({cols for cols, _, _ in calls}) == len(cells)
+        assert all(strict == 1 and ok for _, strict, ok in calls)
 
 
 def test_unwritable_output_exits_2(demo_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       witness)
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
+from tropface.cli import _report
 from tropface.complex import _rule, _ties
 from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
@@ -515,6 +517,24 @@ def test_enumeration_is_pinned_beyond_exhaustive_scan(seed, n, d):
              for c in enumerate_types(arr, cap=n * d)]
     digest = hashlib.sha256(repr(cells).encode()).hexdigest()
     assert digest == PINNED_CELLS[seed, n, d]
+
+
+@pytest.mark.parametrize("kind, seed, n, d", [
+    ("generic", 81, 8, 3), ("generic", 82, 3, 7)] + [
+    ("tie_heavy", seed, n, d) for seed, n, d in sorted(PINNED_CELLS)])
+def test_the_report_and_enumerate_types_read_one_search(kind, seed, n, d):
+    # the two callers of _search: the CLI report, which reads the leaves
+    # itself, and enumerate_types, which makes them into cells
+    make = (_generic_arrangement if kind == "generic"
+            else _tie_heavy_arrangement)
+    arr = make(random.Random(seed), n, d)
+    doc = json.loads(_report(arr, n * d, False))
+    got = Counter((tuple(tuple(i - 1 for i in col) for col in cell["type"]),
+                   cell["dimension"], cell["bounded"])
+                  for cell in doc["cells"])
+    want = Counter((c.type.columns(), c.dimension, c.bounded)
+                   for c in enumerate_types(arr, cap=n * d))
+    assert got == want
 
 
 def test_local_euler_relation():

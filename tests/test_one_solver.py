@@ -18,9 +18,11 @@ through ``_argmax`` too: the walk over maximal bijections
 ``_maximal_attaining`` stays gone, and no module but ``permanent`` reads
 ``_memo``, which only the ``Arrangement`` constructor makes.  The cell
 search reads its column constraints per block from one helper,
-``complex._rule``, which only ``enumerate_types`` calls; the walk over
-every partial bijection of the grid, ``_column_constraints``, stays
-gone."""
+``complex._rule``, which only the search ``complex._search`` calls; the
+walk over every partial bijection of the grid, ``_column_constraints``,
+stays gone.  The search has two callers, ``enumerate_types`` and the CLI
+report ``cli._report``, which reads its leaves with no ``TypeCell`` and
+never calls ``enumerate_types``."""
 
 import ast
 from pathlib import Path
@@ -209,10 +211,41 @@ def test_the_search_reads_one_rule_per_block():
     assert _package_sites("_column_constraints") == ([], [])
     calls, defs = _package_sites("_rule")
     assert [module for module, _ in defs] == ["complex"]
-    assert calls == [("complex", "enumerate_types")]
+    assert calls == [("complex", "_search")]
     path = PACKAGE / "complex.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _callers(tree, "_rule") == ["enumerate_types"]
+    assert _callers(tree, "_rule") == ["_search"]
+
+
+def _names(tree: ast.Module) -> set:
+    """Every name ``tree`` imports or uses, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_names_are_found():
+    tree = ast.parse("from .complex import TypeCell as T\n"
+                     "def f(m):\n"
+                     "    return m.enumerate_types(x)\n")
+    assert _names(tree) == {"TypeCell", "m", "enumerate_types", "x"}
+
+
+def test_the_search_has_two_callers():
+    calls, defs = _package_sites("_search")
+    assert [module for module, _ in defs] == ["complex"]
+    assert sorted(calls) == [("cli", "_report"), ("complex", "enumerate_types")]
+    path = PACKAGE / "cli.py"
+    names = _names(ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path)))
+    assert "enumerate_types" not in names
+    assert "TypeCell" not in names
 
 
 def test_calls_in_nested_functions_belong_to_the_top_level():

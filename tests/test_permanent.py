@@ -424,6 +424,22 @@ def test_the_scan_cap_bounds_only_what_is_solved():
     assert [query(arr) for query in queries] == [{diagonal}, True, True]
 
 
+def test_argmax_sets_past_the_scan_cap_are_bounded_by_their_size():
+    # a value solve at cap 9 puts the all-zero 9 x 9 block in the memo;
+    # its argmax set holds 9! bijections, past the 8! the default cap
+    # allows, so it is refused before any is joined
+    arr = Arrangement([[0] * 9 for _ in range(9)])
+    whole = range(9)
+    diagonal = PartialBijection([(i, i) for i in whole])
+    assert is_permanent_attaining(arr, diagonal, cap=9)
+    with pytest.raises(CapExceeded, match="exceeds 8! bijections"):
+        optimal_bijections(arr, whole, whole)
+    with pytest.raises(CapExceeded, match="exceeds 8! bijections"):
+        permanent_structure(arr).optimal(whole, whole)
+    # a block within the cap is joined in full
+    assert len(optimal_bijections(arr, range(8), range(8))) == 40320
+
+
 @pytest.mark.parametrize("rows, cols, match", [
     ([], [], "block size must be between 1 and 3"),
     ([0, 0], [0, 1], "repeated indices"),
