@@ -236,9 +236,10 @@ class PartialBijection:
     used rows.  As a matrix it has at most a single 1 in each row and
     column.
 
-    ``PartialBijection(pairs)`` validates and fills every field at once.
-    ``_from_mask`` trusts a grid mask instead and derives ``pairs``,
-    ``image``, ``domain`` and ``mapping`` on first read, then keeps them;
+    ``PartialBijection(pairs)`` validates the pairs and stores only them.
+    ``_from_mask`` trusts a grid mask instead and derives ``pairs`` from
+    it on first read.  ``image``, ``domain`` and ``mapping`` are derived
+    from ``pairs`` on first read, in one place for both kinds, then kept;
     the object never changes, so two threads that derive a field at once
     store equal values.  ``mapping`` (column -> row) is a read-only view.
     Equality, hashing, ``repr`` and pickling read ``pairs`` and agree
@@ -249,14 +250,10 @@ class PartialBijection:
 
     def __init__(self, pairs=()):
         pairs = tuple(sorted((_index(i), _index(j)) for i, j in pairs))
-        rows = [i for i, _ in pairs]
-        cols = [j for _, j in pairs]
-        if len(set(rows)) != len(pairs) or len(set(cols)) != len(pairs):
+        if (len({i for i, _ in pairs}) != len(pairs)
+                or len({j for _, j in pairs}) != len(pairs)):
             raise ValueError("pairs repeat a row or a column")
         self.pairs = pairs
-        self.image = tuple(sorted(rows))
-        self.domain = tuple(sorted(cols))
-        self.mapping = MappingProxyType({j: i for i, j in pairs})
 
     @classmethod
     def _from_mask(cls, mask: int, d: int) -> "PartialBijection":
@@ -269,9 +266,9 @@ class PartialBijection:
         return self
 
     def __getattr__(self, name):
-        # reached only for a field that a mask-built bijection has not
-        # derived yet; bits ascend in (row, column) order, so the pairs
-        # and the image come out sorted
+        # reached only for a field not derived yet; the pairs are sorted
+        # in (row, column) order, as the mask's bits ascend, so the image
+        # comes out sorted
         if name == "pairs":
             d = self._d
             value = tuple(divmod(p, d) for p in _mask_elems(self._mask))

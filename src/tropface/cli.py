@@ -50,12 +50,6 @@ def parse_scalar(v) -> Fraction:
         raise ParseFailure(f"cannot parse {v!r} as a rational: {exc}") from exc
 
 
-def format_scalar(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def load_arrangement(path: str) -> Arrangement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,12 +143,6 @@ def parse_partition(text: str, n: int) -> OrderedSetPartition:
         raise ParseFailure(f"bad partition: {exc}") from exc
 
 
-def format_partition(p: OrderedSetPartition) -> str:
-    return "(" + "|".join(
-        "{" + ",".join(str(e + 1) for e in blk) + "}"
-        for blk in p.block_sets()) + ")"
-
-
 # one entry of the report's cell list, indented as json.dumps(indent=2)
 # indents it: bounded, dimension, then the column texts
 _CELL_TEXT = ('    {\n      "bounded": %s,\n      "dimension": %d,\n'
@@ -232,21 +220,18 @@ def _write_output(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_type_of_point(args) -> int:
-    arr = load_arrangement(args.matrix)
+def _cmd_type_of_point(arr: Arrangement, args) -> int:
     x = parse_point(args.point, arr.n)
     print(format_type(type_of_point(arr, x)))
     return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    arr = load_arrangement(args.matrix)
+def _cmd_enumerate(arr: Arrangement, args) -> int:
     _write_output(_report(arr, args.cap, args.check_geometric), args.out)
     return EXIT_OK
 
 
-def _cmd_act(args) -> int:
-    arr = load_arrangement(args.matrix)
+def _cmd_act(arr: Arrangement, args) -> int:
     t = parse_type_matrix(args.type, arr.n, arr.d)
     partition = parse_partition(args.partition, arr.n)
     try:
@@ -262,8 +247,7 @@ def _cmd_act(args) -> int:
     return EXIT_OK
 
 
-def _cmd_render(args) -> int:
-    arr = load_arrangement(args.matrix)
+def _cmd_render(arr: Arrangement, args) -> int:
     if arr.n != 3:
         print("rendering needs an arrangement with exactly 3 rows",
               file=sys.stderr)
@@ -334,7 +318,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return args.func(args)
+        # every command takes a matrix file, read here once
+        return args.func(load_arrangement(args.matrix), args)
     except ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

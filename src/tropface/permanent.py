@@ -146,18 +146,19 @@ def _join_slab(d: int, c: int, slab: dict, row_sets, below: dict,
 def _masks(arr: Arrangement, rows: int, cols: int, known: dict) -> tuple:
     """The sorted grid masks of the argmax set of the block (row mask,
     column mask), which ``_argmax`` must have put in the memo, joined
-    after its tight rows' sub-blocks.  ``known``, column mask -> row mask
-    -> masks, holds what one call has joined; it starts as
-    {0: {0: (0,)}}, the empty block's one bijection."""
-    slab = known.setdefault(cols, {})
-    if rows not in slab:
+    after its tight rows' sub-blocks.  ``known`` maps the row masks one
+    call has joined to their masks, as in ``_count``: a sub-block's
+    columns are the lowest of ``cols``, as many as it has rows, so its
+    row mask is the whole key.  It starts as {0: (0,)}, the empty block's
+    one bijection."""
+    if rows not in known:
         c = cols.bit_length() - 1
         rest = cols ^ (1 << c)
         entries = arr._memo[cols]
         for a in _mask_elems(entries[rows][1]):
             _masks(arr, rows ^ (1 << a), rest, known)
-        _join_slab(arr.d, c, entries, (rows,), known[rest], slab)
-    return slab[rows]
+        _join_slab(arr.d, c, entries, (rows,), known, known)
+    return known[rows]
 
 
 def _count(arr: Arrangement, rows: int, cols: int, known: dict) -> int:
@@ -226,7 +227,7 @@ def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
     if k > cap and _count(arr, rows, cols, {}) > factorial(cap):
         raise CapExceeded(f"size {k} argmax set exceeds {cap}! bijections "
                           f"(scan cap {cap})")
-    masks = _masks(arr, rows, cols, {0: {0: (0,)}})
+    masks = _masks(arr, rows, cols, {0: (0,)})
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
@@ -253,12 +254,12 @@ def optimal_bijections(arr: Arrangement, rows, cols,
 class PermanentStructure:
     """All permanent-attaining partial bijections of an arrangement of
     sizes 1..k_max, indexed by (image rows, domain columns), each block
-    size capped at ``DEFAULT_SCAN_CAP`` rows.  It keeps a reference to its
-    arrangement and answers from the arrangement's one block memo, which
-    every structure of the arrangement, the module functions and the cell
-    layer in ``complex`` share: ``is_attaining`` and ``optimal`` check
-    k_max and then answer as ``is_permanent_attaining`` and
-    ``optimal_bijections`` do.
+    size capped at ``DEFAULT_SCAN_CAP`` rows; k_max defaults to min(n, d),
+    here only.  It keeps a reference to its arrangement and answers from
+    the arrangement's one block memo, which every structure of the
+    arrangement, the module functions and the cell layer in ``complex``
+    share: ``is_attaining`` and ``optimal`` check k_max and then answer
+    as ``is_permanent_attaining`` and ``optimal_bijections`` do.
 
     Queries are pure; the memo only holds deterministic recomputation.
     Racing fills never drop a slab (``memo.setdefault``) and store equal
@@ -267,10 +268,10 @@ class PermanentStructure:
     race also stores equal values.
     """
 
-    def __init__(self, arr: Arrangement, k_max: int):
+    def __init__(self, arr: Arrangement, k_max=None):
         _expect(arr, Arrangement)
         limit = min(arr.n, arr.d)
-        k_max = _index(k_max)
+        k_max = limit if k_max is None else _index(k_max)
         if not 1 <= k_max <= limit:
             raise ValueError(f"k_max must be between 1 and {limit}")
         self._arr = arr
@@ -331,9 +332,7 @@ class PermanentStructure:
 
 
 def permanent_structure(arr: Arrangement, k_max=None) -> PermanentStructure:
-    """The permanent structure of the arrangement covering sizes 1..k_max;
-    k_max defaults to min(n, d).  Nothing is cached here: every structure
-    answers from the arrangement's one block memo."""
-    _expect(arr, Arrangement)
-    return PermanentStructure(
-        arr, min(arr.n, arr.d) if k_max is None else k_max)
+    """``PermanentStructure(arr, k_max)``, which checks both arguments and
+    owns the default k_max = min(n, d).  Nothing is cached here: every
+    structure answers from the arrangement's one block memo."""
+    return PermanentStructure(arr, k_max)

@@ -132,6 +132,8 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
     if viewport is None:
         viewport = default_viewport(apexes + vertex_pts)
     box = as_point(viewport)
+    if len(box) != 4:
+        raise ValueError(f"viewport must hold 4 values, not {len(box)}")
     if not (box[0] < box[1] and box[2] < box[3]):
         raise ValueError("empty viewport")
 

@@ -9,6 +9,7 @@ computed in Fraction arithmetic on the matrix entries.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from tropface import BoolMatrix
 from tropface.tropical import _check_point
@@ -83,6 +84,72 @@ def brute_ordered_set_partitions(n: int) -> set:
             blocks.append(frozenset(cur))
             found.add(tuple(blocks))
     return found
+
+
+def _is_spanning_tree(n: int, d: int, edges) -> bool:
+    """True iff the (row, column) edges form a spanning tree of K_{n,d}:
+    n + d - 1 of them, none closing a cycle (union-find)."""
+    parent = list(range(n + d))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in edges:
+        a, b = root(i), root(n + j)
+        if a == b:
+            return False
+        parent[a] = b
+    return len(edges) == n + d - 1
+
+
+def _has_long_directed_cycle(n: int, t: frozenset, u: frozenset) -> bool:
+    """Postnikov's graph U(t, u): t's edges directed rows -> columns, u's
+    columns -> rows, rows numbered 0..n-1 and columns from n.  True iff it
+    has a directed cycle of length >= 4.  An edge of both trees closes
+    only a 2-cycle, and a longer cycle of such edges would be a cycle of
+    t, so a cycle of length >= 4 takes an edge of one tree alone, a -> b,
+    then a path back from b to a, which is not the missing edge b -> a.
+    The graph of (u, t) is that of (t, u) reversed."""
+    succ = {}
+    for i, j in t:
+        succ.setdefault(i, []).append(n + j)
+    for i, j in u:
+        succ.setdefault(n + j, []).append(i)
+    one_way = ([(i, n + j) for i, j in t - u]
+               + [(n + j, i) for i, j in u - t])
+    for a, b in one_way:
+        seen, stack = {b}, [b]
+        while stack:
+            for y in succ.get(stack.pop(), ()):
+                if y == a:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return False
+
+
+def triangulation_defects(n: int, d: int, vertex_types) -> list:
+    """Why the 0-cell types of a generic n x d arrangement are not the
+    maximal simplices of a triangulation of Delta_{n-1} x Delta_{d-1}
+    (Develin and Sturmfels, "Tropical convexity", 2004); empty when they
+    are.  Each type must be a spanning tree of K_{n,d}, there must be
+    C(n+d-2, n-1) of them, and every pair must meet in a common face:
+    Postnikov's graph of the pair has no directed cycle of length >= 4
+    ("Permutohedra, associahedra, and beyond", 2009, Lemma 12.6)."""
+    trees = [frozenset((i, j) for i in range(n) for j in range(d)
+                       if t.entry(i, j)) for t in vertex_types]
+    defects = [f"vertex {sorted(t)} is not a spanning tree" for t in trees
+               if not _is_spanning_tree(n, d, t)]
+    if len(set(trees)) != comb(n + d - 2, n - 1):
+        defects.append(f"{len(set(trees))} distinct vertices, not "
+                       f"C({n + d - 2}, {n - 1}) = {comb(n + d - 2, n - 1)}")
+    defects += [f"vertices {sorted(t)} and {sorted(u)} overlap"
+                for t, u in combinations(trees, 2)
+                if _has_long_directed_cycle(n, t, u)]
+    return defects
 
 
 def brute_assignment_optimum(sub) -> Fraction:

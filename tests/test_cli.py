@@ -15,8 +15,8 @@ import tropface.complex as complex_module
 from tropface import BoolMatrix, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
                           EXIT_RENDER_DIM, ParseFailure, _build_parser, _rank,
-                          format_partition, format_scalar, format_type, main,
-                          parse_partition, parse_scalar, parse_type_matrix)
+                          format_type, main, parse_partition, parse_scalar,
+                          parse_type_matrix)
 
 from demo_data import DEMO_ROWS, T_VERT, demo_arrangement, rand_boolmatrix
 
@@ -43,8 +43,8 @@ def write_matrix(tmp_path, rows, name="m.json"):
 
 
 def test_scalar_round_trip():
-    assert format_scalar(parse_scalar("-8")) == "-8"
-    assert format_scalar(parse_scalar("3/2")) == "3/2"
+    assert parse_scalar("-8") == F(-8)
+    assert parse_scalar("3/2") == F(3, 2)
     with pytest.raises(Exception):
         parse_scalar(0.5)
     with pytest.raises(Exception):
@@ -67,8 +67,6 @@ def test_type_string_round_trip():
 def test_partition_string_round_trip():
     p = parse_partition("({1,3}|{2})", 3)
     assert p.block_sets() == ((0, 2), (1,))
-    assert format_partition(p) == "({1,3}|{2})"
-    assert parse_partition(format_partition(p), 3) == p
     with pytest.raises(Exception):
         parse_partition("({1}|{1,2})", 3)  # overlap
     with pytest.raises(Exception):

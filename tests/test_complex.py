@@ -7,6 +7,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       OrderedSetPartition, PartialBijection,
@@ -29,7 +31,7 @@ from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
-from oracle_helpers import tie_system_dimension
+from oracle_helpers import tie_system_dimension, triangulation_defects
 
 
 def test_is_type_fixtures(demo):
@@ -128,6 +130,17 @@ def test_generic_counts_match_closed_forms_beyond_exhaustive_scan():
             if d == 2:
                 assert len(cells) == (n - 1) * 2**n + 1
         assert len(f_vectors) == 1
+
+
+def test_generic_vertices_triangulate_the_product_of_simplices():
+    # the shapes and seeds of the closed-form test above: the vertex types
+    # are C(n+d-2, n-1) spanning trees of K_{n,d}, pairwise compatible
+    for n, d in [(10, 2), (12, 2), (8, 3)]:
+        for seed in (1, 2):
+            arr = _generic_arrangement(random.Random(seed), n, d)
+            vertices = [c.type for c in enumerate_types(arr)
+                        if c.dimension == 0]
+            assert triangulation_defects(n, d, vertices) == []
 
 
 def test_cell_queries_take_no_structure():
@@ -585,7 +598,7 @@ def _argmax_masks(arr, rows, cols) -> tuple:
     """The block's argmax set as sorted grid masks, joined from the
     memo."""
     _argmax(arr, rows, cols)
-    return _masks(arr, rows, cols, {0: {0: (0,)}})
+    return _masks(arr, rows, cols, {0: (0,)})
 
 
 def test_dropped_constraint_entries_always_hold():
@@ -620,3 +633,57 @@ def test_dropped_constraint_entries_always_hold():
                         dropped += 1
                         wider += len(masks) > 1
     assert dropped and kept and wider
+
+
+@st.composite
+def degenerate_cases(draw):
+    """A degenerate arrangement (1xd and nx1 shapes, repeated columns,
+    equal rows, entries over one huge denominator or over 1) and a point
+    on a shifted apex, where every row ties, with one tie perhaps broken,
+    or anywhere."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    den = draw(st.sampled_from((1, 3, 10**12 + 39, 2**61 - 1)))
+    scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, den)))
+    rows = [[draw(scalar) for _ in range(d)] for _ in range(n)]
+    if d > 1 and draw(st.booleans()):  # a repeated column
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        for row in rows:
+            row[b] = row[a]
+    if n > 1 and draw(st.booleans()):  # two equal rows
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[b] = list(rows[a])
+    arr = Arrangement(rows)
+    if draw(st.booleans()):
+        c, j = draw(scalar), draw(st.integers(0, d - 1))
+        x = [arr.entries[i][j] + c for i in range(n)]
+        if draw(st.booleans()):
+            x[draw(st.integers(0, n - 1))] += draw(scalar)
+    else:
+        x = [draw(scalar) for _ in range(n)]
+    return arr, x
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(degenerate_cases())
+@example((Arrangement([[0, 0, Fraction(1, 2**61 - 1)]]), [0]))
+@example((Arrangement([[0], [0], [Fraction(-1, 3)]]), [0, 0, 0]))
+@example((Arrangement([[1, 1], [2, 2], [1, 1]]), [1, 2, 1]))
+def test_is_type_matches_geometry_on_degenerate_arrangements(case):
+    # the type of a point and each type one entry away from it: the
+    # combinatorial test agrees with the strict solve, a realized type
+    # comes back from its point, and a witness's type contains its query
+    arr, x = case
+    t = type_of_point(arr, x)
+    for flip in range(-1, arr.n * arr.d):
+        s = t if flip < 0 else BoolMatrix(arr.n, arr.d, t.bits ^ 1 << flip)
+        realized = is_realized_type(arr, s)
+        assert is_type(arr, s) == realized, (arr, s)
+        assert realized or flip >= 0
+        point = realize_type(arr, s)
+        assert (point is not None) == realized
+        if realized:
+            assert type_of_point(arr, point) == s
+        w = witness(arr, s)
+        assert (w is not None) == is_satisfiable(arr, s)
+        if w is not None:
+            assert s <= type_of_point(arr, w)

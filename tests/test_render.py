@@ -100,7 +100,9 @@ def test_milli_rounding_matches_fraction_round():
     ([[0, 1], [1, 0]], None, "3-row"),
     (DEMO_ROWS, (1, 1, 0, 2), "empty viewport"),
     (DEMO_ROWS, (0, 2, 3, -3), "empty viewport"),
-], ids=["two-rows", "empty-x", "empty-y"])
+    (DEMO_ROWS, (0, 1), "viewport must hold 4 values"),
+    (DEMO_ROWS, (0, 1, 0, 1, 2), "viewport must hold 4 values"),
+], ids=["two-rows", "empty-x", "empty-y", "short-viewport", "long-viewport"])
 def test_render_svg_refuses_what_it_cannot_draw(rows, viewport, match):
     with pytest.raises(ValueError, match=match):
         render_svg(Arrangement(rows), viewport)
