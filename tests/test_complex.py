@@ -7,8 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       OrderedSetPartition, PartialBijection,
@@ -32,6 +31,7 @@ from tropface.render import render_svg
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
 from oracle_helpers import tie_system_dimension, triangulation_defects
+from test_tropical import point_query_cases
 
 
 def test_is_type_fixtures(demo):
@@ -635,44 +635,14 @@ def test_dropped_constraint_entries_always_hold():
     assert dropped and kept and wider
 
 
-@st.composite
-def degenerate_cases(draw):
-    """A degenerate arrangement (1xd and nx1 shapes, repeated columns,
-    equal rows, entries over one huge denominator or over 1) and a point
-    on a shifted apex, where every row ties, with one tie perhaps broken,
-    or anywhere."""
-    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    den = draw(st.sampled_from((1, 3, 10**12 + 39, 2**61 - 1)))
-    scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, den)))
-    rows = [[draw(scalar) for _ in range(d)] for _ in range(n)]
-    if d > 1 and draw(st.booleans()):  # a repeated column
-        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-        for row in rows:
-            row[b] = row[a]
-    if n > 1 and draw(st.booleans()):  # two equal rows
-        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rows[b] = list(rows[a])
-    arr = Arrangement(rows)
-    if draw(st.booleans()):
-        c, j = draw(scalar), draw(st.integers(0, d - 1))
-        x = [arr.entries[i][j] + c for i in range(n)]
-        if draw(st.booleans()):
-            x[draw(st.integers(0, n - 1))] += draw(scalar)
-    else:
-        x = [draw(scalar) for _ in range(n)]
-    return arr, x
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(degenerate_cases())
-@example((Arrangement([[0, 0, Fraction(1, 2**61 - 1)]]), [0]))
-@example((Arrangement([[0], [0], [Fraction(-1, 3)]]), [0, 0, 0]))
-@example((Arrangement([[1, 1], [2, 2], [1, 1]]), [1, 2, 1]))
+@given(point_query_cases())
 def test_is_type_matches_geometry_on_degenerate_arrangements(case):
-    # the type of a point and each type one entry away from it: the
-    # combinatorial test agrees with the strict solve, a realized type
-    # comes back from its point, and a witness's type contains its query
-    arr, x = case
+    # on the degenerate arrangements of the point-query test, the type of
+    # a point and each type one entry away from it: the combinatorial
+    # test agrees with the strict solve, a realized type comes back from
+    # its point, and a witness's type contains its query
+    arr, x, _, _ = case
     t = type_of_point(arr, x)
     for flip in range(-1, arr.n * arr.d):
         s = t if flip < 0 else BoolMatrix(arr.n, arr.d, t.bits ^ 1 << flip)
