@@ -27,7 +27,7 @@ from .boolmat import BoolMatrix, _mask_elems
 from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _search, act_on_type,
                       cell_of)
 from .facemonoid import OrderedSetPartition
-from .render import render_svg
+from .render import _check_viewport, render_svg
 from .tropical import Arrangement, _rat, _solve, type_of_point
 
 EXIT_OK = 0
@@ -254,12 +254,12 @@ def _cmd_render(arr: Arrangement, args) -> int:
         return EXIT_RENDER_DIM
     viewport = None
     if args.viewport:
-        parts = [p.strip() for p in args.viewport.split(",")]
-        if len(parts) != 4:
-            raise ParseFailure("viewport must be XMIN,XMAX,YMIN,YMAX")
-        viewport = tuple(parse_scalar(p) for p in parts)
-        if not (viewport[0] < viewport[1] and viewport[2] < viewport[3]):
-            raise ParseFailure("viewport needs XMIN < XMAX and YMIN < YMAX")
+        viewport = [parse_scalar(p) for p in args.viewport.split(",")]
+        try:
+            _check_viewport(viewport)
+        except ValueError as exc:
+            raise ParseFailure(
+                f"{exc}; --viewport takes XMIN,XMAX,YMIN,YMAX") from None
     _write_output(render_svg(arr, viewport), args.out)
     return EXIT_OK
 

@@ -196,15 +196,28 @@ def _search(arr: Arrangement, cap: int) -> list:
     cell's matrix packed as ``BoolMatrix`` packs it.  Raises CapExceeded
     if n*d is past ``cap``.
 
-    Columns are chosen left to right.  The search carries the blocks, as
-    keys cols << n | rows, of the partial bijections inside the columns
-    chosen before j (the prefix), and reads what each asks of column j,
-    ``_rule(arr, key, j)``, once per call into ``rules[j]``.  ``forbid``
-    forbids its rows; a kept attaining growth forbids its row r unless
-    every sub-block it names is among the prefix's blocks, and otherwise
-    makes r require its tight rows in column j.  Column j then takes
-    every non-empty subset of the allowed rows that is closed under those
-    implications.
+    Columns are chosen left to right.  The search carries the blocks of
+    the partial bijections inside the columns chosen before j (the
+    prefix) as one int, a bit set in which bit key - 2^n stands for the
+    block with key cols << n | rows.  Two kinds of block are left out of
+    it.  The empty block is implicit: every growth of it is a 1 x 1
+    block, whose one tight row is its own, so its rule is empty, and
+    every other block has a column, so its key is at least 2^n.  Blocks
+    that use all n rows are dropped: their rule is empty, as they have
+    no free row, and no kept entry names one, as the sub-blocks an entry
+    names are the size of an unfull block.
+
+    The search reads what each block asks of column j, ``_rule(arr, key,
+    j)``, once per call, the first time it meets the key at column j,
+    and folds it into bit sets of keys: one per row, of the keys whose
+    rule forbids that row, and one of the keys with kept entries, each
+    entry holding the bit set of the sub-blocks it names.  So a node's
+    forbidden rows take one AND per row, and it visits only the kept
+    entries of its own blocks.  A kept attaining growth forbids its row
+    r unless every sub-block it names is among the prefix's blocks, and
+    otherwise makes r require its tight rows in column j.  Column j then
+    takes every non-empty subset of the allowed rows that is closed
+    under those implications.
 
     The constraint is a function of the block because every bijection
     inside a prefix the search reaches attains: its last entry was not
@@ -219,15 +232,17 @@ def _search(arr: Arrangement, cap: int) -> list:
     is in the prefix.  On generic arrangements nearly every growth is of
     this kind.
 
-    A child adds the prefix's blocks grown by each row of the column just
-    chosen that they do not use.  The search also carries the tie
+    A child adds the unfull 1 x 1 blocks of the column just chosen, and
+    the prefix's blocks grown by each of its rows i that they do not use:
+    growing by (i, j) adds the same number to every such key, so it is
+    one shift of those keys' bits.  The search also carries the tie
     components of the columns chosen so far (``_merge``, one column per
     level) and the rows they cover.  The last column's loop emits the
     leaves: a cell's dimension, as ``_ties`` would compute it, counts the
-    components the last column meets, so no leaf merges.  A leaf holds
-    the column row sets the search chose, so neither ``enumerate_types``
-    nor the CLI report, which reads the leaves itself, derives them
-    again.
+    components the last column meets, so no leaf merges.
+    A leaf holds the column row sets the search chose, so neither
+    ``enumerate_types`` nor the CLI report, which reads the leaves
+    itself, derives them again.
     """
     _expect(arr, Arrangement)
     n, d, cap = arr.n, arr.d, _index(cap)
@@ -236,29 +251,90 @@ def _search(arr: Arrangement, cap: int) -> list:
     full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
-    rules = [{} for _ in range(d)]  # per column: block key -> _rule
+    # bit b of a bit set of keys stands for the block with key base + b:
+    # no other key below base is a block but the empty one, which is
+    # left implicit
+    base = 1 << n
+    # per column, bit sets of keys: those whose rule is folded in, those
+    # whose rule forbids row i (forbids[j][i]) and those with kept
+    # entries, which kept[j] maps to (row bit, rows required, bit set of
+    # the named sub-blocks)
+    folded = [0] * d
+    forbids = [[0] * n for _ in range(d)]
+    kept_keys = [0] * d
+    kept = [{} for _ in range(d)]
+    # grow[i]: growing by (i, j) adds base + 2^i, then 2^(n+j) - base, to
+    # a bit: (the keys whose rows miss row i and, with it, leave a row
+    # free, base + 2^i, the 1 x 1 block (i, j) before the second shift,
+    # none if n = 1 makes it full).  The keys are those a prefix short of
+    # the last column can hold, cols below 2^(d-2); the row patterns are
+    # built by doubling.
+    grow = []
+    for i in range(n):
+        pat = 0
+        if d > 2:
+            pat, width = (1 << (1 << i)) - 1, 1 << (i + 1)
+            while width < base:
+                pat |= pat << width
+                width <<= 1
+            pat &= ~(1 << (full ^ 1 << i))
+            while width < 1 << (n + d - 2):
+                pat |= pat << width
+                width <<= 1
+        grow.append((pat >> base, base | 1 << i,
+                     1 << (1 << i) if n > 1 else 0))
     found = []  # (bits, column row sets, dimension, bounded) of each cell
 
     def rec(j, acc, cols, comps, covered, inside):
         # cols: the row sets taken in columns 0..j-1; comps: their tie
-        # components; covered: the rows they cover; inside: the block
-        # keys of every partial bijection inside them
-        at = rules[j]
+        # components; covered: the rows they cover; inside: the bit set
+        # of the keys of every unfull non-empty block inside them
+        pats = forbids[j]
+        seen = inside & folded[j]
+        if seen != inside:
+            # a walk over a bit set of keys, from its top bit, which
+            # shrinks the int at each step; _mask_elems's cache must not
+            # keep such a bit set
+            fresh = inside ^ seen
+            folded[j] |= fresh
+            while fresh:
+                b = fresh.bit_length() - 1
+                low = 1 << b
+                fresh ^= low
+                no, entries = _rule(arr, base + b, j)
+                for i in _mask_elems(no):
+                    pats[i] |= low
+                if entries:
+                    kept_keys[j] |= low
+                    grouped = []
+                    for r, need, keys in entries:
+                        named = 0
+                        for k in keys:
+                            named |= 1 << (k - base)
+                        grouped.append((r, need, named))
+                    kept[j][b] = grouped
         forbid = 0
-        implies = []  # (row bit, the rows of column j that it requires)
-        for key in inside:
-            got = at.get(key)
-            if got is None:
-                got = at[key] = _rule(arr, key, j)
-            forbid |= got[0]
-            for r, need, keys in got[1]:
-                if inside.issuperset(keys):
-                    implies.append((r, need))
-                else:
-                    forbid |= r
+        bit = 1
+        for pat in pats:
+            if inside & pat:
+                forbid |= bit
+            bit <<= 1
+        needs = {}  # row bit -> the rows of column j that it requires
+        with_kept = inside & kept_keys[j]
+        if with_kept:
+            at = kept[j]
+            while with_kept:
+                b = with_kept.bit_length() - 1
+                with_kept ^= 1 << b
+                for r, need, named in at[b]:
+                    if inside & named == named:
+                        needs[r] = needs.get(r, 0) | need
+                    else:
+                        forbid |= r
         allowed = full & ~forbid
+        implies = needs.items()
         last = j == d - 1
-        here = 1 << (n + j)
+        shift = (1 << (n + j)) - base
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
             if not implies or all(not c & r or rows & c == rows
@@ -272,23 +348,15 @@ def _search(arr: Arrangement, cap: int) -> list:
                             dim += 1
                     found.append((bits, cols + (c,), dim, cov == full))
                 else:
-                    # the one lowest-set-bit walk outside _mask_elems: it
-                    # runs once per (node, block inside the prefix), and
-                    # a call per step made 3 x d enumeration 18% slower
-                    # and the render_3row benchmark 6% slower (CPython
-                    # 3.11, 2 vCPU x86-64)
-                    ext = set(inside)
-                    for key in inside:
-                        free = c & ~key
-                        while free:
-                            low = free & -free
-                            free ^= low
-                            ext.add(key | here | low)
+                    grown = 0
+                    for i in _mask_elems(c):
+                        keys, by, single = grow[i]
+                        grown |= (inside & keys) << by | single
                     rec(j + 1, bits, cols + (c,), _merge(comps, c),
-                        covered | c, ext)
+                        covered | c, inside | grown << shift)
             c = (c - 1) & allowed
 
-    rec(0, 0, (), [], 0, {0})
+    rec(0, 0, (), [], 0, 0)
     return found
 
 

@@ -117,25 +117,32 @@ def default_viewport(points) -> tuple:
     return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
 
 
+def _check_viewport(viewport) -> tuple:
+    """The viewport (xmin, xmax, ymin, ymax) as four Fractions; raises
+    ValueError unless it holds four values that bound a non-empty box.
+    The ``render`` command checks its ``--viewport`` here too."""
+    box = as_point(viewport)
+    if len(box) != 4:
+        raise ValueError(f"viewport must hold 4 values, not {len(box)}")
+    if not (box[0] < box[1] and box[2] < box[3]):
+        raise ValueError("empty viewport")
+    return box
+
+
 def render_svg(arr: Arrangement, viewport=None) -> str:
     """Draw the arrangement (n = 3 only) and its bounded cells as SVG."""
     _expect(arr, Arrangement)
     if arr.n != 3:
         raise ValueError("rendering is only defined for 3-row arrangements")
+    box = None if viewport is None else _check_viewport(viewport)
 
     cells = enumerate_types(arr)
     vertex_cells = [c for c in cells if c.dimension == 0]
     vertex_pts = [project_to_plane(realize_type(arr, c.type))
                   for c in vertex_cells]
     apexes = [project_to_plane(arr.column(j)) for j in range(arr.d)]
-
-    if viewport is None:
-        viewport = default_viewport(apexes + vertex_pts)
-    box = as_point(viewport)
-    if len(box) != 4:
-        raise ValueError(f"viewport must hold 4 values, not {len(box)}")
-    if not (box[0] < box[1] and box[2] < box[3]):
-        raise ValueError("empty viewport")
+    if box is None:
+        box = default_viewport(apexes + vertex_pts)
 
     # one integer grid for everything drawn: each coordinate times the
     # lcm of all their denominators; from here on only ints

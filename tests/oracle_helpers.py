@@ -4,7 +4,10 @@ These deliberately avoid the library's own algorithms: bijections are
 found by filtering all subsets of the one-entries, dimensions come from
 the exact rank of the tie equality system, ordered set partitions are
 rebuilt from permutations plus compositions, and the point queries are
-computed in Fraction arithmetic on the matrix entries.
+computed in Fraction arithmetic on the matrix entries.  The one
+exception is ``set_search``, a second form of the cell search kept to
+check the library's bit-set form against: it reads the same per-block
+rules, ``complex._rule``, and differs only in how it carries them.
 """
 
 from fractions import Fraction
@@ -12,6 +15,8 @@ from itertools import combinations, permutations
 from math import comb
 
 from tropface import BoolMatrix
+from tropface.boolmat import _mask_elems
+from tropface.complex import _merge, _rule
 from tropface.tropical import _check_point
 
 
@@ -150,6 +155,55 @@ def triangulation_defects(n: int, d: int, vertex_types) -> list:
                 for t, u in combinations(trees, 2)
                 if _has_long_directed_cycle(n, t, u)]
     return defects
+
+
+def set_search(arr) -> list:
+    """The leaves of the cell search in search order, as
+    ``complex._search`` returns them, with the blocks inside the prefix
+    carried as a Python set of keys cols << n | rows and each block's
+    rule read from a dict, the full-row blocks included; no cap."""
+    n, d = arr.n, arr.d
+    full = (1 << n) - 1
+    lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
+    rules = [{} for _ in range(d)]  # per column: block key -> _rule
+    found = []
+
+    def rec(j, acc, cols, comps, covered, inside):
+        at = rules[j]
+        forbid = 0
+        implies = []  # (row bit, the rows of column j that it requires)
+        for key in inside:
+            got = at.get(key)
+            if got is None:
+                got = at[key] = _rule(arr, key, j)
+            forbid |= got[0]
+            for r, need, keys in got[1]:
+                if inside.issuperset(keys):
+                    implies.append((r, need))
+                else:
+                    forbid |= r
+        allowed = full & ~forbid
+        here = 1 << (n + j)
+        c = allowed  # the non-empty subsets of the allowed rows, descending
+        while c:
+            if all(not c & r or rows & c == rows for r, rows in implies):
+                bits = acc | lift[c] << j
+                if j == d - 1:
+                    cov = covered | c
+                    dim = n - cov.bit_count() + sum(
+                        1 for m in comps if not m & c)
+                    found.append((bits, cols + (c,), dim, cov == full))
+                else:
+                    ext = set(inside)
+                    for key in inside:
+                        for i in _mask_elems(c & ~key):
+                            ext.add(key | here | 1 << i)
+                    rec(j + 1, bits, cols + (c,), _merge(comps, c),
+                        covered | c, ext)
+            c = (c - 1) & allowed
+
+    rec(0, 0, (), [], 0, {0})
+    return found
 
 
 def brute_assignment_optimum(sub) -> Fraction:

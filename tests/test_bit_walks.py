@@ -1,7 +1,11 @@
 """The lowest-set-bit walk has one owner: every ``X & -X`` in the library
 sits in ``boolmat._mask_elems``, which splits a bit set into its
-elements, or in the cell search ``complex._search``, whose extension
-step keeps the walk inline for speed.  Everything else calls ``_mask_elems``."""
+elements, or in the cell search ``complex._search``.  The search walks
+its bit sets of block keys inline, in the fold step, which reads the
+rules of the blocks it meets first at a column, and over a node's blocks
+with kept entries: ``_mask_elems``'s cache must not keep such wide ints.
+It walks them from the top bit, which shrinks the int at each step.
+Everything else calls ``_mask_elems``."""
 
 import ast
 from pathlib import Path

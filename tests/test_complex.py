@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,13 +25,14 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.cli import _report
-from tropface.complex import _rule, _ties
+from tropface.complex import _rule, _search, _ties
 from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
-from oracle_helpers import tie_system_dimension, triangulation_defects
+from oracle_helpers import (set_search, tie_system_dimension,
+                            triangulation_defects)
 from test_tropical import point_query_cases
 
 
@@ -90,6 +92,11 @@ def _generic_arrangement(rng, n, d):
 def _tie_heavy_arrangement(rng, n, d):
     return Arrangement([[rng.randint(-1, 1) for _ in range(d)]
                         for _ in range(n)])
+
+
+def _quarter_tie_arrangement(rng, n, d):
+    return Arrangement([[rng.choice((0, 1, Fraction(1, 2), -2))
+                         for _ in range(d)] for _ in range(n)])
 
 
 def test_enumerate_matches_is_type_filter_with_ties():
@@ -657,3 +664,36 @@ def test_is_type_matches_geometry_on_degenerate_arrangements(case):
         assert (w is not None) == is_satisfiable(arr, s)
         if w is not None:
             assert s <= type_of_point(arr, w)
+
+
+@pytest.mark.parametrize("n, d", [
+    (1, 6), (1, 24), (6, 1), (12, 1), (2, 12), (12, 2), (3, 8), (8, 3),
+    (4, 6), (6, 4), (5, 4), (3, 3), (10, 2), (2, 7)])
+def test_search_matches_the_set_based_search(n, d):
+    # the bit-set search against the search that carries its blocks as a
+    # Python set: the same leaves in the same order; small shapes get
+    # more arrangements of each kind
+    rng = random.Random(1000 * n + d)
+    for make in (_generic_arrangement, _tie_heavy_arrangement,
+                 _quarter_tie_arrangement):
+        for _ in range(3 if n * d <= 12 else 1):
+            arr = make(rng, n, d)
+            assert _search(arr, n * d) == set_search(arr), (make, arr.entries)
+
+
+@pytest.mark.parametrize("n, d", [(1, 24), (2, 12)])
+def test_wide_searches_hold_small_bit_sets(n, d):
+    # a bit set of keys sized to every block of a 1 x 24 would take
+    # 2^24 bits, 2 MB, where the blocks the search carries fit in a few
+    # bytes; bounded by traced memory, not time
+    rng = random.Random(24)
+    for make in (_generic_arrangement, _tie_heavy_arrangement):
+        arr = make(rng, n, d)
+        tracemalloc.start()
+        try:
+            leaves = _search(arr, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leaves == set_search(arr)
+        assert peak < 256 * 1024, peak

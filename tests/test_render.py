@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropface import Arrangement
+import tropface.render as render_module
 from tropface.render import _fmt, _round, render_svg
 
 from demo_data import DEMO_ROWS
@@ -106,3 +107,14 @@ def test_milli_rounding_matches_fraction_round():
 def test_render_svg_refuses_what_it_cannot_draw(rows, viewport, match):
     with pytest.raises(ValueError, match=match):
         render_svg(Arrangement(rows), viewport)
+
+
+@pytest.mark.parametrize("viewport", [(0, 1), (0, 1, 1, 1)])
+def test_render_svg_checks_its_viewport_before_any_work(monkeypatch,
+                                                        viewport):
+    def refuse(arr, cap=None):
+        raise AssertionError("the cells were enumerated")
+
+    monkeypatch.setattr(render_module, "enumerate_types", refuse)
+    with pytest.raises(ValueError, match="viewport"):
+        render_svg(Arrangement(DEMO_ROWS), viewport)
