@@ -24,6 +24,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter
 
 from .boolmat import BoolMatrix, _expect, _index, _mask_elems
@@ -198,20 +199,24 @@ def _search(arr: Arrangement, cap: int) -> list:
 
     Columns are chosen left to right.  The search carries the blocks of
     the partial bijections inside the columns chosen before j (the
-    prefix) as one int, a bit set in which bit key - 2^n stands for the
-    block with key cols << n | rows.  Two kinds of block are left out of
-    it.  The empty block is implicit: every growth of it is a 1 x 1
-    block, whose one tight row is its own, so its rule is empty, and
-    every other block has a column, so its key is at least 2^n.  Blocks
+    prefix) as one int, a bit set of blocks.  A block with k columns and
+    rows ``rows`` has the bit slot << n | rows, its slot being the colex
+    rank of its columns among the k-sets of the first d - 1 columns,
+    after those of every smaller k.  So the bit sets span 2^n times the
+    number of sets of fewer than n of the first d - 1 columns, which is
+    polynomial in d for a fixed n, and growing a block by its last
+    column j adds C(j, k + 1) to its rank.  Two kinds of block are left
+    out.  The empty block is implicit: every growth of it is a 1 x 1
+    block, whose one tight row is its own, so its rule is empty.  Blocks
     that use all n rows are dropped: their rule is empty, as they have
     no free row, and no kept entry names one, as the sub-blocks an entry
     names are the size of an unfull block.
 
     The search reads what each block asks of column j, ``_rule(arr, key,
-    j)``, once per call, the first time it meets the key at column j,
-    and folds it into bit sets of keys: one per row, of the keys whose
-    rule forbids that row, and one of the keys with kept entries, each
-    entry holding the bit set of the sub-blocks it names.  So a node's
+    j)``, once per call, the first time it meets the block at column j,
+    and folds it into bit sets of blocks: one per row, of the blocks
+    whose rule forbids that row, and one of the blocks with kept entries,
+    each entry holding the bit set of the sub-blocks it names.  So a node's
     forbidden rows take one AND per row, and it visits only the kept
     entries of its own blocks.  A kept attaining growth forbids its row
     r unless every sub-block it names is among the prefix's blocks, and
@@ -234,15 +239,15 @@ def _search(arr: Arrangement, cap: int) -> list:
 
     A child adds the unfull 1 x 1 blocks of the column just chosen, and
     the prefix's blocks grown by each of its rows i that they do not use:
-    growing by (i, j) adds the same number to every such key, so it is
-    one shift of those keys' bits.  The search also carries the tie
-    components of the columns chosen so far (``_merge``, one column per
-    level) and the rows they cover.  The last column's loop emits the
-    leaves: a cell's dimension, as ``_ties`` would compute it, counts the
-    components the last column meets, so no leaf merges.
-    A leaf holds the column row sets the search chose, so neither
-    ``enumerate_types`` nor the CLI report, which reads the leaves
-    itself, derives them again.
+    growing the blocks of k columns by (i, j) adds the same number to
+    each one's bit, so it is one shift of those bits per (row, k).  The
+    search also carries the tie components of the columns chosen so far
+    (``_merge``, one column per level) and the rows they cover.  The last
+    column's loop emits the leaves: a cell's dimension, as ``_ties``
+    would compute it, counts the components the last column meets, so no
+    leaf merges.  A leaf holds the column row sets the search chose, so
+    neither ``enumerate_types`` nor the CLI report, which reads the
+    leaves itself, derives them again.
     """
     _expect(arr, Arrangement)
     n, d, cap = arr.n, arr.d, _index(cap)
@@ -251,11 +256,14 @@ def _search(arr: Arrangement, cap: int) -> list:
     full = (1 << n) - 1
     # lift[c]: the row set c placed in column 0 of the grid
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
-    # bit b of a bit set of keys stands for the block with key base + b:
-    # no other key below base is a block but the empty one, which is
-    # left implicit
-    base = 1 << n
-    # per column, bit sets of keys: those whose rule is folded in, those
+    # slot_cols[slot]: the columns of the blocks in that slot, the
+    # k-sets of the first d - 1 columns in colex order, k = 1, 2, ...
+    slot_cols, sets = [], [0]
+    for k in range(1, min(n, d)):
+        sets = [s | 1 << c for c in range(k - 1, d - 1)
+                for s in sets[:comb(c, k - 1)]]
+        slot_cols += sets
+    # per column, bit sets of blocks: those whose rule is folded in, those
     # whose rule forbids row i (forbids[j][i]) and those with kept
     # entries, which kept[j] maps to (row bit, rows required, bit set of
     # the named sub-blocks)
@@ -263,36 +271,46 @@ def _search(arr: Arrangement, cap: int) -> list:
     forbids = [[0] * n for _ in range(d)]
     kept_keys = [0] * d
     kept = [{} for _ in range(d)]
-    # grow[i]: growing by (i, j) adds base + 2^i, then 2^(n+j) - base, to
-    # a bit: (the keys whose rows miss row i and, with it, leave a row
-    # free, base + 2^i, the 1 x 1 block (i, j) before the second shift,
-    # none if n = 1 makes it full).  The keys are those a prefix short of
-    # the last column can hold, cols below 2^(d-2); the row patterns are
-    # built by doubling.
-    grow = []
+    # grow[j][i]: (the bit of the 1 x 1 block (i, j), none if n = 1 makes
+    # it full; per k, the bit set of the k-column blocks whose rows miss
+    # row i and, with it, leave a row free, and the shift that grows them
+    # by (i, j)).  Adding the last of k + 1 columns j adds C(j, k + 1) to
+    # the colex rank, so the shift moves region k's slots to region
+    # k + 1's and adds row i.  sized[k]: the row sets of k rows, as a bit
+    # set over the 2^n row sets, built by doubling.
+    sized = [1]
     for i in range(n):
-        pat = 0
-        if d > 2:
+        sized = [a | b << (1 << i) for a, b in zip(sized + [0], [0] + sized)]
+    moves = [[] for _ in range(n)]
+    start = 0  # the first slot of the k-column blocks
+    for k in range(1, min(n - 1, d - 1)):
+        slots = comb(d - 1, k)
+        for i in range(n):
             pat, width = (1 << (1 << i)) - 1, 1 << (i + 1)
-            while width < base:
+            while width < 1 << n:  # the row sets without row i
                 pat |= pat << width
                 width <<= 1
-            pat &= ~(1 << (full ^ 1 << i))
-            while width < 1 << (n + d - 2):
+            pat &= sized[k]
+            while width < slots << n:
                 pat |= pat << width
                 width <<= 1
-        grow.append((pat >> base, base | 1 << i,
-                     1 << (1 << i) if n > 1 else 0))
+            pat &= (1 << (slots << n)) - 1
+            moves[i].append((pat << (start << n), k,
+                             (slots << n) + (1 << i)))
+        start += slots
+    grow = [[(1 << (j << n | 1 << i) if n > 1 else 0,
+              [(pat, by + (comb(j, k + 1) << n)) for pat, k, by in moves[i]])
+             for i in range(n)] for j in range(d - 1)]
     found = []  # (bits, column row sets, dimension, bounded) of each cell
 
     def rec(j, acc, cols, comps, covered, inside):
         # cols: the row sets taken in columns 0..j-1; comps: their tie
         # components; covered: the rows they cover; inside: the bit set
-        # of the keys of every unfull non-empty block inside them
+        # of every unfull non-empty block inside them, numbered as above
         pats = forbids[j]
         seen = inside & folded[j]
         if seen != inside:
-            # a walk over a bit set of keys, from its top bit, which
+            # a walk over a bit set of blocks, from its top bit, which
             # shrinks the int at each step; _mask_elems's cache must not
             # keep such a bit set
             fresh = inside ^ seen
@@ -301,16 +319,18 @@ def _search(arr: Arrangement, cap: int) -> list:
                 b = fresh.bit_length() - 1
                 low = 1 << b
                 fresh ^= low
-                no, entries = _rule(arr, base + b, j)
+                top = b & ~full  # the block's slot, as bits
+                no, entries = _rule(arr, slot_cols[b >> n] << n | b & full, j)
                 for i in _mask_elems(no):
                     pats[i] |= low
                 if entries:
                     kept_keys[j] |= low
                     grouped = []
                     for r, need, keys in entries:
+                        # a named sub-block has the block's columns
                         named = 0
                         for k in keys:
-                            named |= 1 << (k - base)
+                            named |= 1 << (top | k & full)
                         grouped.append((r, need, named))
                     kept[j][b] = grouped
         forbid = 0
@@ -334,7 +354,8 @@ def _search(arr: Arrangement, cap: int) -> list:
         allowed = full & ~forbid
         implies = needs.items()
         last = j == d - 1
-        shift = (1 << (n + j)) - base
+        if not last:
+            grow_j = grow[j]
         c = allowed  # walk the non-empty subsets of the allowed rows
         while c:
             if not implies or all(not c & r or rows & c == rows
@@ -348,12 +369,14 @@ def _search(arr: Arrangement, cap: int) -> list:
                             dim += 1
                     found.append((bits, cols + (c,), dim, cov == full))
                 else:
-                    grown = 0
+                    ext = inside
                     for i in _mask_elems(c):
-                        keys, by, single = grow[i]
-                        grown |= (inside & keys) << by | single
+                        single, by_size = grow_j[i]
+                        ext |= single
+                        for pat, by in by_size:
+                            ext |= (inside & pat) << by
                     rec(j + 1, bits, cols + (c,), _merge(comps, c),
-                        covered | c, inside | grown << shift)
+                        covered | c, ext)
             c = (c - 1) & allowed
 
     rec(0, 0, (), [], 0, 0)
