@@ -1,11 +1,12 @@
 """The lowest-set-bit walk has one owner: every ``X & -X`` in the library
 sits in ``boolmat._mask_elems``, which splits a bit set into its
-elements, or in the cell search ``complex._search``.  The search walks
-its bit sets of block keys inline, in the fold step, which reads the
+elements.  ``OWNERS`` also names the cell search ``complex._search``,
+whose extension step once held such a walk; it now holds none.  The one
+bit walk the search keeps inline, in its fold step, which reads the
 rules of the blocks it meets first at a column, and over a node's blocks
-with kept entries: ``_mask_elems``'s cache must not keep such wide ints.
-It walks them from the top bit, which shrinks the int at each step.
-Everything else calls ``_mask_elems``."""
+with kept entries, goes from the top bit with ``bit_length`` and has no
+``X & -X``: ``_mask_elems``'s cache must not keep the search's bit sets
+of blocks.  Everything else calls ``_mask_elems``."""
 
 import ast
 from pathlib import Path

@@ -666,18 +666,21 @@ def test_is_type_matches_geometry_on_degenerate_arrangements(case):
             assert s <= type_of_point(arr, w)
 
 
-@pytest.mark.parametrize("n, d", [
-    (1, 6), (1, 24), (6, 1), (12, 1), (2, 12), (12, 2), (3, 8), (8, 3),
-    (4, 6), (6, 4), (5, 4), (3, 3), (10, 2), (2, 7), (2, 40), (4, 10)])
-def test_search_matches_the_set_based_search(n, d):
+@pytest.mark.parametrize("n, d, count", [
+    (1, 6, 3), (1, 24, 1), (6, 1, 3), (12, 1, 1), (2, 12, 1), (12, 2, 1),
+    (3, 8, 1), (8, 3, 1), (4, 6, 1), (6, 4, 6), (5, 4, 6), (5, 5, 6),
+    (3, 3, 3), (10, 2, 1), (2, 7, 1), (2, 40, 1), (4, 10, 1)])
+def test_search_matches_the_set_based_search(n, d, count):
     # the bit-set search against the search that carries its blocks as a
-    # Python set: the same leaves in the same order; small shapes get
-    # more arrangements of each kind, and 2 x 40 and 4 x 10 run with the
+    # Python set: the same leaves in the same order, on count arrangements
+    # of each kind.  6 x 4, 5 x 4 and 5 x 5 grow blocks of two columns,
+    # whose bits sit after those of one column, and a block they miss
+    # shows in few arrangements; 5 x 5, 2 x 40 and 4 x 10 run with the
     # cap raised to n * d
     rng = random.Random(1000 * n + d)
     for make in (_generic_arrangement, _tie_heavy_arrangement,
                  _quarter_tie_arrangement):
-        for _ in range(3 if n * d <= 12 else 1):
+        for _ in range(count):
             arr = make(rng, n, d)
             assert _search(arr, n * d) == set_search(arr), (make, arr.entries)
 
