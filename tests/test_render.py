@@ -25,7 +25,7 @@ def _cases():
         rng = random.Random(1500 + d)
         yield f"generic 3x{d}", [[F(rng.randint(-40, 40), rng.randint(1, 7))
                                   for _ in range(d)] for _ in range(3)]
-    for d in range(1, 8):
+    for d in range(1, 9):
         rng = random.Random(1600 + d)
         yield f"ties 3x{d}", [[rng.choice((-1, 0, 1)) for _ in range(d)]
                               for _ in range(3)]
@@ -61,6 +61,8 @@ SVG_PINS = {
         "dbe6c343dd02f7afb86399156ec5ed72ee5d97904a859ef6a94bf6436c13e416",
     "ties 3x7":
         "61cfcd918df465cad57a2bb5672c786e6e1e80782288dcedf6ebe249a6ef63e7",
+    "ties 3x8":
+        "d62d8cecd76c9d02b2072c40c2a999a3c945fa7ff14ceb1278e79db7a2666865",
 }
 
 
