@@ -1,25 +1,34 @@
 """Deterministic SVG figures for 3-row arrangements, drawn in the plane
 obtained by quotienting out the all-ones direction.
 
-Every coordinate is exact.  The viewport corners, the projected apexes
-and the vertices are put on one integer grid, over the lcm of all their
-denominators, once per render; ray ends, pixel coordinates and the
-corner order are then worked out in ints.  A pixel coordinate is rounded
-to the nearest milli-unit, halves to even (as ``round`` does on a
-``Fraction``), so a given arrangement and viewport always produce
-byte-identical output.  Each hyperplane is drawn as three rays
-from its projected apex (one per pair of rows that can tie), bounded
-cells are shaded, and apexes carry their 1-based column label.
+Every coordinate is exact and an int.  The render reads the leaves of
+the cell search ``complex._search``, sorted once on their bits, and
+builds no cell and no matrix.  Everything is drawn on one integer grid
+of (n + 1) * ``arr._scale`` steps per plane unit: each 0-cell's point is
+``tropical._realize``'s integer numerators over that grid, an apex is
+its integer column from ``arr._icols`` times n + 1, and both are
+projected to the plane by subtracting the last coordinate.  The default
+viewport's margin, (dx + dy) / 8 + 1, is worked out on a grid 8 times
+finer, and a given viewport is lifted onto the grid, refined by the lcm
+of its denominators.  Pixel coordinates depend only on ratios of grid
+distances, so the grid chosen never changes a byte.  Ray ends, pixel
+coordinates and the corner order are worked out in ints.  A pixel
+coordinate is rounded to the nearest milli-unit, halves to even (as
+``round`` does on a ``Fraction``), so a given arrangement and viewport
+always produce byte-identical output.  Each hyperplane is drawn as three
+rays from its projected apex (one per pair of rows that can tie),
+bounded cells are shaded, and apexes carry their 1-based column label.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
 from math import lcm
+from operator import itemgetter
 
 from .boolmat import _expect
-from .complex import enumerate_types
-from .tropical import Arrangement, as_point, project_to_plane, realize_type
+from .complex import DEFAULT_ENUM_CAP, _search
+from .tropical import Arrangement, _realize, as_point
 
 _WIDTH = 720  # pixel width; height follows the viewport's aspect ratio
 _MILLS = 1000 * _WIDTH
@@ -107,14 +116,17 @@ def _ccw_order(corners):
     return [a[2] for a in sorted(offsets, key=cmp_to_key(cmp))]
 
 
-def default_viewport(points) -> tuple:
-    """Box around the given plane points with a proportional margin."""
+def _default_box(points, unit: int) -> tuple:
+    """The default viewport around the given grid points, ``unit`` grid
+    steps to one plane unit, with a margin of (dx + dy) / 8 + 1 plane
+    units.  It is returned on a grid 8 times finer, so it stays integer;
+    the points must be scaled by 8 to go with it."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    pad = (x1 - x0 + y1 - y0) / 8 + 1
-    return (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+    pad = x1 - x0 + y1 - y0 + 8 * unit
+    return (8 * x0 - pad, 8 * x1 + pad, 8 * y0 - pad, 8 * y1 + pad)
 
 
 def _check_viewport(viewport) -> tuple:
@@ -136,23 +148,33 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
         raise ValueError("rendering is only defined for 3-row arrangements")
     box = None if viewport is None else _check_viewport(viewport)
 
-    cells = enumerate_types(arr)
-    vertex_cells = [c for c in cells if c.dimension == 0]
-    vertex_pts = [project_to_plane(realize_type(arr, c.type))
-                  for c in vertex_cells]
-    apexes = [project_to_plane(arr.column(j)) for j in range(arr.d)]
+    # the cells in bit order, as enumerate_types sorts them
+    leaves = _search(arr, DEFAULT_ENUM_CAP)
+    leaves.sort(key=itemgetter(0))
+
+    # one integer grid for everything drawn, of (n + 1) * arr._scale
+    # steps per plane unit: _realize gives each 0-cell's point over it,
+    # the integer columns times n + 1 give the apexes, and both are then
+    # projected to the plane
+    k = arr.n + 1
+    unit = k * arr._scale
+    vertex_pts = []  # (bits, x, y) of each 0-cell
+    for bits, cols, dim, _ in leaves:
+        if dim == 0:
+            v = _realize(arr, cols, 1)
+            if v is None:
+                raise RuntimeError("a 0-cell without a point")
+            vertex_pts.append((bits, v[0] - v[2], v[1] - v[2]))
+    apexes = [(k * (c[0] - c[2]), k * (c[1] - c[2])) for c in arr._icols]
     if box is None:
-        box = default_viewport(apexes + vertex_pts)
-
-    # one integer grid for everything drawn: each coordinate times the
-    # lcm of all their denominators; from here on only ints
-    den = lcm(*(v.denominator for p in (box, *apexes, *vertex_pts)
-                for v in p))
-
-    def grid(p):
-        return tuple(v.numerator * (den // v.denominator) for v in p)
-
-    box = x0, x1, y0, y1 = grid(box)
+        box = _default_box(apexes + [p[1:] for p in vertex_pts], unit)
+        fine = 8  # the default box's grid is 8 times finer
+    else:
+        # the given box on the grid, refined by the lcm of its denominators
+        den = lcm(unit, *(v.denominator for v in box))
+        box = tuple(v.numerator * (den // v.denominator) for v in box)
+        fine = den // unit
+    x0, x1, y0, y1 = box
     width = x1 - x0
 
     def mills(x, y):
@@ -172,29 +194,27 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
 
     # each vertex once: its type's bits, then (x, y, pixel x, pixel y)
     vertices = []
-    for cell, p in zip(vertex_cells, vertex_pts):
-        x, y = grid(p)
-        vertices.append((cell.type.bits,
-                         (x, y, *map(_fmt, mills(x, y)))))
+    for bits, x, y in vertex_pts:
+        x, y = fine * x, fine * y
+        vertices.append((bits, (x, y, *map(_fmt, mills(x, y)))))
 
-    def faces(cell):
+    def faces(bits):
         # the vertices whose type contains the cell's type
-        bits = cell.type.bits
         return [v for vbits, v in vertices if not bits & ~vbits]
 
     # shaded bounded 2-cells: polygon over their 0-dimensional faces
-    for cell in cells:
-        if cell.dimension != 2 or not cell.bounded:
+    for bits, _, dim, bounded in leaves:
+        if dim != 2 or not bounded:
             continue
-        pts = " ".join(f"{v[2]},{v[3]}" for v in _ccw_order(faces(cell)))
+        pts = " ".join(f"{v[2]},{v[3]}" for v in _ccw_order(faces(bits)))
         out.append(f'<polygon points="{pts}" fill="{_FILL_2CELL}" '
                    f'stroke="none"/>')
 
     # bounded 1-cells: segments between their two endpoints
-    for cell in cells:
-        if cell.dimension != 1 or not cell.bounded:
+    for bits, _, dim, bounded in leaves:
+        if dim != 1 or not bounded:
             continue
-        ends = faces(cell)
+        ends = faces(bits)
         if len(ends) != 2:
             raise RuntimeError("bounded segment without exactly 2 endpoints")
         (_, _, ax, ay), (_, _, bx, by) = ends
@@ -202,7 +222,7 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
                    f'stroke="{_STROKE_1CELL}" stroke-width="5"/>')
 
     # hyperplanes: three rays per apex, clipped to the viewport
-    apexes = [grid(p) for p in apexes]
+    apexes = [(fine * x, fine * y) for x, y in apexes]
     for px, py in apexes:
         for dx, dy in _RAYS:
             clipped = _clip_ray((px, py), (dx, dy), box)

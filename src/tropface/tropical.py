@@ -76,8 +76,8 @@ class Arrangement:
         scale = lcm(*(v.denominator for row in entries for v in row))
         self._scale = scale
         self._icols = tuple(
-            tuple(int(entries[i][j] * scale) for i in range(self.n))
-            for j in range(d))
+            tuple(v.numerator * (scale // v.denominator) for v in col)
+            for col in zip(*entries))
         self._memo = {}  # column mask -> {row mask -> permanent, tight rows}
         self._offsets = None  # per-column row offsets, see _offsets
 
@@ -300,7 +300,8 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int):
 
 
 def _realize(arr: Arrangement, colmasks: tuple, strict: int):
-    """A solution of ``_solve``'s system as exact rationals, or None."""
+    """A solution of ``_solve``'s system, or None: the numerators of its
+    coordinates over (n + 1) * ``arr._scale``, as a list of ints."""
     solved = _solve(arr, colmasks, strict)
     if solved is None:
         return None
@@ -318,8 +319,15 @@ def _realize(arr: Arrangement, colmasks: tuple, strict: int):
             for k in free:
                 if du + o[k] < dist[k]:
                     dist[k] = du + o[k]
+    return [p[i] - dist[comp[i]] for i in range(arr.n)]
+
+
+def _rational(arr: Arrangement, nums):
+    """``_realize``'s numerators as a point of exact rationals, or None."""
+    if nums is None:
+        return None
     denom = (arr.n + 1) * arr._scale
-    return tuple(Fraction(p[i] - dist[comp[i]], denom) for i in range(arr.n))
+    return tuple(Fraction(v, denom) for v in nums)
 
 
 def is_satisfiable(arr: Arrangement, s: BoolMatrix) -> bool:
@@ -332,7 +340,7 @@ def is_satisfiable(arr: Arrangement, s: BoolMatrix) -> bool:
 def witness(arr: Arrangement, s: BoolMatrix):
     """A point whose type contains s, or None if s is unsatisfiable."""
     _check_shape(arr, s)
-    return _realize(arr, s.col_masks(), 0)
+    return _rational(arr, _realize(arr, s.col_masks(), 0))
 
 
 def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
@@ -344,4 +352,4 @@ def is_realized_type(arr: Arrangement, t: BoolMatrix) -> bool:
 def realize_type(arr: Arrangement, t: BoolMatrix):
     """A point whose type is exactly t, or None if there is none."""
     _check_shape(arr, t)
-    return _realize(arr, t.col_masks(), 1)
+    return _rational(arr, _realize(arr, t.col_masks(), 1))

@@ -1,19 +1,18 @@
 """The lowest-set-bit walk has one owner: every ``X & -X`` in the library
 sits in ``boolmat._mask_elems``, which splits a bit set into its
-elements.  ``OWNERS`` also names the cell search ``complex._search``,
-whose extension step once held such a walk; it now holds none.  The one
-bit walk the search keeps inline, in its fold step, which reads the
-rules of the blocks it meets first at a column, and over a node's blocks
-with kept entries, goes from the top bit with ``bit_length`` and has no
-``X & -X``: ``_mask_elems``'s cache must not keep the search's bit sets
-of blocks.  Everything else calls ``_mask_elems``."""
+elements, and ``OWNERS`` names it alone.  The one bit walk the cell
+search ``complex._search`` keeps inline, in its fold step, which reads
+the rules of the blocks it meets first at a column, and over a node's
+blocks with kept entries, goes from the top bit with ``bit_length`` and
+has no ``X & -X``: ``_mask_elems``'s cache must not keep the search's
+bit sets of blocks.  Everything else calls ``_mask_elems``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropface"
-OWNERS = {("boolmat", "_mask_elems"), ("complex", "_search")}
+OWNERS = {("boolmat", "_mask_elems")}
 
 
 def _lowest_bit_sites(tree: ast.Module) -> list:

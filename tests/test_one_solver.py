@@ -20,9 +20,12 @@ through ``_argmax`` too: the walk over maximal bijections
 search reads its column constraints per block from one helper,
 ``complex._rule``, which only the search ``complex._search`` calls; the
 walk over every partial bijection of the grid, ``_column_constraints``,
-stays gone.  The search has two callers, ``enumerate_types`` and the CLI
-report ``cli._report``, which reads its leaves with no ``TypeCell`` and
-never calls ``enumerate_types``."""
+stays gone.  The search has three callers: ``enumerate_types``, the CLI
+report ``cli._report`` and the renderer ``render.render_svg``.  The last
+two read its leaves directly: neither names ``enumerate_types`` or
+``TypeCell``, and the renderer, which draws on an integer grid, names no
+``BoolMatrix``, ``realize_type``, ``project_to_plane`` or ``Fraction``
+either."""
 
 import ast
 from pathlib import Path
@@ -237,15 +240,20 @@ def test_names_are_found():
     assert _names(tree) == {"TypeCell", "m", "enumerate_types", "x"}
 
 
-def test_the_search_has_two_callers():
+def _module_names(stem: str) -> set:
+    path = PACKAGE / f"{stem}.py"
+    return _names(ast.parse(path.read_text(encoding="utf-8"),
+                            filename=str(path)))
+
+
+def test_the_search_has_three_callers():
     calls, defs = _package_sites("_search")
     assert [module for module, _ in defs] == ["complex"]
-    assert sorted(calls) == [("cli", "_report"), ("complex", "enumerate_types")]
-    path = PACKAGE / "cli.py"
-    names = _names(ast.parse(path.read_text(encoding="utf-8"),
-                             filename=str(path)))
-    assert "enumerate_types" not in names
-    assert "TypeCell" not in names
+    assert sorted(calls) == [("cli", "_report"), ("complex", "enumerate_types"),
+                             ("render", "render_svg")]
+    assert not {"enumerate_types", "TypeCell"} & _module_names("cli")
+    assert not {"enumerate_types", "TypeCell", "BoolMatrix", "realize_type",
+                "project_to_plane", "Fraction"} & _module_names("render")
 
 
 def test_calls_in_nested_functions_belong_to_the_top_level():

@@ -117,6 +117,25 @@ def test_render_svg_checks_its_viewport_before_any_work(monkeypatch,
     def refuse(arr, cap=None):
         raise AssertionError("the cells were enumerated")
 
-    monkeypatch.setattr(render_module, "enumerate_types", refuse)
+    monkeypatch.setattr(render_module, "_search", refuse)
     with pytest.raises(ValueError, match="viewport"):
         render_svg(Arrangement(DEMO_ROWS), viewport)
+
+
+def test_default_render_makes_no_fraction(monkeypatch):
+    # parsing the entries makes Fractions, so the arrangement comes first
+    arrs = [Arrangement(rows) for _, rows in _cases()]
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    F(1, 3)
+    assert made == [(1, 3)]  # the patch sees a Fraction being made
+    made.clear()
+    for arr in arrs:
+        render_svg(arr)
+    assert made == []
