@@ -24,8 +24,8 @@ from functools import cache
 from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
-from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _search, act_on_type,
-                      cell_of)
+from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _cell, _search,
+                      act_on_type, is_type)
 from .facemonoid import OrderedSetPartition
 from .render import _check_viewport, render_svg
 from .tropical import Arrangement, _rat, _solve, type_of_point
@@ -115,15 +115,10 @@ def parse_type_matrix(text: str, n: int, d: int) -> BoolMatrix:
     groups = _parse_braced_groups(text, "type", ",")
     if len(groups) != d:
         raise ParseFailure(f"type must list {d} columns")
-    cols = []
-    for g in groups:
-        col = set()
-        for e in g:
-            if not 1 <= e <= n:
-                raise ParseFailure(f"row index {e} outside 1..{n}")
-            col.add(e - 1)
-        cols.append(col)
-    return BoolMatrix.from_columns(n, cols)
+    bad = [e for g in groups for e in g if not 1 <= e <= n]
+    if bad:
+        raise ParseFailure(f"row index {bad[0]} outside 1..{n}")
+    return BoolMatrix.from_columns(n, [[e - 1 for e in g] for g in groups])
 
 
 def format_type(b: BoolMatrix) -> str:
@@ -174,23 +169,19 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     and indented text depend only on its row set, so they are built once
     per row set that occurs, at most 2^n times.
 
-    ``check_geometric`` re-decides every leaf with the geometric route,
-    the strict solve of ``tropical._solve`` on its column row sets, which
-    shares nothing else with the search; only a leaf it refuses is made
-    into a matrix, for the message."""
-    leaves = _search(arr, cap)
+    ``check_geometric`` re-decides every leaf, in the same pass, with the
+    geometric route, the strict solve of ``tropical._solve`` on its column
+    row sets, which shares nothing else with the search; only a leaf it
+    refuses is made into a matrix, for the message."""
     n = arr.n
-    if check_geometric:
-        for bits, cols, _, _ in leaves:
-            if _solve(arr, cols, 1) is None:
-                raise RuntimeError(
-                    "combinatorial and geometric type tests disagree on "
-                    + format_type(BoolMatrix._from_cols(n, arr.d, bits,
-                                                        cols)))
     seen = {}  # row set -> (its _rank, its indented JSON text)
     listed = []
     counts = {}  # dimension -> number of cells
-    for _, cols, dim, bounded in leaves:
+    for bits, cols, dim, bounded in _search(arr, cap):
+        if check_geometric and _solve(arr, cols, 1) is None:
+            raise RuntimeError(
+                "combinatorial and geometric type tests disagree on "
+                + format_type(BoolMatrix._from_cols(n, arr.d, bits, cols)))
         key = n - dim
         texts = []
         for c in cols:
@@ -234,16 +225,11 @@ def _cmd_enumerate(arr: Arrangement, args) -> int:
 def _cmd_act(arr: Arrangement, args) -> int:
     t = parse_type_matrix(args.type, arr.n, arr.d)
     partition = parse_partition(args.partition, arr.n)
-    try:
-        cell = cell_of(arr, t)  # the one cell test of the input
-    except CapExceeded:
-        raise  # a ValueError too, but main reports it as exit 3
-    except ValueError:
+    if not is_type(arr, t):  # the one cell test of the input
         print(f"input {args.type} is not a type of this arrangement",
               file=sys.stderr)
         return EXIT_NOT_TYPE
-    moved = act_on_type(arr, cell, partition)
-    print(format_type(moved.type))
+    print(format_type(act_on_type(arr, _cell(t), partition).type))
     return EXIT_OK
 
 

@@ -64,8 +64,8 @@ def _ties(t: BoolMatrix) -> tuple:
     tied; the dimension is the number of tie components, a row in no
     column counting as one, minus one, and the cell is bounded iff the
     columns cover every row.  ``_search`` reaches the same answer column
-    by column through the same ``_merge``; this serves ``cell_of`` and
-    ``act_on_type``."""
+    by column through the same ``_merge``; this serves ``cell_of``,
+    ``act_on_type`` and the CLI's ``act``."""
     comps = []
     covered = 0
     for c in t.col_masks():
@@ -276,27 +276,25 @@ def _search(arr: Arrangement, cap: int) -> list:
     # row i and, with it, leave a row free, and the shift that grows them
     # by (i, j)).  Adding the last of k + 1 columns j adds C(j, k + 1) to
     # the colex rank, so the shift moves region k's slots to region
-    # k + 1's and adds row i.  sized[k]: the row sets of k rows, as a bit
-    # set over the 2^n row sets, built by doubling.
-    sized = [1]
+    # k + 1's and adds row i.  without[i]: the row sets that miss row i,
+    # as a bit set over the 2^n row sets, built by doubling; multiplying
+    # it by region k's slot repunit repeats it in each of the region's
+    # slots, with no carry, as each copy fits in its 2^n bits.  It needs
+    # no filter by size: a block in region k has k rows.
+    without = []
     for i in range(n):
-        sized = [a | b << (1 << i) for a, b in zip(sized + [0], [0] + sized)]
+        pat, width = (1 << (1 << i)) - 1, 1 << (i + 1)
+        while width < 1 << n:
+            pat |= pat << width
+            width <<= 1
+        without.append(pat)
     moves = [[] for _ in range(n)]
     start = 0  # the first slot of the k-column blocks
     for k in range(1, min(n - 1, d - 1)):
         slots = comb(d - 1, k)
+        rep = sum(1 << (s << n) for s in range(start, start + slots))
         for i in range(n):
-            pat, width = (1 << (1 << i)) - 1, 1 << (i + 1)
-            while width < 1 << n:  # the row sets without row i
-                pat |= pat << width
-                width <<= 1
-            pat &= sized[k]
-            while width < slots << n:
-                pat |= pat << width
-                width <<= 1
-            pat &= (1 << (slots << n)) - 1
-            moves[i].append((pat << (start << n), k,
-                             (slots << n) + (1 << i)))
+            moves[i].append((without[i] * rep, k, (slots << n) + (1 << i)))
         start += slots
     grow = [[(1 << (j << n | 1 << i) if n > 1 else 0,
               [(pat, by + (comb(j, k + 1) << n)) for pat, k, by in moves[i]])

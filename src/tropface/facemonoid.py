@@ -144,18 +144,15 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
     full = (1 << n) - 1
 
     def splits(remaining):
-        if remaining == 0:
+        if not remaining:
             yield ()
-            return
-        # iterate over non-empty submasks of `remaining` as first block
-        b = remaining
-        first = []
-        while b:
-            first.append(b)
-            b = (b - 1) & remaining
-        for blk in first:
+        # each non-empty submask of `remaining` in turn, falling, is the
+        # first block, and the rest split what it leaves
+        blk = remaining
+        while blk:
             for rest in splits(remaining & ~blk):
                 yield (blk,) + rest
+            blk = (blk - 1) & remaining
 
     all_parts = [OrderedSetPartition._raw(n, blocks) for blocks in splits(full)]
     all_parts.sort(key=lambda p: (len(p.blocks), p.block_sets()))

@@ -167,11 +167,9 @@ def _count(arr: Arrangement, rows: int, cols: int, known: dict) -> int:
     rows, of the sizes of their sub-blocks' sets.  ``known`` maps the row
     masks counted so far to their sizes: a sub-block's columns are the
     lowest of ``cols``, as many as it has rows, so its row mask is the
-    whole key."""
+    whole key.  It starts as {0: 1}, the empty block's one bijection."""
     got = known.get(rows)
     if got is None:
-        if not cols:
-            return 1
         rest = cols ^ (1 << (cols.bit_length() - 1))
         got = known[rows] = sum(
             _count(arr, rows ^ (1 << a), rest, known)
@@ -224,7 +222,7 @@ def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
     rows, cols = _mask(rows), _mask(cols)
     _argmax(arr, rows, cols, cap)
     k = rows.bit_count()
-    if k > cap and _count(arr, rows, cols, {}) > factorial(cap):
+    if k > cap and _count(arr, rows, cols, {0: 1}) > factorial(cap):
         raise CapExceeded(f"size {k} argmax set exceeds {cap}! bijections "
                           f"(scan cap {cap})")
     masks = _masks(arr, rows, cols, {0: (0,)})
@@ -278,7 +276,7 @@ class PermanentStructure:
         self.n, self.d, self.k_max = arr.n, arr.d, k_max
 
     def is_attaining(self, sigma: PartialBijection) -> bool:
-        _check_bijection(self._arr, sigma)
+        _expect(sigma, PartialBijection)
         if len(sigma) > self.k_max:
             raise ValueError(
                 f"bijection size {len(sigma)} exceeds k_max={self.k_max}")

@@ -27,25 +27,36 @@ from .boolmat import BoolMatrix, _expect, _index, _mask_elems
 # An integer, p/q or a decimal, in ASCII digits, with optional sign and
 # surrounding whitespace.  Fraction alone would also read exponents,
 # underscores and non-ASCII digits, and computes 10**999999999 for
-# "1e999999999".
-_SCALAR = re.compile(r"\s*[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*", re.ASCII)
+# "1e999999999".  The groups are the sign, then p and q, or a decimal's
+# whole and fractional digits, at least one digit in all (the lookahead).
+_SCALAR = re.compile(r"\s*([+-]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)\s*",
+                     re.ASCII)
 
 
 def _rat(v) -> Fraction:
     """An exact rational from an int, a Fraction or a string matching
     ``_SCALAR``; floats and bools raise TypeError, other strings and a
-    zero denominator ValueError."""
+    zero denominator ValueError.  A string is parsed once, by the match,
+    and a decimal's numerator built from its two digit runs as Fraction
+    builds it, each run read by one ``int`` call, under its digit limit."""
     if type(v) is Fraction:  # already exact and immutable: no copy
         return v
     if isinstance(v, (float, bool)):
         raise TypeError(f"{type(v).__name__} is not an exact rational; "
                         "pass int, str or Fraction")
-    if isinstance(v, str) and not _SCALAR.fullmatch(v):
+    if not isinstance(v, str):
+        return Fraction(v)
+    m = _SCALAR.fullmatch(v)
+    if m is None:
         raise ValueError(f"cannot read {v!r} as a rational: expected an "
                          "integer, p/q or a decimal without exponent")
+    sign, p, q, whole, frac = m.groups()
+    if q is None:  # a decimal
+        q = 10 ** len(frac or "")
+        p = int(whole or 0) * q + int(frac or 0)
     try:
-        return Fraction(v)
-    except ZeroDivisionError:  # only a string p/q can have q = 0
+        return Fraction(-int(p) if sign == "-" else int(p), int(q))
+    except ZeroDivisionError:  # only p/q can have q = 0
         raise ValueError(f"{v!r} has a zero denominator") from None
 
 
@@ -119,15 +130,16 @@ def residuation(x, y) -> Fraction:
 
 def dominates(arr: Arrangement, j: int, y, i: int) -> bool:
     """True iff column j's apex reaches its residuation with y at row i,
-    i.e. y_i - M_ij = min_k(y_k - M_kj)."""
-    ys, f = _lift(arr, y)
+    i.e. y_i - M_ij = min_k(y_k - M_kj): entry (i, j) of ``type_of_point``
+    at y, which owns the column argmin rule.  The point is checked before
+    the indices."""
+    t = type_of_point(arr, y)
     j, i = _index(j), _index(i)
     if not 0 <= j < arr.d:
         raise IndexError(f"column {j} out of range")
     if not 0 <= i < arr.n:
         raise IndexError(f"row {i} out of range")
-    diffs = [yk - f * ck for yk, ck in zip(ys, arr._icols[j])]
-    return diffs[i] == min(diffs)
+    return t.entry(i, j) == 1
 
 
 def type_of_point(arr: Arrangement, x) -> BoolMatrix:

@@ -233,3 +233,11 @@ _M = BoolMatrix(2, 2, 0b1001)
 def test_empty_and_out_of_range_inputs(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_repr_and_foreign_comparison_are_pinned():
+    assert repr(BoolMatrix.from_rows([[1, 0, 1], [0, 1, 0]])) == \
+        "BoolMatrix[101|010]"
+    # __le__ returns NotImplemented for a non-matrix, so Python refuses it
+    with pytest.raises(TypeError):
+        BoolMatrix.from_rows([[1, 0, 1], [0, 1, 0]]) <= 3

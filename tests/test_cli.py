@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +110,29 @@ def test_cmd_type_of_point_missing_file(tmp_path, capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == EXIT_PARSE
     capsys.readouterr()
+
+
+def _run_module(*args):
+    """Run ``python -m tropface.cli`` in a fresh interpreter, through
+    ``entry`` and the module's ``__main__`` guard."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "tropface.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_module_entry_point_runs(demo_file, tmp_path):
+    done = _run_module("type-of-point", demo_file, "0,0,0")
+    assert (done.returncode, done.stdout) == (EXIT_OK,
+                                              "({2},{1,2},{1},{1,3})\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    done = _run_module("type-of-point", str(empty), "0,0,0")
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("parse error")
 
 
 def test_parser_is_built_once_and_reused(demo_file, capsys):

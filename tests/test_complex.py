@@ -57,6 +57,13 @@ def test_enumerate_demo_complex(demo):
     assert labels[T_VERT].dimension == 0 and labels[T_VERT].bounded
 
 
+def test_arrangement_and_cell_reprs_are_pinned(demo):
+    assert repr(demo) == "Arrangement(3x4)"
+    assert repr(enumerate_types(demo)[0]) == (
+        "TypeCell(type=BoolMatrix[1111|0000|0000], dimension=2, "
+        "bounded=False)")
+
+
 def test_enumerate_single_row():
     arr = Arrangement([[4, -1, 0]])
     cells = enumerate_types(arr)

@@ -211,3 +211,11 @@ def test_action_is_perturbation():
 def test_out_of_range_inputs(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_repr_and_foreign_product_are_pinned():
+    f = osp(3, [2], [0, 1])
+    assert repr(f) == "OrderedSetPartition({2}|{0,1})"
+    # __mul__ returns NotImplemented for a non-partition, so Python refuses it
+    with pytest.raises(TypeError):
+        f * 3

@@ -344,7 +344,7 @@ def test_mask_built_bijections_match_validated_ones():
             _check_rules(arr, brute, attaining)
 
 
-def test_structure_holds_no_reference_to_its_arrangement():
+def test_structure_frees_its_arrangement_by_reference_counting():
     rng = random.Random(42)
     was_enabled = gc.isenabled()
     gc.disable()  # only reference counting can free the arrangement

@@ -65,6 +65,14 @@ def test_library_scalars_follow_one_rule():
     assert as_point(["7/3", F(1, 5), -2]) == (F(7, 3), F(1, 5), F(-2))
 
 
+def test_scalar_digit_runs_meet_the_int_digit_limit_one_at_a_time():
+    # a decimal's whole and fractional digits are read as two ints, as
+    # Fraction reads them: 4,301 digits in all pass, one run of 5,000 not
+    assert as_point(["1." + "0" * 4300]) == (F(1),)
+    with pytest.raises(ValueError):
+        as_point(["1" * 5000])
+
+
 def test_fractions_are_taken_as_they_are():
     q = F(10**12 + 39, 2**61 - 1)
     assert as_point([q])[0] is q
