@@ -115,13 +115,10 @@ def test_usage_error_exits_2(capsys):
 def _run_module(*args):
     """Run ``python -m tropface.cli`` in a fresh interpreter, through
     ``entry`` and the module's ``__main__`` guard."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-m", "tropface.cli", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 def test_module_entry_point_runs(demo_file, tmp_path):
