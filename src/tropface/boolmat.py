@@ -15,8 +15,47 @@ from functools import lru_cache
 from types import MappingProxyType
 
 
-class BoolMatrix:
+class _Value:
+    """Base of the library's value types: ``BoolMatrix``,
+    ``PartialBijection``, ``OrderedSetPartition`` and ``TypeCell``.
+
+    A subclass names its public ``fields``, in constructor order, and any
+    derived ``views`` in its class statement.  Each lives in a private
+    slot ``_<name>`` that only the class's own constructors write, and is
+    read through a property with no setter, so assigning or deleting it
+    raises AttributeError.  Equality holds only within one class; it and
+    the hash both read the fields' slots through one ``attrgetter``, so
+    the hash is that of the field, or of the tuple of fields.  Pickling
+    and ``copy`` rebuild through the public constructor.  Instances can
+    be weakly referenced.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, fields, views=()):
+        for name in fields + views:
+            field = property(operator.attrgetter("_" + name))
+            field.__set_name__(cls, name)  # names the field in its errors
+            setattr(cls, name, field)
+        cls._fields = fields
+        cls._key = operator.attrgetter(*["_" + name for name in fields])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class BoolMatrix(_Value, fields=("n", "d", "bits")):
     """Immutable n x d zero-one matrix, stored row-major in one integer.
+    A ``_Value``: the fields ``n``, ``d`` and ``bits`` are read-only, and
+    equality, hashing and pickling read them.
 
     Entry (i, j) lives at bit i*d + j.  Row i viewed as a subset of column
     indices is ``row_mask(i)``; column j viewed as a subset of row indices
@@ -25,7 +64,7 @@ class BoolMatrix:
     is safe because the matrix never changes.
     """
 
-    __slots__ = ("n", "d", "bits", "_cols")
+    __slots__ = ("_n", "_d", "_bits", "_cols")
 
     def __init__(self, n: int, d: int, bits: int = 0):
         n, d, bits = _index(n), _index(d), _index(bits)
@@ -33,9 +72,9 @@ class BoolMatrix:
             raise ValueError("matrix dimensions must be positive")
         if bits < 0 or bits >> (n * d):
             raise ValueError(f"bit pattern does not fit a {n}x{d} grid")
-        self.n = n
-        self.d = d
-        self.bits = bits
+        self._n = n
+        self._d = d
+        self._bits = bits
         self._cols = None
 
     @classmethod
@@ -44,9 +83,9 @@ class BoolMatrix:
         row sets of ``bits``: no validation, and ``col_masks()`` returns
         ``cols`` as given."""
         self = object.__new__(cls)
-        self.n = n
-        self.d = d
-        self.bits = bits
+        self._n = n
+        self._d = d
+        self._bits = bits
         self._cols = cols
         return self
 
@@ -101,33 +140,33 @@ class BoolMatrix:
 
     def entry(self, i: int, j: int) -> int:
         i, j = _index(i), _index(j)
-        if not (0 <= i < self.n and 0 <= j < self.d):
+        if not (0 <= i < self._n and 0 <= j < self._d):
             raise IndexError(f"position ({i},{j}) out of range")
-        return (self.bits >> (i * self.d + j)) & 1
+        return (self._bits >> (i * self._d + j)) & 1
 
     def row_mask(self, i: int) -> int:
         i = _index(i)
-        if not 0 <= i < self.n:
+        if not 0 <= i < self._n:
             raise IndexError(f"row {i} out of range")
-        return (self.bits >> (i * self.d)) & ((1 << self.d) - 1)
+        return (self._bits >> (i * self._d)) & ((1 << self._d) - 1)
 
     def col_mask(self, j: int) -> int:
         j = _index(j)
-        if not 0 <= j < self.d:
+        if not 0 <= j < self._d:
             raise IndexError(f"column {j} out of range")
         return self.col_masks()[j]
 
     def row_masks(self) -> tuple:
-        d, bits = self.d, self.bits
+        d, bits = self._d, self._bits
         full = (1 << d) - 1
-        return tuple(bits >> (i * d) & full for i in range(self.n))
+        return tuple(bits >> (i * d) & full for i in range(self._n))
 
     def col_masks(self) -> tuple:
         """Every column as a row set; one pass over the set bits, the
         first time only."""
         cols = self._cols
         if cols is None:
-            cols = self._cols = _col_masks(self.bits, self.d)
+            cols = self._cols = _col_masks(self._bits, self._d)
         return cols
 
     def columns(self) -> tuple:
@@ -143,27 +182,20 @@ class BoolMatrix:
         column masks side by side."""
         bits = 0
         for j, m in enumerate(self.col_masks()):
-            bits |= m << (j * self.n)
-        return BoolMatrix(self.d, self.n, bits)
+            bits |= m << (j * self._n)
+        return BoolMatrix(self._d, self._n, bits)
 
     def __le__(self, other: "BoolMatrix") -> bool:
         """Entrywise order: self[i][j] <= other[i][j] for all i, j."""
         if not isinstance(other, BoolMatrix):
             return NotImplemented
-        if (self.n, self.d) != (other.n, other.d):
+        if (self._n, self._d) != (other._n, other._d):
             raise ValueError("dimension mismatch in matrix comparison")
-        return self.bits & ~other.bits == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BoolMatrix)
-                and (self.n, self.d, self.bits) == (other.n, other.d, other.bits))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d, self.bits))
+        return self._bits & ~other._bits == 0
 
     def __repr__(self) -> str:
-        rows = ["".join(str(self.entry(i, j)) for j in range(self.d))
-                for i in range(self.n)]
+        rows = ["".join(str(self.entry(i, j)) for j in range(self._d))
+                for i in range(self._n)]
         return "BoolMatrix[" + "|".join(rows) + "]"
 
 
@@ -228,8 +260,12 @@ def _expect(value, cls):
         raise TypeError(f"expected {cls.__name__}, not {type(value).__name__}")
 
 
-class PartialBijection:
-    """An injective partial assignment of columns to rows.
+class PartialBijection(_Value, fields=("pairs",),
+                       views=("image", "domain", "mapping")):
+    """An injective partial assignment of columns to rows.  A ``_Value``:
+    the field ``pairs`` and the views ``image``, ``domain`` and
+    ``mapping`` are read-only, and equality, hashing and pickling read
+    ``pairs``.
 
     Stored as (row, column) pairs with at most one pair per row and per
     column; ``domain`` is the set of used columns, ``image`` the set of
@@ -242,18 +278,17 @@ class PartialBijection:
     from ``pairs`` on first read, in one place for both kinds, then kept;
     the object never changes, so two threads that derive a field at once
     store equal values.  ``mapping`` (column -> row) is a read-only view.
-    Equality, hashing, ``repr`` and pickling read ``pairs`` and agree
-    across both kinds.
+    Equality, hashing, ``repr`` and pickling agree across both kinds.
     """
 
-    __slots__ = ("pairs", "domain", "image", "mapping", "_mask", "_d")
+    __slots__ = ("_pairs", "_image", "_domain", "_mapping", "_mask", "_d")
 
     def __init__(self, pairs=()):
         pairs = tuple(sorted((_index(i), _index(j)) for i, j in pairs))
         if (len({i for i, _ in pairs}) != len(pairs)
                 or len({j for _, j in pairs}) != len(pairs)):
             raise ValueError("pairs repeat a row or a column")
-        self.pairs = pairs
+        self._pairs = pairs
 
     @classmethod
     def _from_mask(cls, mask: int, d: int) -> "PartialBijection":
@@ -266,18 +301,18 @@ class PartialBijection:
         return self
 
     def __getattr__(self, name):
-        # reached only for a field not derived yet; the pairs are sorted
+        # reached only for a slot not derived yet; the pairs are sorted
         # in (row, column) order, as the mask's bits ascend, so the image
         # comes out sorted
-        if name == "pairs":
+        if name == "_pairs":
             d = self._d
             value = tuple(divmod(p, d) for p in _mask_elems(self._mask))
-        elif name == "image":
-            value = tuple(i for i, _ in self.pairs)
-        elif name == "domain":
-            value = tuple(sorted(j for _, j in self.pairs))
-        elif name == "mapping":
-            value = MappingProxyType({j: i for i, j in self.pairs})
+        elif name == "_image":
+            value = tuple(i for i, _ in self._pairs)
+        elif name == "_domain":
+            value = tuple(sorted(j for _, j in self._pairs))
+        elif name == "_mapping":
+            value = MappingProxyType({j: i for i, j in self._pairs})
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -290,19 +325,9 @@ class PartialBijection:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialBijection) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
     def __repr__(self) -> str:
         inside = ", ".join(f"{j}->{i}" for i, j in sorted(self.pairs, key=lambda p: p[1]))
         return "PartialBijection{" + inside + "}"
-
-    def __reduce__(self):
-        # the mapping view cannot be pickled; the pairs rebuild every field
-        return PartialBijection, (self.pairs,)
 
     def as_matrix(self, n: int, d: int) -> BoolMatrix:
         return BoolMatrix.from_pairs(n, d, self.pairs)
@@ -322,23 +347,21 @@ def is_partial_bijection(a: BoolMatrix) -> bool:
 def contained_partial_bijections(a: BoolMatrix):
     """Iterate every partial bijection entrywise below ``a`` (checked now).
 
-    Recursive column choice with a used-row mask; emitted in lexicographic
-    order of the (column, row) pair sequence, the empty bijection first.
+    Recursive column choice with a used-row mask, carrying the grid mask
+    of the pairs chosen; emitted in lexicographic order of the (column,
+    row) pair sequence, the empty bijection first.
     The order is deterministic so streams can be compared verbatim.
     """
     _expect(a, BoolMatrix)
-    cols = a.col_masks()
-    col_rows = [_mask_elems(m) for m in cols]
-    cur = []
+    d = a._d
+    col_rows = [_mask_elems(m) for m in a.col_masks()]
 
-    def rec(start_col, used_rows):
-        yield PartialBijection(cur)
-        for j in range(start_col, a.d):
+    def rec(start_col, used_rows, mask):
+        yield PartialBijection._from_mask(mask, d)
+        for j in range(start_col, d):
             for i in col_rows[j]:
-                if used_rows & (1 << i):
-                    continue
-                cur.append((i, j))
-                yield from rec(j + 1, used_rows | (1 << i))
-                cur.pop()
+                if not used_rows >> i & 1:
+                    yield from rec(j + 1, used_rows | 1 << i,
+                                   mask | 1 << (i * d + j))
 
-    return rec(0, 0)
+    return rec(0, 0, 0)

@@ -23,11 +23,10 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, _expect, _index, _mask_elems
+from .boolmat import BoolMatrix, _Value, _expect, _index, _mask_elems
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import CapExceeded, _argmax
 from .tropical import Arrangement, _check_shape
@@ -35,13 +34,22 @@ from .tropical import Arrangement, _check_shape
 DEFAULT_ENUM_CAP = 24
 
 
-@dataclass(frozen=True)
-class TypeCell:
+class TypeCell(_Value, fields=("type", "dimension", "bounded")):
     """A cell of the complex: its labelling matrix, its dimension in the
-    quotient by the all-ones direction, and whether it is bounded there."""
-    type: BoolMatrix
-    dimension: int
-    bounded: bool
+    quotient by the all-ones direction, and whether it is bounded there.
+    A ``_Value``: the fields ``type``, ``dimension`` and ``bounded`` are
+    read-only, and equality, hashing and pickling read them."""
+
+    __slots__ = ("_type", "_dimension", "_bounded")
+
+    def __init__(self, type: BoolMatrix, dimension: int, bounded: bool):
+        self._type = type
+        self._dimension = dimension
+        self._bounded = bounded
+
+    def __repr__(self) -> str:
+        return (f"TypeCell(type={self._type!r}, "
+                f"dimension={self._dimension!r}, bounded={self._bounded!r})")
 
 
 def _merge(comps: list, c: int) -> list:
@@ -72,8 +80,8 @@ def _ties(t: BoolMatrix) -> tuple:
         if c:
             comps = _merge(comps, c)
             covered |= c
-    return (len(comps) + t.n - covered.bit_count() - 1,
-            covered == (1 << t.n) - 1)
+    return (len(comps) + t._n - covered.bit_count() - 1,
+            covered == (1 << t._n) - 1)
 
 
 def is_bounded(t: BoolMatrix) -> bool:

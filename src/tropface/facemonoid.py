@@ -9,20 +9,22 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix, _expect, _grid, _index, _mask_elems
+from .boolmat import BoolMatrix, _Value, _expect, _grid, _index, _mask_elems
 from .permanent import CapExceeded
 
 DEFAULT_PARTITION_CAP = 6
 
 
-class OrderedSetPartition:
+class OrderedSetPartition(_Value, fields=("n", "blocks")):
     """Ordered tuple of disjoint non-empty blocks covering {0, ..., n-1}.
+    A ``_Value``: the fields ``n`` and ``blocks`` are read-only, and
+    equality, hashing and pickling read them.
 
     Blocks are bitmask integers; two partitions are equal iff their block
-    tuples are equal.  Instances are immutable.
+    tuples are equal.
     """
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("_n", "_blocks")
 
     def __init__(self, n: int, blocks):
         n = _index(n)
@@ -38,15 +40,15 @@ class OrderedSetPartition:
             seen |= b
         if seen != (1 << n) - 1:
             raise ValueError(f"blocks must cover all of 0..{n - 1}")
-        self.n = n
-        self.blocks = blocks
+        self._n = n
+        self._blocks = blocks
 
     @classmethod
     def _raw(cls, n: int, blocks: tuple) -> "OrderedSetPartition":
         # trusted fast path: f * g and partitions() build valid blocks
         self = object.__new__(cls)
-        self.n = n
-        self.blocks = blocks
+        self._n = n
+        self._blocks = blocks
         return self
 
     @classmethod
@@ -72,17 +74,10 @@ class OrderedSetPartition:
     def __mul__(self, other: "OrderedSetPartition") -> "OrderedSetPartition":
         if not isinstance(other, OrderedSetPartition):
             return NotImplemented
-        if self.n != other.n:
+        if self._n != other._n:
             raise ValueError("partitions over different ground sets")
-        blocks = tuple(f & g for f in self.blocks for g in other.blocks if f & g)
-        return OrderedSetPartition._raw(self.n, blocks)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OrderedSetPartition)
-                and (self.n, self.blocks) == (other.n, other.blocks))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+        blocks = tuple(f & g for f in self._blocks for g in other._blocks if f & g)
+        return OrderedSetPartition._raw(self._n, blocks)
 
     def __repr__(self) -> str:
         inside = "|".join("{" + ",".join(map(str, blk)) + "}"
@@ -121,10 +116,10 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
     """Apply the subset action to every column of ``s``."""
     _expect(s, BoolMatrix)
     _expect(f, OrderedSetPartition)
-    if s.n != f.n:
+    if s._n != f._n:
         raise ValueError("matrix row count does not match partition ground set")
-    cols = tuple(_act(m, f.blocks) for m in s.col_masks())
-    return BoolMatrix._from_cols(s.n, s.d, _grid(cols, s.d), cols)
+    cols = tuple(_act(m, f._blocks) for m in s.col_masks())
+    return BoolMatrix._from_cols(s._n, s._d, _grid(cols, s._d), cols)
 
 
 def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 from .boolmat import BoolMatrix, _expect, _index, _mask_elems
 
@@ -34,17 +35,19 @@ _SCALAR = re.compile(r"\s*([+-]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?)\s*",
 
 
 def _rat(v) -> Fraction:
-    """An exact rational from an int, a Fraction or a string matching
-    ``_SCALAR``; floats and bools raise TypeError, other strings and a
-    zero denominator ValueError.  A string is parsed once, by the match,
-    and a decimal's numerator built from its two digit runs as Fraction
-    builds it, each run read by one ``int`` call, under its digit limit."""
+    """An exact rational from an int, a Fraction, another
+    ``numbers.Rational`` or a string matching ``_SCALAR``; any other
+    value, a bool, a float or a ``Decimal`` among them, raises TypeError
+    before ``Fraction`` reads it, and other strings and a zero denominator
+    ValueError.  A string is parsed once, by the match, and a decimal's
+    numerator built from its two digit runs as Fraction builds it, each
+    run read by one ``int`` call, under its digit limit."""
     if type(v) is Fraction:  # already exact and immutable: no copy
         return v
-    if isinstance(v, (float, bool)):
-        raise TypeError(f"{type(v).__name__} is not an exact rational; "
-                        "pass int, str or Fraction")
     if not isinstance(v, str):
+        if isinstance(v, bool) or not isinstance(v, Rational):
+            raise TypeError(f"{type(v).__name__} is not an exact rational; "
+                            "pass int, str or Fraction")
         return Fraction(v)
     m = _SCALAR.fullmatch(v)
     if m is None:
@@ -230,9 +233,9 @@ def _bellman(num_nodes: int, edges):
 def _check_shape(arr: Arrangement, s: BoolMatrix):
     _expect(arr, Arrangement)
     _expect(s, BoolMatrix)
-    if (s.n, s.d) != (arr.n, arr.d):
+    if (s._n, s._d) != (arr.n, arr.d):
         raise ValueError(
-            f"matrix is {s.n}x{s.d}, arrangement is {arr.n}x{arr.d}")
+            f"matrix is {s._n}x{s._d}, arrangement is {arr.n}x{arr.d}")
 
 
 def _offsets(arr: Arrangement) -> tuple:

@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+import weakref
 from itertools import product
 
 import pytest
 
-from tropface import (BoolMatrix, PartialBijection,
-                      contained_partial_bijections, is_partial_bijection)
+from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
+                      PartialBijection, TypeCell, contained_partial_bijections,
+                      enumerate_types, is_partial_bijection)
 from tropface.boolmat import _mask, _mask_elems
 
 from demo_data import T_EDGE, T_UNB2, T_VERT, rand_boolmatrix
@@ -153,8 +155,53 @@ def test_partial_bijection_mapping_is_read_only():
             del m[0]
         assert s.mapping == {0: 1, 2: 0} == {j: i for i, j in s.pairs}
         assert s.pairs == ((0, 2), (1, 0))
-        for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-            assert t == s and t.mapping == s.mapping
+
+
+# each value type: its public fields and the hash it had as a hand-rolled
+# class or dataclass, which keeps the iteration order of every set of them
+MATRIX = ("n", "d", "bits"), lambda m: hash((m.n, m.d, m.bits))
+BIJECTION = ("pairs", "image", "domain", "mapping"), lambda s: hash(s.pairs)
+PARTITION = ("n", "blocks"), lambda f: hash((f.n, f.blocks))
+CELL = (("type", "dimension", "bounded"),
+        lambda c: hash((c.type, c.dimension, c.bounded)))
+VALUES = {  # one entry per constructor
+    "BoolMatrix": (lambda: BoolMatrix(2, 2, 0b1001), MATRIX),
+    "BoolMatrix._from_cols": (
+        lambda: BoolMatrix._from_cols(2, 2, 0b1001, (1, 2)), MATRIX),
+    "PartialBijection": (lambda: PartialBijection([(1, 0), (0, 2)]),
+                         BIJECTION),
+    "PartialBijection._from_mask": (
+        lambda: PartialBijection._from_mask(0b001100, 3), BIJECTION),
+    "OrderedSetPartition": (lambda: OrderedSetPartition(3, (4, 3)),
+                            PARTITION),
+    "OrderedSetPartition._raw": (
+        lambda: OrderedSetPartition._raw(3, (1, 6)), PARTITION),
+    "OrderedSetPartition-product": (
+        lambda: (OrderedSetPartition(3, (4, 3))
+                 * OrderedSetPartition(3, (1, 6))), PARTITION),
+    "TypeCell": (lambda: TypeCell(BoolMatrix(2, 2, 0b1001), 0, True), CELL),
+    "TypeCell-enumerate_types": (
+        lambda: enumerate_types(Arrangement([[0, 1], [1, 0]]))[-1], CELL),
+}
+
+
+@pytest.mark.parametrize("make, kind", VALUES.values(), ids=list(VALUES))
+def test_value_types_are_read_only_hashable_and_picklable(make, kind):
+    fields, parent_hash = kind
+    v = make()
+    values, h = [getattr(v, f) for f in fields], hash(v)
+    assert h == parent_hash(v)
+    for f in fields:
+        with pytest.raises(AttributeError, match=f):
+            setattr(v, f, 3)
+        with pytest.raises(AttributeError, match=f):
+            delattr(v, f)
+    assert [getattr(v, f) for f in fields] == values and hash(v) == h
+    for t in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert type(t) is type(v) and t == v and hash(t) == h
+        assert [getattr(t, f) for f in fields] == values
+    assert weakref.ref(v)() is v
+    assert v != tuple(values) and v != values[0]
 
 
 def test_partial_bijection_rejects_non_integer_indices():

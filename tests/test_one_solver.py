@@ -25,7 +25,8 @@ report ``cli._report`` and the renderer ``render.render_svg``.  The last
 two read its leaves directly: neither names ``enumerate_types`` or
 ``TypeCell``, and the renderer, which draws on an integer grid, names no
 ``BoolMatrix``, ``realize_type``, ``project_to_plane`` or ``Fraction``
-either."""
+either.  The value types have one base: only ``boolmat._Value`` defines
+equality, hashing and pickling, and no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -266,3 +267,54 @@ def test_calls_in_nested_functions_belong_to_the_top_level():
                      "g = _rule\n")
     assert _sites(tree, "_rule") == ([(3, "f")], [5])
     assert _callers(tree, "_rule") == ["f"]
+
+
+VALUE_HOOKS = {"__eq__", "__hash__", "__reduce__"}
+
+
+def _value_hooks(tree: ast.Module) -> list:
+    """(class, name) of every ``__eq__``, ``__hash__`` or ``__reduce__``
+    that a class in ``tree`` defines or assigns, and ("import",
+    "dataclasses") for every import of ``dataclasses``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                names = [t.id for t in getattr(f, "targets", ())
+                         if isinstance(t, ast.Name)]
+                names += [f.name] if isinstance(
+                    f, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+                found += [(node.name, n) for n in names if n in VALUE_HOOKS]
+        elif isinstance(node, ast.Import):
+            found += [("import", a.name) for a in node.names
+                      if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(("import", node.module))
+    return found
+
+
+def test_value_hooks_are_found():
+    tree = ast.parse("import dataclasses as dc\n"
+                     "from dataclasses import dataclass\n"
+                     "class C:\n"
+                     "    __hash__ = None\n"
+                     "    def __eq__(self, other):\n"
+                     "        return True\n"
+                     "    class D:\n"
+                     "        def __reduce__(self):\n"
+                     "            pass\n"
+                     "    def __repr__(self):\n"
+                     "        pass\n")
+    assert _value_hooks(tree) == [
+        ("import", "dataclasses"), ("import", "dataclasses"),
+        ("C", "__hash__"), ("C", "__eq__"), ("D", "__reduce__")]
+
+
+def test_one_value_base():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.stem,) + hook for hook in _value_hooks(tree)]
+    assert sorted(found) == [("boolmat", "_Value", "__eq__"),
+                             ("boolmat", "_Value", "__hash__"),
+                             ("boolmat", "_Value", "__reduce__")]

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,13 @@ def test_arrangement_rejects_floats_and_bad_shapes():
         Arrangement([[0.5]])
     with pytest.raises(TypeError):
         Arrangement([[True, 0]])
+    # a Decimal is refused as a float is, before Fraction reads it: an
+    # infinite one raised OverflowError, a huge one built its integer
+    start = time.perf_counter()
+    for v in (Decimal("1.5"), Decimal("Infinity"), Decimal("1e4000000")):
+        with pytest.raises(TypeError, match="Decimal is not an exact"):
+            as_point([v])
+    assert time.perf_counter() - start < 1
     with pytest.raises(ValueError):
         Arrangement([])
     with pytest.raises(ValueError):
