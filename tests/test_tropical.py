@@ -315,6 +315,29 @@ def test_realize_type_outputs_are_pinned():
     assert (realized, h.hexdigest()) == REALIZE_PIN
 
 
+# the number of satisfiable matrices and a SHA-256 of witness over every
+# matrix of the same arrangements; the weak system skips empty columns and
+# places the rows in no column, so a change there moves these points
+WITNESS_PIN = (
+    3792, "1dd5bbe009763d60b73b6985a87740e515f33db1c9e23cedc0b182cfa64e6321")
+
+
+def test_witness_outputs_are_pinned():
+    h = hashlib.sha256()
+    rng = random.Random(606)
+    vals = (-1, 0, 1, F(1, 2), F(-2, 3))  # tie-heavy, two denominators
+    satisfiable = 0
+    for n, d in ((3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (1, 5), (5, 1)):
+        for _ in range(2):
+            arr = Arrangement(
+                [[rng.choice(vals) for _ in range(d)] for _ in range(n)])
+            for bits in range(1 << (n * d)):
+                x = witness(arr, BoolMatrix(n, d, bits))
+                h.update(repr(x).encode() + b"\n")
+                satisfiable += x is not None
+    assert (satisfiable, h.hexdigest()) == WITNESS_PIN
+
+
 def test_combine_satisfiers_collapses_on_equal_points(demo):
     rng = random.Random(22)
     for _ in range(50):
