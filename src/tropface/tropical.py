@@ -211,7 +211,11 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # weight <= 0 into a negative one, since no simple cycle has more than n
 # edges.  An edge (u, v, w) encodes x_u - x_v <= w; the system is feasible
 # iff the edge graph has no negative cycle, and x = -dist (Bellman-Ford
-# potentials from a virtual source) is then a solution.
+# potentials from a virtual source) is then a solution.  A row in no
+# column has no outgoing edge, so its edges decide nothing: the decisions
+# leave them out, and a solution builds them in the same walk, which gives
+# the row the least of 0 and each column head's end and moves no other
+# potential.
 
 
 def _bellman(num_nodes: int, edges):
@@ -251,10 +255,10 @@ def _offsets(arr: Arrangement) -> tuple:
     return off
 
 
-def _solve(arr: Arrangement, colmasks: tuple, strict: int):
+def _solve(arr: Arrangement, colmasks: tuple, strict: int, place=False):
     """Solve the system of the column row sets ``colmasks``, weak for
-    ``strict`` = 0 and strict for 1: (comp, p, dist, covered rows), the
-    first three scaled by K = n + 1, or None if it has no solution.
+    ``strict`` = 0 and strict for 1: (comp, p, dist), scaled by K = n + 1,
+    or None if it has no solution.
 
     One pass over the columns contracts the tied rows.  Every row r of
     column j has the same x_r - M_rj, so r joins the component of the
@@ -265,8 +269,10 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int):
     x_r - x_k <= M_rj - M_kj, less ``strict``, is the same constraint for
     every r of the column, so each (column, losing row) gives one edge
     between two names.  A row in no column only receives edges, so it
-    never makes the system infeasible; ``_realize`` places it.  ``dist``
-    holds the Bellman-Ford potentials of the other edges over all n rows.
+    never makes the system infeasible, and its edges are built only with
+    ``place``: a decision needs none of them, and a solution needs them
+    all.  ``dist`` holds the Bellman-Ford potentials over all n rows; a
+    row in no column keeps 0 without ``place``.
     """
     if strict and not all(colmasks):
         return None  # every column of a type is non-empty
@@ -274,9 +280,9 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int):
     offsets = _offsets(arr)
     comp = list(range(n))  # each row's component, named by its least row
     p = [0] * n
-    covered = 0
+    losers = (1 << n) - 1 if place else 0  # rows that may lose a column
     for off, m in zip(offsets, colmasks):
-        covered |= m
+        losers |= m
         if not m & (m - 1):
             continue  # at most one row: nothing tied
         r0, *rows = _mask_elems(m)
@@ -303,7 +309,7 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int):
         u = comp[r0]
         o = off[r0]
         base = p[r0] + strict
-        for k in _mask_elems(covered ^ m):
+        for k in _mask_elems(losers ^ m):
             v = comp[k]
             w = o[k] - base + p[k]  # need x_r0 - x_k <= M_r0j - M_kj
             if u != v:
@@ -311,29 +317,17 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int):
             elif w < 0:
                 return None
     dist = _bellman(n, edges)
-    return None if dist is None else (comp, p, dist, covered)
+    return None if dist is None else (comp, p, dist)
 
 
 def _realize(arr: Arrangement, colmasks: tuple, strict: int):
-    """A solution of ``_solve``'s system, or None: the numerators of its
-    coordinates over (n + 1) * ``arr._scale``, as a list of ints."""
-    solved = _solve(arr, colmasks, strict)
+    """A solution of ``_solve``'s system, its rows in no column placed, or
+    None: the numerators of its coordinates over (n + 1) * ``arr._scale``,
+    as a list of ints."""
+    solved = _solve(arr, colmasks, strict, True)
     if solved is None:
         return None
-    comp, p, dist, covered = solved
-    free = _mask_elems(((1 << arr.n) - 1) ^ covered)
-    if free:
-        # a row in no column only receives edges, one per non-empty
-        # column, so its potential is the least of their ends and 0
-        for off, m in zip(_offsets(arr), colmasks):
-            if not m:
-                continue
-            r0 = _mask_elems(m)[0]
-            o = off[r0]
-            du = dist[comp[r0]] - p[r0] - strict
-            for k in free:
-                if du + o[k] < dist[k]:
-                    dist[k] = du + o[k]
+    comp, p, dist = solved
     return [p[i] - dist[comp[i]] for i in range(arr.n)]
 
 

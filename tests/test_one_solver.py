@@ -1,7 +1,10 @@
 """One solver per problem.  Satisfiability, witnesses and exact
 realizability share one difference-constraint solver: ``tropical._solve``
-is the only caller of ``tropical._bellman`` in the library, and the
-separate weak system ``_weak_edges`` stays gone.  Block permanents and
+is the only caller of ``tropical._bellman`` in the library and the only
+reader of the column offsets ``tropical._offsets``, so the losing-row
+constraint is built in one walk over the columns, which also places the
+rows in no column when ``_realize`` asks; the separate weak system
+``_weak_edges`` stays gone.  Block permanents and
 tight rows have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
 ``PermanentStructure.bijections`` call; the old join ``_join`` stays
@@ -81,6 +84,7 @@ def _callers(tree: ast.Module, callee: str) -> list:
 
 def test_one_difference_constraint_solver():
     assert _package_sites("_bellman")[0] == [("tropical", "_solve")]
+    assert _package_sites("_offsets")[0] == [("tropical", "_solve")]
     assert _package_sites("_weak_edges") == ([], [])
 
 
