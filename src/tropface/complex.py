@@ -38,14 +38,35 @@ class TypeCell(_Value, fields=("type", "dimension", "bounded")):
     """A cell of the complex: its labelling matrix, its dimension in the
     quotient by the all-ones direction, and whether it is bounded there.
     A ``_Value``: the fields ``type``, ``dimension`` and ``bounded`` are
-    read-only, and equality, hashing and pickling read them."""
+    read-only, and equality, hashing and pickling read them.  The
+    constructor refuses malformed fields: a type that is not a
+    ``BoolMatrix`` or a bounded that is not a bool with TypeError, a
+    dimension that is not an int with TypeError and one outside 0..n-1
+    with ValueError.  It does not decide whether the type is a cell of
+    any arrangement; ``cell_of`` does."""
 
     __slots__ = ("_type", "_dimension", "_bounded")
 
     def __init__(self, type: BoolMatrix, dimension: int, bounded: bool):
+        _expect(type, BoolMatrix)
+        dimension = _index(dimension)
+        if not 0 <= dimension < type._n:
+            raise ValueError(f"dimension {dimension} out of range for a "
+                             f"type with {type._n} rows")
+        _expect(bounded, bool)
         self._type = type
         self._dimension = dimension
         self._bounded = bounded
+
+    @classmethod
+    def _raw(cls, type: BoolMatrix, dimension: int,
+             bounded: bool) -> "TypeCell":
+        # trusted fast path: the search and _ties give valid fields
+        self = object.__new__(cls)
+        self._type = type
+        self._dimension = dimension
+        self._bounded = bounded
+        return self
 
     def __repr__(self) -> str:
         return (f"TypeCell(type={self._type!r}, "
@@ -91,7 +112,7 @@ def is_bounded(t: BoolMatrix) -> bool:
 
 
 def _cell(t: BoolMatrix) -> TypeCell:
-    return TypeCell(t, *_ties(t))
+    return TypeCell._raw(t, *_ties(t))
 
 
 def is_type(arr: Arrangement, s: BoolMatrix) -> bool:
@@ -165,12 +186,16 @@ def face_relation(c1: TypeCell, c2: TypeCell) -> bool:
 
 def act_on_type(arr: Arrangement, cell: TypeCell,
                 partition: OrderedSetPartition) -> TypeCell:
-    """Apply the block-partition action to a cell's label.  The result is
-    again a cell; if it ever were not, the implementation is broken, so
-    this aborts rather than returning."""
+    """Apply the block-partition action to a cell's label; ``cell`` must
+    be a cell of ``arr``.  The result is again a cell.  If it is not, the
+    label is checked only then: a cell that is not one of ``arr`` raises
+    ValueError, and otherwise the implementation is broken, so this
+    raises RuntimeError rather than returning."""
     _expect(cell, TypeCell)
     moved = act_matrix(cell.type, partition)
     if not is_type(arr, moved):
+        if not is_type(arr, cell.type):
+            raise ValueError("cell is not a cell of this arrangement")
         raise RuntimeError(
             "action carried a type outside the type set; this contradicts a "
             "proved invariant and indicates a bug")
@@ -400,5 +425,6 @@ def enumerate_types(arr: Arrangement, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     found = _search(arr, cap)
     found.sort(key=itemgetter(0))
     n, d = arr.n, arr.d
-    return tuple(TypeCell(BoolMatrix._from_cols(n, d, bits, cols), dim, bnd)
+    return tuple(TypeCell._raw(BoolMatrix._from_cols(n, d, bits, cols),
+                               dim, bnd)
                  for bits, cols, dim, bnd in found)

@@ -25,7 +25,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.cli import _report
-from tropface.complex import _rule, _search, _ties
+from tropface.complex import TypeCell, _rule, _search, _ties
 from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
 
@@ -342,6 +342,44 @@ def test_act_on_type_fixtures(demo):
         if cell.dimension == 2:
             for p in partitions(3):
                 assert act_on_type(demo, cell, p) == cell
+
+
+def test_act_on_type_tells_a_foreign_cell_from_a_bug(demo, monkeypatch):
+    other = Arrangement([[0, 0, 0, 0], [1, 2, 3, 4], [5, 1, 0, 2]])
+    ident = OrderedSetPartition.identity(3)
+    foreign = [c for c in enumerate_types(demo) if not is_type(other, c.type)]
+    assert foreign
+    for cell in foreign:
+        with pytest.raises(ValueError, match="not a cell of this arrangement"):
+            act_on_type(other, cell, ident)
+    # the label is checked only when the image is not a type
+    cell = cell_of(demo, T_VERT)
+    calls = []
+    is_type_once = complex_module.is_type
+    monkeypatch.setattr(complex_module, "is_type",
+                        lambda arr, s: calls.append(s) or is_type_once(arr, s))
+    assert act_on_type(demo, cell, ident) == cell and calls == [T_VERT]
+    # a true cell carried outside the type set is a broken invariant
+    monkeypatch.setattr(complex_module, "act_matrix",
+                        lambda t, p: BoolMatrix(3, 4, 0))
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        act_on_type(demo, cell, ident)
+
+
+def test_type_cell_refuses_malformed_fields():
+    t = BoolMatrix(2, 2, 0b1001)
+    for args, error in ((([1], "x", None), TypeError),
+                        ((t.bits, 0, True), TypeError),
+                        ((t, "x", True), TypeError),
+                        ((t, 1.0, True), TypeError),
+                        ((t, True, True), TypeError),
+                        ((t, -1, True), ValueError),
+                        ((t, 2, True), ValueError),
+                        ((t, 0, None), TypeError),
+                        ((t, 0, 1), TypeError)):
+        with pytest.raises(error):
+            TypeCell(*args)
+    assert TypeCell(t, 1, False).dimension == 1
 
 
 def test_action_closure_and_compatibility(demo):
