@@ -274,9 +274,17 @@ _M = BoolMatrix(2, 2, 0b1001)
     (lambda: _M.entry(0, -1), IndexError, "out of range"),
     (lambda: _M.row_mask(2), IndexError, "row 2 out of range"),
     (lambda: _M.col_mask(-1), IndexError, "column -1 out of range"),
+    (lambda: BoolMatrix.from_rows([[]]), ValueError, "dimensions"),
+    (lambda: BoolMatrix.from_columns(2, [[-1]]), ValueError, "out of range"),
+    (lambda: BoolMatrix.from_columns(2, [[True]]), TypeError, None),
+    (lambda: BoolMatrix.from_columns(2, [[0.0]]), TypeError, None),
+    (lambda: _M.col_mask(True), TypeError, None),
+    (lambda: _M.entry(0, 1.0), TypeError, None),
 ], ids=["from_rows-empty", "from_columns-empty", "from_pairs-row",
         "from_pairs-column", "entry-row", "entry-column", "row_mask",
-        "col_mask"])
+        "col_mask", "from_rows-empty-row", "from_columns-negative",
+        "from_columns-bool", "from_columns-float", "col_mask-bool",
+        "entry-float"])
 def test_empty_and_out_of_range_inputs(call, error, match):
     with pytest.raises(error, match=match):
         call()

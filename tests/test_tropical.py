@@ -58,6 +58,26 @@ def test_arrangement_column_out_of_range(j):
         Arrangement([[0, 1], [1, 0]]).column(j)
 
 
+_A = Arrangement([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Arrangement([[]]), ValueError, "dimensions"),
+    (lambda: _A.column(True), TypeError, None),
+    (lambda: dominates(_A, True, (0, 0), 0), TypeError, None),
+    (lambda: dominates(_A, 0, (0, 0), True), TypeError, None),
+    (lambda: dominates(_A, -1, (0, 0), 0), IndexError, "out of range"),
+    (lambda: dominates(_A, 0, (0, 0), -1), IndexError, "out of range"),
+    # the point is checked before the indices
+    (lambda: dominates(_A, 5, (0, 0, 0), 5), ValueError, "coordinates"),
+], ids=["arrangement-empty-row", "column-bool", "dominates-bool-column",
+        "dominates-bool-row", "dominates-negative-column",
+        "dominates-negative-row", "dominates-point-first"])
+def test_tropical_edge_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_library_scalars_follow_one_rule():
     # the CLI's rule: an integer, p/q or a decimal, in ASCII digits
     start = time.perf_counter()
