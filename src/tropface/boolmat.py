@@ -98,12 +98,7 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
         """Build from an iterable of rows of 0/1 entries.  Entries are read
         through ``_index``, so a bool or a float raises TypeError."""
         rows = [list(r) for r in rows]
-        n = len(rows)
-        if n == 0:
-            raise ValueError("matrix dimensions must be positive")
-        d = len(rows[0])
-        if any(len(r) != d for r in rows):
-            raise ValueError("ragged rows")
+        n, d = _shape(rows)
         bits = 0
         for i, r in enumerate(rows):
             for j, e in enumerate(r):
@@ -116,16 +111,11 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
 
     @classmethod
     def from_columns(cls, n: int, columns) -> "BoolMatrix":
-        """Build from an iterable of columns, each a set of row indices."""
-        columns = [set(map(_index, c)) for c in columns]
-        if not columns:
-            raise ValueError("matrix dimensions must be positive")
-        for c in columns:
-            for i in c:
-                if not 0 <= i < n:
-                    raise ValueError(f"row index {i} out of range for n={n}")
-        d = len(columns)
-        return cls(n, d, _grid([_mask(c) for c in columns], d))
+        """Build from an iterable of columns, each an iterable of row
+        indices, through ``from_pairs``, which checks every index."""
+        columns = list(columns)
+        return cls.from_pairs(n, len(columns), [
+            (i, j) for j, c in enumerate(columns) for i in c])
 
     @classmethod
     def from_pairs(cls, n: int, d: int, pairs) -> "BoolMatrix":
@@ -139,22 +129,15 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
         return cls(n, d, bits)
 
     def entry(self, i: int, j: int) -> int:
-        i, j = _index(i), _index(j)
-        if not (0 <= i < self._n and 0 <= j < self._d):
-            raise IndexError(f"position ({i},{j}) out of range")
+        j = _index(j)  # a bool or float is a TypeError whatever i is
+        i, j = _position(i, self._n, "row"), _position(j, self._d, "column")
         return (self._bits >> (i * self._d + j)) & 1
 
     def row_mask(self, i: int) -> int:
-        i = _index(i)
-        if not 0 <= i < self._n:
-            raise IndexError(f"row {i} out of range")
-        return (self._bits >> (i * self._d)) & ((1 << self._d) - 1)
+        return self.row_masks()[_position(i, self._n, "row")]
 
     def col_mask(self, j: int) -> int:
-        j = _index(j)
-        if not 0 <= j < self._d:
-            raise IndexError(f"column {j} out of range")
-        return self.col_masks()[j]
+        return self.col_masks()[_position(j, self._d, "column")]
 
     def row_masks(self) -> tuple:
         d, bits = self._d, self._bits
@@ -250,6 +233,28 @@ def _index(v) -> int:
     if isinstance(v, bool):
         raise TypeError("bool is not an index; pass int")
     return operator.index(v)
+
+
+def _position(v, size: int, what: str) -> int:
+    """``v`` as an index below ``size``: bools, floats and strings raise
+    TypeError, as in ``_index``, and an int outside 0..size-1 IndexError
+    naming the ``what`` it indexes.  The library's one range check."""
+    v = _index(v)
+    if not 0 <= v < size:
+        raise IndexError(f"{what} {v} out of range")
+    return v
+
+
+def _shape(rows) -> tuple:
+    """(n, d) of a list of rows; ValueError unless they form a non-empty
+    rectangle.  The one shape check of ``BoolMatrix.from_rows`` and the
+    ``Arrangement`` constructor."""
+    if not rows or not rows[0]:
+        raise ValueError("matrix dimensions must be positive")
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise ValueError("ragged rows")
+    return len(rows), d
 
 
 def _expect(value, cls):

@@ -4,14 +4,15 @@ obtained by quotienting out the all-ones direction.
 Every coordinate is exact and an int.  The render reads the leaves of
 the cell search ``complex._search``, sorted once on their bits, and
 builds no cell and no matrix.  Everything is drawn on one integer grid
-of (n + 1) * ``arr._scale`` steps per plane unit: each 0-cell's point is
-``tropical._realize``'s integer numerators over that grid, an apex is
-its integer column from ``arr._icols`` times n + 1, and both are
-projected to the plane by subtracting the last coordinate.  The default
-viewport's margin, (dx + dy) / 8 + 1, is worked out on a grid 8 times
-finer, and a given viewport is lifted onto the grid, refined by the lcm
-of its denominators.  Pixel coordinates depend only on ratios of grid
-distances, so the grid chosen never changes a byte.  Ray ends, pixel
+of den steps per plane unit, den the lcm of 8 * (n + 1) * ``arr._scale``
+and the given viewport's denominators.  Each 0-cell's point is
+``tropical._realize``'s integer numerators over (n + 1) * ``arr._scale``,
+an apex is its integer column from ``arr._icols`` times n + 1, and both
+are refined onto the grid once, when made, and projected to the plane by
+subtracting the last coordinate.  The factor 8 keeps the default
+viewport's margin, (dx + dy) / 8 + 1, on the grid.  Pixel coordinates
+depend only on ratios of grid distances, so the grid chosen never
+changes a byte.  Ray ends, pixel
 coordinates and the corner order are worked out in ints.  A pixel
 coordinate is rounded to the nearest milli-unit, halves to even (as
 ``round`` does on a ``Fraction``), so a given arrangement and viewport
@@ -116,19 +117,6 @@ def _ccw_order(corners):
     return [a[2] for a in sorted(offsets, key=cmp_to_key(cmp))]
 
 
-def _default_box(points, unit: int) -> tuple:
-    """The default viewport around the given grid points, ``unit`` grid
-    steps to one plane unit, with a margin of (dx + dy) / 8 + 1 plane
-    units.  It is returned on a grid 8 times finer, so it stays integer;
-    the points must be scaled by 8 to go with it."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    pad = x1 - x0 + y1 - y0 + 8 * unit
-    return (8 * x0 - pad, 8 * x1 + pad, 8 * y0 - pad, 8 * y1 + pad)
-
-
 def _check_viewport(viewport) -> tuple:
     """The viewport (xmin, xmax, ymin, ymax) as four Fractions; raises
     ValueError unless it holds four values that bound a non-empty box.
@@ -152,28 +140,32 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
     leaves = _search(arr, DEFAULT_ENUM_CAP)
     leaves.sort(key=itemgetter(0))
 
-    # one integer grid for everything drawn, of (n + 1) * arr._scale
-    # steps per plane unit: _realize gives each 0-cell's point over it,
-    # the integer columns times n + 1 give the apexes, and both are then
-    # projected to the plane
-    k = arr.n + 1
-    unit = k * arr._scale
+    # one integer grid for everything drawn, of den steps per plane unit:
+    # _realize gives each 0-cell's point over (n + 1) * arr._scale, and
+    # the integer columns times n + 1 give the apexes over it, so both
+    # are refined by fine once, when made, and projected to the plane
+    unit = (arr.n + 1) * arr._scale
+    den = lcm(8 * unit, *(v.denominator for v in box or ()))
+    fine = den // unit
     vertex_pts = []  # (bits, x, y) of each 0-cell
     for bits, cols, dim, _ in leaves:
         if dim == 0:
             v = _realize(arr, cols, 1)
             if v is None:
                 raise RuntimeError("a 0-cell without a point")
-            vertex_pts.append((bits, v[0] - v[2], v[1] - v[2]))
+            vertex_pts.append((bits, fine * (v[0] - v[2]),
+                               fine * (v[1] - v[2])))
+    k = fine * (arr.n + 1)  # grid steps per step of arr._icols
     apexes = [(k * (c[0] - c[2]), k * (c[1] - c[2])) for c in arr._icols]
     if box is None:
-        box = _default_box(apexes + [p[1:] for p in vertex_pts], unit)
-        fine = 8  # the default box's grid is 8 times finer
+        # the points' bounding box, with a margin of (dx + dy) / 8 + 1
+        # plane units, which den's factor 8 keeps integer
+        xs = [p[0] for p in apexes] + [p[1] for p in vertex_pts]
+        ys = [p[1] for p in apexes] + [p[2] for p in vertex_pts]
+        pad = (max(xs) - min(xs) + max(ys) - min(ys)) // 8 + den
+        box = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
     else:
-        # the given box on the grid, refined by the lcm of its denominators
-        den = lcm(unit, *(v.denominator for v in box))
         box = tuple(v.numerator * (den // v.denominator) for v in box)
-        fine = den // unit
     x0, x1, y0, y1 = box
     width = x1 - x0
 
@@ -193,10 +185,8 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
     ]
 
     # each vertex once: its type's bits, then (x, y, pixel x, pixel y)
-    vertices = []
-    for bits, x, y in vertex_pts:
-        x, y = fine * x, fine * y
-        vertices.append((bits, (x, y, *map(_fmt, mills(x, y)))))
+    vertices = [(bits, (x, y, *map(_fmt, mills(x, y))))
+                for bits, x, y in vertex_pts]
 
     def faces(bits):
         # the vertices whose type contains the cell's type
@@ -222,7 +212,6 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
                    f'stroke="{_STROKE_1CELL}" stroke-width="5"/>')
 
     # hyperplanes: three rays per apex, clipped to the viewport
-    apexes = [(fine * x, fine * y) for x, y in apexes]
     for px, py in apexes:
         for dx, dy in _RAYS:
             clipped = _clip_ray((px, py), (dx, dy), box)

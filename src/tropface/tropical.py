@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .boolmat import BoolMatrix, _expect, _index, _mask_elems
+from .boolmat import BoolMatrix, _expect, _mask_elems, _position, _shape
 
 
 # An integer, p/q or a decimal, in ASCII digits, with optional sign and
@@ -79,14 +79,8 @@ class Arrangement:
 
     def __init__(self, rows):
         entries = tuple(as_point(row) for row in rows)
-        if not entries or not entries[0]:
-            raise ValueError("matrix dimensions must be positive")
-        d = len(entries[0])
-        if any(len(r) != d for r in entries):
-            raise ValueError("ragged rows")
+        self.n, self.d = _shape(entries)
         self.entries = entries
-        self.n = len(entries)
-        self.d = d
         scale = lcm(*(v.denominator for row in entries for v in row))
         self._scale = scale
         self._icols = tuple(
@@ -96,9 +90,7 @@ class Arrangement:
         self._offsets = None  # per-column row offsets, see _offsets
 
     def column(self, j: int) -> tuple:
-        j = _index(j)
-        if not 0 <= j < self.d:
-            raise IndexError(f"column {j} out of range")
+        j = _position(j, self.d, "column")
         return tuple(row[j] for row in self.entries)
 
     def __repr__(self) -> str:
@@ -134,15 +126,10 @@ def residuation(x, y) -> Fraction:
 def dominates(arr: Arrangement, j: int, y, i: int) -> bool:
     """True iff column j's apex reaches its residuation with y at row i,
     i.e. y_i - M_ij = min_k(y_k - M_kj): entry (i, j) of ``type_of_point``
-    at y, which owns the column argmin rule.  The point is checked before
-    the indices."""
-    t = type_of_point(arr, y)
-    j, i = _index(j), _index(i)
-    if not 0 <= j < arr.d:
-        raise IndexError(f"column {j} out of range")
-    if not 0 <= i < arr.n:
-        raise IndexError(f"row {i} out of range")
-    return t.entry(i, j) == 1
+    at y, which owns the column argmin rule.  The point is checked first,
+    then the indices by ``BoolMatrix.entry``, the row before the
+    column."""
+    return type_of_point(arr, y).entry(i, j) == 1
 
 
 def type_of_point(arr: Arrangement, x) -> BoolMatrix:

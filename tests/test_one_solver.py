@@ -29,7 +29,10 @@ two read its leaves directly: neither names ``enumerate_types`` or
 ``TypeCell``, and the renderer, which draws on an integer grid, names no
 ``BoolMatrix``, ``realize_type``, ``project_to_plane`` or ``Fraction``
 either.  The value types have one base: only ``boolmat._Value`` defines
-equality, hashing and pickling, and no module imports ``dataclasses``."""
+equality, hashing and pickling, and no module imports ``dataclasses``.
+The checks at the library's edges have one owner each: only
+``boolmat._position`` raises IndexError for an index out of range, and
+only ``boolmat._shape`` refuses ragged rows."""
 
 import ast
 from pathlib import Path
@@ -322,3 +325,46 @@ def test_one_value_base():
     assert sorted(found) == [("boolmat", "_Value", "__eq__"),
                              ("boolmat", "_Value", "__hash__"),
                              ("boolmat", "_Value", "__reduce__")]
+
+
+def _matches(tree: ast.Module, match) -> list:
+    """The enclosing top-level function or class of every node of
+    ``tree`` for which ``match(node)`` holds, by line."""
+    return [getattr(top, "name", None) for top in tree.body
+            for node in ast.walk(top) if match(node)]
+
+
+def _raises_index_error(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) == "IndexError"
+
+
+def _says_ragged_rows(node) -> bool:
+    return isinstance(node, ast.Constant) and "ragged rows" in str(node.value)
+
+
+def test_edge_checks_are_found():
+    tree = ast.parse("def f(v):\n"
+                     "    raise IndexError(f'{v} out of range')\n"
+                     "class C:\n"
+                     "    def g(self):\n"
+                     "        raise IndexError\n"
+                     "    def h(self):\n"
+                     "        raise ValueError(f'ragged rows at {self}')\n"
+                     "def k():\n"
+                     "    raise\n"
+                     "x = 'ragged rows'\n")
+    assert _matches(tree, _raises_index_error) == ["f", "C"]
+    assert _matches(tree, _says_ragged_rows) == ["C", None]
+
+
+def test_one_edge_check():
+    found = {_raises_index_error: [], _says_ragged_rows: []}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for match, owners in found.items():
+            owners += [(path.stem, name) for name in _matches(tree, match)]
+    assert found[_raises_index_error] == [("boolmat", "_position")]
+    assert found[_says_ragged_rows] == [("boolmat", "_shape")]
