@@ -246,8 +246,8 @@ def _position(v, size: int, what: str) -> int:
 
 
 def _shape(rows) -> tuple:
-    """(n, d) of a list of rows; ValueError unless they form a non-empty
-    rectangle.  The one shape check of ``BoolMatrix.from_rows`` and the
+    """(n, d) of a sequence of rows, each a sequence; ValueError unless
+    they form a non-empty rectangle.  The one shape check of ``BoolMatrix.from_rows`` and the
     ``Arrangement`` constructor."""
     if not rows or not rows[0]:
         raise ValueError("matrix dimensions must be positive")

@@ -7,18 +7,18 @@ builds no cell and no matrix.  Everything is drawn on one integer grid
 of den steps per plane unit, den the lcm of 8 * (n + 1) * ``arr._scale``
 and the given viewport's denominators.  Each 0-cell's point is
 ``tropical._realize``'s integer numerators over (n + 1) * ``arr._scale``,
-an apex is its integer column from ``arr._icols`` times n + 1, and both
-are refined onto the grid once, when made, and projected to the plane by
-subtracting the last coordinate.  The factor 8 keeps the default
-viewport's margin, (dx + dy) / 8 + 1, on the grid.  Pixel coordinates
-depend only on ratios of grid distances, so the grid chosen never
-changes a byte.  Ray ends, pixel
-coordinates and the corner order are worked out in ints.  A pixel
-coordinate is rounded to the nearest milli-unit, halves to even (as
-``round`` does on a ``Fraction``), so a given arrangement and viewport
-always produce byte-identical output.  Each hyperplane is drawn as three
-rays from its projected apex (one per pair of rows that can tie),
-bounded cells are shaded, and apexes carry their 1-based column label.
+an apex is its integer column from ``arr._icols`` times n + 1, and each
+is scaled onto the grid once, when it is made, and projected to the
+plane by subtracting the last coordinate.  The factor 8 keeps the
+default viewport's margin, (dx + dy) / 8 + 1 plane units, on the grid.
+Pixel coordinates depend only on ratios of grid distances, so the grid
+chosen never changes a byte.  Ray ends, pixel coordinates and the corner
+order are worked out in ints.  A pixel coordinate is rounded to the
+nearest milli-unit, halves to even (as ``round`` does on a
+``Fraction``), so a given arrangement and viewport always produce
+byte-identical output.  Each hyperplane is drawn as three rays from its
+projected apex (one per pair of rows that can tie), bounded cells are
+shaded, and apexes carry their 1-based column label.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def render_svg(arr: Arrangement, viewport=None) -> str:
     leaves.sort(key=itemgetter(0))
 
     # one integer grid for everything drawn, of den steps per plane unit:
-    # _realize gives each 0-cell's point over (n + 1) * arr._scale, and
-    # the integer columns times n + 1 give the apexes over it, so both
-    # are refined by fine once, when made, and projected to the plane
+    # _realize gives each 0-cell's point over unit steps, the integer
+    # columns times n + 1 give the apexes over them, and each point is
+    # scaled onto the grid once, when made, and projected to the plane
     unit = (arr.n + 1) * arr._scale
     den = lcm(8 * unit, *(v.denominator for v in box or ()))
     fine = den // unit
