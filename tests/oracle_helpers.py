@@ -157,6 +157,28 @@ def triangulation_defects(n: int, d: int, vertex_types) -> list:
     return defects
 
 
+def tom_defects(n: int, d: int, cells) -> list:
+    """Why the types ``cells`` (n x d zero-one matrices) break the first
+    two tropical oriented matroid axioms of Ardila and Develin ("Tropical
+    hyperplane arrangements and oriented matroids", Math. Z. 2009); empty
+    when they hold.  A type is read as its column row sets.  Boundary:
+    for each row r, the type whose every column is {r} is a cell.
+    Surrounding: each cell refined by each two-block ordered partition
+    (S | rest) is a cell.  The refinement keeps in each column the rows
+    of the last block it meets: those outside S, or all if none is."""
+    types = {tuple(frozenset(i for i in range(n) if t.entry(i, j))
+                   for j in range(d)) for t in cells}
+    defects = [f"no boundary cell of row {r}" for r in range(n)
+               if (frozenset((r,)),) * d not in types]
+    for k in range(1, n):
+        for s in combinations(range(n), k):
+            defects += [f"{[sorted(c) for c in t]} refined by {s} | rest"
+                        " is not a cell" for t in types
+                        if tuple(c.difference(s) or c for c in t)
+                        not in types]
+    return defects
+
+
 def set_search(arr) -> list:
     """The leaves of the cell search in search order, as
     ``complex._search`` returns them, with the blocks inside the prefix

@@ -31,7 +31,7 @@ from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
-from oracle_helpers import (set_search, tie_system_dimension,
+from oracle_helpers import (set_search, tie_system_dimension, tom_defects,
                             triangulation_defects)
 from test_tropical import point_query_cases
 
@@ -155,6 +155,20 @@ def test_generic_vertices_triangulate_the_product_of_simplices():
             vertices = [c.type for c in enumerate_types(arr)
                         if c.dimension == 0]
             assert triangulation_defects(n, d, vertices) == []
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 4), (5, 4), (6, 3), (6, 4),
+                                  (4, 6), (3, 8)])
+@pytest.mark.parametrize("make", [_generic_arrangement,
+                                  _tie_heavy_arrangement],
+                         ids=["generic", "ties"])
+def test_cells_satisfy_boundary_and_surrounding(make, n, d):
+    # Ardila and Develin's first two tropical oriented matroid axioms, in
+    # full: every all-{r} type is a cell, and the cells are closed under
+    # refinement by every two-block ordered partition, which is the face
+    # monoid's action (n * d <= 24, so enumeration is exhaustive)
+    arr = make(random.Random(n * 100 + d), n, d)
+    assert tom_defects(n, d, [c.type for c in enumerate_types(arr)]) == []
 
 
 def test_cell_queries_take_no_structure():
