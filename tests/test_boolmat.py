@@ -280,11 +280,13 @@ _M = BoolMatrix(2, 2, 0b1001)
     (lambda: BoolMatrix.from_columns(2, [[0.0]]), TypeError, None),
     (lambda: _M.col_mask(True), TypeError, None),
     (lambda: _M.entry(0, 1.0), TypeError, None),
+    # both indices are typed before either is ranged
+    (lambda: _M.entry(2, True), TypeError, None),
 ], ids=["from_rows-empty", "from_columns-empty", "from_pairs-row",
         "from_pairs-column", "entry-row", "entry-column", "row_mask",
         "col_mask", "from_rows-empty-row", "from_columns-negative",
         "from_columns-bool", "from_columns-float", "col_mask-bool",
-        "entry-float"])
+        "entry-float", "entry-bad-row-bool-column"])
 def test_empty_and_out_of_range_inputs(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -329,7 +329,7 @@ def test_one_value_base():
 
 def _matches(tree: ast.Module, match) -> list:
     """The enclosing top-level function or class of every node of
-    ``tree`` for which ``match(node)`` holds, by line."""
+    ``tree`` for which ``match(node)`` holds."""
     return [getattr(top, "name", None) for top in tree.body
             for node in ast.walk(top) if match(node)]
 
