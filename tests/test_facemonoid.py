@@ -213,6 +213,11 @@ def test_out_of_range_inputs(call, match):
         call()
 
 
+def test_from_sets_sets_a_repeated_element_once():
+    assert OrderedSetPartition.from_sets(2, [[0, 0], [1]]) == \
+        OrderedSetPartition(2, (1, 2))
+
+
 def test_repr_and_foreign_product_are_pinned():
     f = osp(3, [2], [0, 1])
     assert repr(f) == "OrderedSetPartition({2}|{0,1})"

@@ -455,6 +455,22 @@ def test_optimal_bijections_refuses_bad_blocks(demo, rows, cols, match):
         optimal_bijections(demo, rows, cols)
 
 
+@pytest.mark.parametrize("call, exc", [
+    (lambda a: optimal_bijections(a, [0, 3], [0, 1]), ValueError),
+    (lambda a: optimal_bijections(a, [0, True], [0, 1]), TypeError),
+    (lambda a: is_permanent_attaining(a, PartialBijection([(3, 0)])),
+     ValueError),
+    # the bounds check that PartialBijection leaves negative indices to
+    (lambda a: is_permanent_attaining(a, PartialBijection([(-1, 0)])),
+     ValueError),
+], ids=["row-past-n", "bool-row", "attaining-row-past-n",
+        "attaining-negative-row"])
+def test_index_set_refusals_keep_their_types(demo, call, exc):
+    # only the exception type is pinned: the messages are free to change
+    with pytest.raises(exc):
+        call(demo)
+
+
 # SHA-256 of repr of the bijections() pair sequence with k_max = 4 on the
 # arrangements that _pinned_arrangement builds, recorded from the top-down
 # drain that the level-order fill replaced
