@@ -19,21 +19,23 @@ class _Value:
     """Base of the library's value types: ``BoolMatrix``,
     ``PartialBijection``, ``OrderedSetPartition`` and ``TypeCell``.
 
-    A subclass names its public ``fields``, in constructor order, and any
-    derived ``views`` in its class statement.  Each lives in a private
-    slot ``_<name>`` that only the class's own constructors write, and is
-    read through a property with no setter, so assigning or deleting it
-    raises AttributeError.  Equality holds only within one class; it and
-    the hash both read the fields' slots through one ``attrgetter``, so
-    the hash is that of the field, or of the tuple of fields.  Pickling
-    and ``copy`` rebuild through the public constructor.  Instances can
-    be weakly referenced.
+    A subclass names its public ``fields``, in constructor order, in its
+    class statement.  Each lives in a private slot ``_<name>`` that only
+    one trusted constructor of the class writes, and is read through a
+    property with no setter, so assigning or deleting it raises
+    AttributeError.  The public constructor validates its arguments in
+    ``__new__``, as ``fractions.Fraction`` does, and hands them to that
+    trusted constructor; only ``PartialBijection`` keeps an ``__init__``.
+    Equality holds only within one class; it and the hash both read the
+    fields' slots through one ``attrgetter``, so the hash is that of the
+    field, or of the tuple of fields.  Pickling and ``copy`` rebuild
+    through the public constructor.  Instances can be weakly referenced.
     """
 
     __slots__ = ("__weakref__",)
 
-    def __init_subclass__(cls, fields, views=()):
-        for name in fields + views:
+    def __init_subclass__(cls, fields):
+        for name in fields:
             field = property(operator.attrgetter("_" + name))
             field.__set_name__(cls, name)  # names the field in its errors
             setattr(cls, name, field)
@@ -66,22 +68,19 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
 
     __slots__ = ("_n", "_d", "_bits", "_cols")
 
-    def __init__(self, n: int, d: int, bits: int = 0):
+    def __new__(cls, n: int, d: int, bits: int = 0):
         n, d, bits = _index(n), _index(d), _index(bits)
         if n < 1 or d < 1:
             raise ValueError("matrix dimensions must be positive")
         if bits < 0 or bits >> (n * d):
             raise ValueError(f"bit pattern does not fit a {n}x{d} grid")
-        self._n = n
-        self._d = d
-        self._bits = bits
-        self._cols = None
+        return cls._from_cols(n, d, bits, None)
 
     @classmethod
-    def _from_cols(cls, n: int, d: int, bits: int, cols: tuple) -> "BoolMatrix":
-        """Trusted constructor for a caller that already holds the column
-        row sets of ``bits``: no validation, and ``col_masks()`` returns
-        ``cols`` as given."""
+    def _from_cols(cls, n: int, d: int, bits: int, cols) -> "BoolMatrix":
+        """Trusted constructor, the only writer of the slots: no
+        validation, and ``col_masks()`` returns ``cols`` as given, or
+        derives them on first use if ``cols`` is None."""
         self = object.__new__(cls)
         self._n = n
         self._d = d
@@ -245,6 +244,20 @@ def _position(v, size: int, what: str) -> int:
     return v
 
 
+def _index_set(indices, size: int, what: str) -> int:
+    """The bit set of an iterable of indices, each read through ``_index``
+    and refused with ValueError, naming the ``what`` it indexes, outside
+    0..size-1; a repeated index is set once.  The library's one check of
+    an index set."""
+    mask = 0
+    for v in indices:
+        v = _index(v)
+        if not 0 <= v < size:
+            raise ValueError(f"{what} {v} out of range for size {size}")
+        mask |= 1 << v
+    return mask
+
+
 def _shape(rows) -> tuple:
     """(n, d) of a sequence of rows, each a sequence; ValueError unless
     they form a non-empty rectangle.  The one shape check of ``BoolMatrix.from_rows`` and the
@@ -265,8 +278,21 @@ def _expect(value, cls):
         raise TypeError(f"expected {cls.__name__}, not {type(value).__name__}")
 
 
-class PartialBijection(_Value, fields=("pairs",),
-                       views=("image", "domain", "mapping")):
+class CapExceeded(ValueError):
+    """A size cap refused the input: a block of more rows than the scan
+    cap that a call would have to solve, a cell search whose candidate
+    space 2^(n*d) is past the enumeration cap, or more ordered set
+    partitions than the partition cap allows.  The scan cap bounds only
+    what is solved: a block already in the arrangement's memo is read
+    back at any size, and its argmax set is joined from the memo, unless
+    the block has more rows than the cap and the set, counted from the
+    memo first, more than cap! bijections.  Defined here, below the face
+    monoid and the permanent layer that raise it, so that neither imports
+    the other for it; ``permanent.CapExceeded`` and
+    ``tropface.CapExceeded`` are this class."""
+
+
+class PartialBijection(_Value, fields=("pairs",)):
     """An injective partial assignment of columns to rows.  A ``_Value``:
     the field ``pairs`` and the views ``image``, ``domain`` and
     ``mapping`` are read-only, and equality, hashing and pickling read
@@ -280,13 +306,12 @@ class PartialBijection(_Value, fields=("pairs",),
     ``PartialBijection(pairs)`` validates the pairs and stores only them.
     ``_from_mask`` trusts a grid mask instead and derives ``pairs`` from
     it on first read.  ``image``, ``domain`` and ``mapping`` are derived
-    from ``pairs`` on first read, in one place for both kinds, then kept;
-    the object never changes, so two threads that derive a field at once
-    store equal values.  ``mapping`` (column -> row) is a read-only view.
+    from ``pairs`` on every read, in one place for both kinds, and are
+    not cached.  ``mapping`` (column -> row) is a read-only view.
     Equality, hashing, ``repr`` and pickling agree across both kinds.
     """
 
-    __slots__ = ("_pairs", "_image", "_domain", "_mapping", "_mask", "_d")
+    __slots__ = ("_pairs", "_mask", "_d")
 
     def __init__(self, pairs=()):
         pairs = tuple(sorted((_index(i), _index(j)) for i, j in pairs))
@@ -306,22 +331,21 @@ class PartialBijection(_Value, fields=("pairs",),
         return self
 
     def __getattr__(self, name):
-        # reached only for a slot not derived yet; the pairs are sorted
-        # in (row, column) order, as the mask's bits ascend, so the image
-        # comes out sorted
-        if name == "_pairs":
-            d = self._d
-            value = tuple(divmod(p, d) for p in _mask_elems(self._mask))
-        elif name == "_image":
-            value = tuple(i for i, _ in self._pairs)
-        elif name == "_domain":
-            value = tuple(sorted(j for _, j in self._pairs))
-        elif name == "_mapping":
-            value = MappingProxyType({j: i for i, j in self._pairs})
-        else:
+        # reached only for the pairs of a mask-built bijection, not read
+        # yet: sorted in (row, column) order, as the mask's bits ascend
+        if name != "_pairs":
             raise AttributeError(name)
-        setattr(self, name, value)
-        return value
+        d = self._d
+        self._pairs = pairs = tuple(
+            divmod(p, d) for p in _mask_elems(self._mask))
+        return pairs
+
+    # the views, derived from the pairs on every read and never kept;
+    # the pairs are sorted by row, so the image comes out ascending
+    image = property(lambda self: tuple(i for i, _ in self.pairs))
+    domain = property(lambda self: tuple(sorted(j for _, j in self.pairs)))
+    mapping = property(
+        lambda self: MappingProxyType({j: i for i, j in self.pairs}))
 
     @classmethod
     def empty(cls) -> "PartialBijection":

@@ -80,10 +80,11 @@ def parse_point(text: str, n: int) -> tuple:
     return tuple(parse_scalar(p) for p in parts)
 
 
-def _parse_braced_groups(text: str, what: str, sep: str) -> list:
-    """The blocks of "({1,2}<sep>{3})" as lists of ints, e.g. [[1, 2], [3]].
-    Elements are ASCII digits: str.isdigit alone accepts "²", which int
-    then rejects."""
+def _parse_braced_groups(text: str, what: str, sep: str, n: int) -> list:
+    """The blocks of "({1,2}<sep>{3})", whose elements are 1-based rows
+    1..n, as lists of 0-based rows, e.g. [[0, 1], [2]]; the command
+    line's one row range check.  Elements are ASCII digits: str.isdigit
+    alone accepts "²", which int then rejects."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseFailure(f"{what} must be wrapped in parentheses")
@@ -100,7 +101,10 @@ def _parse_braced_groups(text: str, what: str, sep: str) -> list:
                 tok = tok.strip()
                 if not (tok.isascii() and tok.isdigit()):
                     raise ParseFailure(f"bad element {tok!r} in {what}")
-                elems.append(int(tok))
+                e = int(tok)
+                if not 1 <= e <= n:
+                    raise ParseFailure(f"row {e} outside 1..{n} in {what}")
+                elems.append(e - 1)
         groups.append(elems)
         rest = rest[end + 1:].strip()
         if not rest:
@@ -112,13 +116,10 @@ def _parse_braced_groups(text: str, what: str, sep: str) -> list:
 
 def parse_type_matrix(text: str, n: int, d: int) -> BoolMatrix:
     """Columns-as-subsets form, 1-based rows: "({2},{1,2},{1},{1,3})"."""
-    groups = _parse_braced_groups(text, "type", ",")
+    groups = _parse_braced_groups(text, "type", ",", n)
     if len(groups) != d:
         raise ParseFailure(f"type must list {d} columns")
-    bad = [e for g in groups for e in g if not 1 <= e <= n]
-    if bad:
-        raise ParseFailure(f"row index {bad[0]} outside 1..{n}")
-    return BoolMatrix.from_columns(n, [[e - 1 for e in g] for g in groups])
+    return BoolMatrix.from_columns(n, groups)
 
 
 def format_type(b: BoolMatrix) -> str:
@@ -130,10 +131,9 @@ def format_type(b: BoolMatrix) -> str:
 
 def parse_partition(text: str, n: int) -> OrderedSetPartition:
     """Blocks-left-to-right form, 1-based: "({1,3}|{2})"."""
-    groups = _parse_braced_groups(text, "partition", "|")
+    groups = _parse_braced_groups(text, "partition", "|", n)
     try:
-        return OrderedSetPartition.from_sets(
-            n, [[e - 1 for e in g] for g in groups])
+        return OrderedSetPartition.from_sets(n, groups)
     except ValueError as exc:
         raise ParseFailure(f"bad partition: {exc}") from exc
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 from math import comb
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, _Value, _expect, _index, _mask_elems
+from .boolmat import (BoolMatrix, CapExceeded, _Value, _expect, _index,
+                      _mask_elems)
 from .facemonoid import OrderedSetPartition, act_matrix
-from .permanent import CapExceeded, _argmax
+from .permanent import _argmax
 from .tropical import Arrangement, _check_shape
 
 DEFAULT_ENUM_CAP = 24
@@ -47,21 +48,21 @@ class TypeCell(_Value, fields=("type", "dimension", "bounded")):
 
     __slots__ = ("_type", "_dimension", "_bounded")
 
-    def __init__(self, type: BoolMatrix, dimension: int, bounded: bool):
+    def __new__(cls, type: BoolMatrix, dimension: int, bounded: bool):
         _expect(type, BoolMatrix)
         dimension = _index(dimension)
         if not 0 <= dimension < type._n:
             raise ValueError(f"dimension {dimension} out of range for a "
                              f"type with {type._n} rows")
         _expect(bounded, bool)
-        self._type = type
-        self._dimension = dimension
-        self._bounded = bounded
+        return cls._raw(type, dimension, bounded)
 
     @classmethod
     def _raw(cls, type: BoolMatrix, dimension: int,
              bounded: bool) -> "TypeCell":
-        # trusted fast path: the search and _ties give valid fields
+        # trusted constructor, the only writer of the slots: the public
+        # one calls it after its checks, and the search and _ties give
+        # valid fields
         self = object.__new__(cls)
         self._type = type
         self._dimension = dimension

@@ -9,8 +9,8 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix, _Value, _expect, _grid, _index, _mask_elems
-from .permanent import CapExceeded
+from .boolmat import (BoolMatrix, CapExceeded, _Value, _expect, _grid, _index,
+                      _index_set, _mask_elems)
 
 DEFAULT_PARTITION_CAP = 6
 
@@ -26,7 +26,7 @@ class OrderedSetPartition(_Value, fields=("n", "blocks")):
 
     __slots__ = ("_n", "_blocks")
 
-    def __init__(self, n: int, blocks):
+    def __new__(cls, n: int, blocks):
         n = _index(n)
         if n < 1:
             raise ValueError("n must be positive")
@@ -39,13 +39,14 @@ class OrderedSetPartition(_Value, fields=("n", "blocks")):
                 raise ValueError("blocks must be disjoint")
             seen |= b
         if seen != (1 << n) - 1:
-            raise ValueError(f"blocks must cover all of 0..{n - 1}")
-        self._n = n
-        self._blocks = blocks
+            raise ValueError(f"blocks must cover all {n} elements")
+        return cls._raw(n, blocks)
 
     @classmethod
     def _raw(cls, n: int, blocks: tuple) -> "OrderedSetPartition":
-        # trusted fast path: f * g and partitions() build valid blocks
+        # trusted constructor, the only writer of the slots: the public
+        # one calls it after its checks, and f * g and partitions() build
+        # valid blocks
         self = object.__new__(cls)
         self._n = n
         self._blocks = blocks
@@ -57,15 +58,9 @@ class OrderedSetPartition(_Value, fields=("n", "blocks")):
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "OrderedSetPartition":
-        masks = []
-        for s in sets:
-            m = 0
-            for e in map(_index, s):
-                if not 0 <= e < n:
-                    raise ValueError(f"element {e} out of range for n={n}")
-                m |= 1 << e
-            masks.append(m)
-        return cls(n, masks)
+        """Build from an iterable of blocks, each an iterable of elements;
+        a repeated element is set once."""
+        return cls(n, [_index_set(s, n, "element") for s in sets])
 
     def block_sets(self) -> tuple:
         """Blocks as tuples of sorted elements."""

@@ -44,21 +44,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .boolmat import PartialBijection, _expect, _index, _mask, _mask_elems
+from .boolmat import (CapExceeded, PartialBijection, _expect, _index,
+                      _index_set, _mask, _mask_elems)
 from .tropical import Arrangement
 
 DEFAULT_SCAN_CAP = 8
-
-
-class CapExceeded(ValueError):
-    """A size cap refused the input: a block of more rows than the scan
-    cap that a call would have to solve, a cell search whose candidate
-    space 2^(n*d) is past the enumeration cap, or more ordered set
-    partitions than the partition cap allows.  The scan cap bounds only
-    what is solved: a block already in the arrangement's memo is read
-    back at any size, and its argmax set is joined from the memo, unless
-    the block has more rows than the cap and the set, counted from the
-    memo first, more than cap! bijections."""
 
 
 @lru_cache(maxsize=4096)
@@ -195,37 +185,28 @@ def tropical_permanent(x, cap: int = DEFAULT_SCAN_CAP) -> Fraction:
     return Fraction(best, arr._scale)
 
 
-def _check_bijection(arr: Arrangement, sigma: PartialBijection):
-    _expect(arr, Arrangement)
-    _expect(sigma, PartialBijection)
-    if sigma.pairs and (sigma.image[-1] >= arr.n or sigma.domain[-1] >= arr.d
-                        or sigma.image[0] < 0 or sigma.domain[0] < 0):
-        raise ValueError("bijection uses rows or columns outside the matrix")
-
-
 def _argmax_set(arr: Arrangement, rows, cols, k_max, cap: int) -> frozenset:
     """The argmax set, as bijections, of the block of the given rows and
     columns, checked to be a valid block of size 1..k_max (1..min(n, d)
-    for None)."""
+    for None): every index is typed first, so a bool anywhere is a
+    TypeError, then ranged, then the sizes and repeats are checked."""
     _expect(arr, Arrangement)
     k_max = min(arr.n, arr.d) if k_max is None else k_max
-    rows = tuple(sorted(map(_index, rows)))
-    cols = tuple(sorted(map(_index, cols)))
-    if len(rows) != len(cols):
+    rows, cols = tuple(map(_index, rows)), tuple(map(_index, cols))
+    k = len(rows)
+    rmask = _index_set(rows, arr.n, "row")
+    cmask = _index_set(cols, arr.d, "column")
+    if k != len(cols):
         raise ValueError("row and column sets must have equal size")
-    if not 1 <= len(rows) <= k_max:
+    if not 1 <= k <= k_max:
         raise ValueError(f"block size must be between 1 and {k_max}")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+    if rmask.bit_count() != k or cmask.bit_count() != k:
         raise ValueError("repeated indices")
-    if rows[0] < 0 or cols[0] < 0 or rows[-1] >= arr.n or cols[-1] >= arr.d:
-        raise ValueError("indices outside the matrix")
-    rows, cols = _mask(rows), _mask(cols)
-    _argmax(arr, rows, cols, cap)
-    k = rows.bit_count()
-    if k > cap and _count(arr, rows, cols, {0: 1}) > factorial(cap):
+    _argmax(arr, rmask, cmask, cap)
+    if k > cap and _count(arr, rmask, cmask, {0: 1}) > factorial(cap):
         raise CapExceeded(f"size {k} argmax set exceeds {cap}! bijections "
                           f"(scan cap {cap})")
-    masks = _masks(arr, rows, cols, {0: (0,)})
+    masks = _masks(arr, rmask, cmask, {0: (0,)})
     return frozenset(PartialBijection._from_mask(m, arr.d) for m in masks)
 
 
@@ -234,12 +215,13 @@ def is_permanent_attaining(arr: Arrangement, sigma: PartialBijection,
     """True iff sigma's entry sum ties the optimum over all bijections with
     the same domain and image.  The empty bijection attains vacuously."""
     cap = _index(cap)
-    _check_bijection(arr, sigma)
+    _expect(arr, Arrangement)
+    _expect(sigma, PartialBijection)
     if not sigma.pairs:
         return True
-    best = _argmax(arr, _mask(sigma.image), _mask(sigma.domain), cap)[0]
-    icols = arr._icols
-    return sum(icols[j][i] for i, j in sigma.pairs) == best
+    best = _argmax(arr, _index_set(sigma.image, arr.n, "row"),
+                   _index_set(sigma.domain, arr.d, "column"), cap)[0]
+    return sum(arr._icols[j][i] for i, j in sigma.pairs) == best
 
 
 def optimal_bijections(arr: Arrangement, rows, cols,

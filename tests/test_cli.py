@@ -206,6 +206,23 @@ def test_cmd_act(demo_file, capsys):
     assert capsys.readouterr().out.strip() == "({2},{1,2},{1},{1,3})"
 
 
+@pytest.mark.parametrize("partition, row, wrong", [
+    ("({4}|{2}|{1})", "row 4", "element 3"),
+    ("({0}|{1,2,3})", "row 0", "-1"),
+], ids=["past-n", "zero"])
+def test_cmd_act_names_a_bad_partition_row_1_based(demo_file, capsys,
+                                                   partition, row, wrong):
+    assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
+                 partition]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert row in err and "1..3" in err and wrong not in err
+
+
+def test_type_row_past_n_is_named_1_based():
+    with pytest.raises(ParseFailure, match="4"):
+        parse_type_matrix("({2},{1,2},{1},{1,4})", 3, 4)
+
+
 def test_cmd_act_rejects_non_type(demo_file, capsys):
     assert main(["act", demo_file, "({2},{2},{1,2},{1,3})",
                  "({3}|{2}|{1})"]) == EXIT_NOT_TYPE

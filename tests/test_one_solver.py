@@ -32,7 +32,13 @@ either.  The value types have one base: only ``boolmat._Value`` defines
 equality, hashing and pickling, and no module imports ``dataclasses``.
 The checks at the library's edges have one owner each: only
 ``boolmat._position`` raises IndexError for an index out of range, and
-only ``boolmat._shape`` refuses ragged rows."""
+only ``boolmat._shape`` refuses ragged rows.  An index set has one check:
+only ``boolmat._index_set`` refuses an index "out of range for size",
+and only ``cli._parse_braced_groups`` checks a command-line row against
+1..n.  Each value type's slots have one writer, its trusted constructor:
+no ``_Value`` subclass but ``PartialBijection`` defines ``__init__``,
+the others validating in ``__new__``.  ``CapExceeded`` lives in
+``boolmat``, so ``facemonoid`` imports nothing from ``permanent``."""
 
 import ast
 from pathlib import Path
@@ -368,3 +374,75 @@ def test_one_edge_check():
             owners += [(path.stem, name) for name in _matches(tree, match)]
     assert found[_raises_index_error] == [("boolmat", "_position")]
     assert found[_says_ragged_rows] == [("boolmat", "_shape")]
+
+
+def _says(text: str):
+    """A match for ``_matches``: a string constant, or a constant part of
+    an f-string, that contains ``text``."""
+    return lambda node: (isinstance(node, ast.Constant)
+                         and text in str(node.value))
+
+
+def _value_inits(tree: ast.Module) -> list:
+    """The ``_Value`` subclasses in ``tree`` that define ``__init__``."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(b, "id", None) == "_Value" for b in node.bases)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                    for f in node.body)]
+
+
+def _permanent_imports(tree: ast.Module) -> list:
+    """The lines of the imports in ``tree`` that reach a module named
+    ``permanent``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any("permanent" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_owners_are_found():
+    tree = ast.parse("class A(_Value, fields=()):\n"
+                     "    def __init__(self, v, n):\n"
+                     "        return f'{v} out of range for size {n}'\n"
+                     "class B(_Value, fields=()):\n"
+                     "    def __new__(cls):\n"
+                     "        pass\n"
+                     "class C:\n"
+                     "    def __init__(self):\n"
+                     "        pass\n"
+                     "from .permanent import CapExceeded\n"
+                     "from . import permanent\n"
+                     "import tropface.permanent as p\n"
+                     "from .boolmat import permanent_structure\n"
+                     "def f():\n"
+                     "    return 'row 4 outside 1..3'\n")
+    assert _matches(tree, _says("out of range for size")) == ["A"]
+    assert _matches(tree, _says("outside 1..")) == ["f"]
+    assert _value_inits(tree) == ["A"]
+    assert _permanent_imports(tree) == [10, 11, 12]
+
+
+def test_one_index_set_check_and_one_slot_writer():
+    found = {"range": [], "cli range": [], "inits": [], "imports": []}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found["range"] += [(path.stem, name) for name in _matches(
+            tree, _says("out of range for size"))]
+        found["cli range"] += [(path.stem, name) for name in _matches(
+            tree, _says("outside 1.."))]
+        found["inits"] += [(path.stem, name) for name in _value_inits(tree)]
+        if path.stem == "facemonoid":
+            found["imports"] = _permanent_imports(tree)
+    assert found == {"range": [("boolmat", "_index_set")],
+                     "cli range": [("cli", "_parse_braced_groups")],
+                     "inits": [("boolmat", "PartialBijection")],
+                     "imports": []}
