@@ -244,8 +244,8 @@ class PermanentStructure:
     Queries are pure; the memo only holds deterministic recomputation.
     Racing fills never drop a slab (``memo.setdefault``) and store equal
     answers, and argmax sets are joined per call, so concurrent use is
-    safe.  The bijections handed out derive their fields lazily, where a
-    race also stores equal values.
+    safe.  The bijections handed out derive their pairs lazily, where a
+    race also stores equal values, and their views on every read.
     """
 
     def __init__(self, arr: Arrangement, k_max=None):
