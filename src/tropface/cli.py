@@ -101,10 +101,12 @@ def _parse_braced_groups(text: str, what: str, sep: str, n: int) -> list:
                 tok = tok.strip()
                 if not (tok.isascii() and tok.isdigit()):
                     raise ParseFailure(f"bad element {tok!r} in {what}")
-                e = int(tok)
-                if not 1 <= e <= n:
-                    raise ParseFailure(f"row {e} outside 1..{n} in {what}")
-                elems.append(e - 1)
+                # a row with more digits than n is past it; int() is not
+                # asked to read it, as it refuses over 4,300 digits
+                row = tok.lstrip("0") or "0"
+                if len(row) > len(str(n)) or not 1 <= int(row) <= n:
+                    raise ParseFailure(f"row {row} outside 1..{n} in {what}")
+                elems.append(int(row) - 1)
         groups.append(elems)
         rest = rest[end + 1:].strip()
         if not rest:

@@ -209,7 +209,9 @@ def test_cmd_act(demo_file, capsys):
 @pytest.mark.parametrize("partition, row, wrong", [
     ("({4}|{2}|{1})", "row 4", "element 3"),
     ("({0}|{1,2,3})", "row 0", "-1"),
-], ids=["past-n", "zero"])
+    ("({" + "0" * 4999 + "4}|{1,2,3})", "row 4 ", "row 0"),
+    ("({" + "9" * 5000 + "}|{1,2,3})", "row 999", "digits"),
+], ids=["past-n", "zero", "leading-zeros", "past-the-int-digit-limit"])
 def test_cmd_act_names_a_bad_partition_row_1_based(demo_file, capsys,
                                                    partition, row, wrong):
     assert main(["act", demo_file, "({2},{1,2},{1},{1,3})",
@@ -221,6 +223,8 @@ def test_cmd_act_names_a_bad_partition_row_1_based(demo_file, capsys,
 def test_type_row_past_n_is_named_1_based():
     with pytest.raises(ParseFailure, match="4"):
         parse_type_matrix("({2},{1,2},{1},{1,4})", 3, 4)
+    with pytest.raises(ParseFailure, match="outside 1..3"):
+        parse_type_matrix("({" + "1" * 5000 + "},{1,2},{1},{1,3})", 3, 4)
 
 
 def test_cmd_act_rejects_non_type(demo_file, capsys):
