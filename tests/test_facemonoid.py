@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -175,6 +176,29 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded, match="enumeration cap 6"):
         list(partitions(7))
     assert len(list(partitions(7, cap=7))) == 47293
+
+
+def test_emission_order_is_the_documented_one():
+    """Fewer blocks first, then lexicographic on the blocks as tuples of
+    sorted elements: the oracle's partitions sorted on that key."""
+    for n in range(1, 7):
+        ordered = sorted(brute_ordered_set_partitions(n), key=lambda p: (
+            len(p), tuple(tuple(sorted(b)) for b in p)))
+        want = [tuple(sum(1 << i for i in b) for b in p) for p in ordered]
+        assert [p.blocks for p in partitions(n)] == want, n
+
+
+# SHA-256 of repr([p.blocks for p in partitions(7, cap=7)]): the whole
+# n = 7 sequence, block masks in emission order
+PARTITIONS_7_SHA256 = (
+    "3df893398b56ff94bb5073e68ec2710c47c9828200ef0a8d7ae3fd1f650feace")
+
+
+def test_emission_order_is_pinned_at_n_7():
+    blocks = [p.blocks for p in partitions(7, cap=7)]
+    assert len(blocks) == 47293
+    digest = hashlib.sha256(repr(blocks).encode("ascii")).hexdigest()
+    assert digest == PARTITIONS_7_SHA256
 
 
 def _perturbation_partition(u):
