@@ -118,33 +118,42 @@ def act_matrix(s: BoolMatrix, f: OrderedSetPartition) -> BoolMatrix:
 
 
 def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
-    """Yield every ordered set partition of {0, ..., n-1} exactly once.
+    """An iterator over every ordered set partition of {0, ..., n-1},
+    each exactly once.
 
     Emission order: fewer blocks first, then lexicographic on the block
-    tuples.  The count is the n-th ordered Bell number, so ``n`` is guarded
-    by ``cap`` (default 6, i.e. at most 4683 partitions); a larger ``n``
-    raises CapExceeded.
+    tuples (blocks read as tuples of sorted elements).  The partitions are
+    generated in that order, not sorted.  The count is the n-th ordered
+    Bell number, so ``n`` is guarded by ``cap`` (default 6, i.e. at most
+    4683 partitions).  The arguments are checked at the call, before any
+    partition is made: a larger ``n`` raises CapExceeded there.
     """
     n, cap = _index(n), _index(cap)
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    # the non-empty subsets of each row set r, in sorted-element-tuple
+    # order: the first blocks of r's splits, in emission order
+    order = sorted(range(1, 1 << n), key=_mask_elems)
+    subsets = [[b for b in order if not b & ~r] for r in range(1 << n)]
 
-    full = (1 << n) - 1
+    def splits(r, k):
+        # the splits of r into k blocks, in lexicographic order: each first
+        # block that leaves at least k - 1 rows, then the splits of the rest
+        if k == 1:
+            yield (r,)
+            return
+        room = r.bit_count() - k + 1
+        for b in subsets[r]:
+            if b.bit_count() > room:
+                continue
+            if k == 2:  # the rest is one block: no generator for it
+                yield b, r ^ b
+            else:
+                for rest in splits(r ^ b, k - 1):
+                    yield (b,) + rest
 
-    def splits(remaining):
-        if not remaining:
-            yield ()
-        # each non-empty submask of `remaining` in turn, falling, is the
-        # first block, and the rest split what it leaves
-        blk = remaining
-        while blk:
-            for rest in splits(remaining & ~blk):
-                yield (blk,) + rest
-            blk = (blk - 1) & remaining
-
-    all_parts = [OrderedSetPartition._raw(n, blocks) for blocks in splits(full)]
-    all_parts.sort(key=lambda p: (len(p.blocks), p.block_sets()))
-    yield from all_parts
+    return (OrderedSetPartition._raw(n, blocks) for k in range(1, n + 1)
+            for blocks in splits((1 << n) - 1, k))
 

@@ -178,6 +178,16 @@ def test_enumeration_cap():
     assert len(list(partitions(7, cap=7))) == 47293
 
 
+@pytest.mark.parametrize("args, error", [
+    ((0,), ValueError), ((7,), CapExceeded), ((True,), TypeError),
+    ((3, 2.0), TypeError),
+], ids=["zero", "past-cap", "bool", "float-cap"])
+def test_partitions_checks_its_arguments_at_the_call(args, error):
+    """The refusal comes from the call itself, with nothing iterated."""
+    with pytest.raises(error):
+        partitions(*args)
+
+
 def test_emission_order_is_the_documented_one():
     """Fewer blocks first, then lexicographic on the blocks as tuples of
     sorted elements: the oracle's partitions sorted on that key."""
