@@ -133,14 +133,15 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
         raise ValueError("n must be positive")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    # the non-empty subsets of each row set r, in sorted-element-tuple
-    # order: the first blocks of r's splits, in emission order
+    # subsets[r]: the non-empty subsets of r, in sorted-element-tuple
+    # order, which is the order of the first blocks of r's splits
     order = sorted(range(1, 1 << n), key=_mask_elems)
     subsets = [[b for b in order if not b & ~r] for r in range(1 << n)]
 
     def splits(r, k):
         # the splits of r into k blocks, in lexicographic order: each first
-        # block that leaves at least k - 1 rows, then the splits of the rest
+        # block that leaves k - 1 elements or more, then the splits of what
+        # it leaves
         if k == 1:
             yield (r,)
             return
