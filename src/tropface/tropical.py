@@ -108,9 +108,9 @@ def _check_point(arr: Arrangement, x) -> tuple:
 def _lift(arr: Arrangement, x) -> tuple:
     """(xs, f): x checked and scaled to the ints x_k * big, big = lcm of
     ``arr._scale`` and x's denominators, and f = big // ``arr._scale``."""
-    ratios = [v.as_integer_ratio() for v in _check_point(arr, x)]
-    big = lcm(arr._scale, *(q for _, q in ratios))
-    return [p * (big // q) for p, q in ratios], big // arr._scale
+    x = _check_point(arr, x)
+    big = lcm(arr._scale, *(v.denominator for v in x))
+    return [v.numerator * (big // v.denominator) for v in x], big // arr._scale
 
 
 def residuation(x, y) -> Fraction:
@@ -142,14 +142,11 @@ def type_of_point(arr: Arrangement, x) -> BoolMatrix:
     for j, col in enumerate(arr._icols):
         diffs = [xk - f * ck for xk, ck in zip(xs, col)]
         m = min(diffs)
-        i = diffs.index(m)
-        mask = 1 << i
-        bits |= 1 << (i * arr.d + j)
-        if diffs.count(m) > 1:  # a tie: walk the rows after the first
-            for i in range(i + 1, arr.n):
-                if diffs[i] == m:
-                    mask |= 1 << i
-                    bits |= 1 << (i * arr.d + j)
+        mask = 0
+        for i, v in enumerate(diffs):
+            if v == m:
+                mask |= 1 << i
+                bits |= 1 << (i * arr.d + j)
         cols.append(mask)
     return BoolMatrix._from_cols(arr.n, arr.d, bits, tuple(cols))
 
