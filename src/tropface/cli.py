@@ -28,7 +28,7 @@ from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _cell, _search,
                       act_on_type, is_type)
 from .facemonoid import OrderedSetPartition
 from .render import _check_viewport, render_svg
-from .tropical import Arrangement, _rat, _solve, type_of_point
+from .tropical import Arrangement, _decider, _rat, type_of_point
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,11 +43,14 @@ class ParseFailure(ValueError):
 
 def parse_scalar(v) -> Fraction:
     """The library's scalar rule (``tropical._rat``), failing as a
-    ParseFailure."""
+    ParseFailure that names the value once: a ValueError's message names
+    it already, a TypeError's only its type."""
     try:
         return _rat(v)
-    except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"cannot parse {v!r} as a rational: {exc}") from exc
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
+    except TypeError as exc:
+        raise ParseFailure(f"cannot parse {v!r}: {exc}") from exc
 
 
 def load_arrangement(path: str) -> Arrangement:
@@ -172,15 +175,17 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     per row set that occurs, at most 2^n times.
 
     ``check_geometric`` re-decides every leaf, in the same pass, with the
-    geometric route, the strict solve of ``tropical._solve`` on its column
-    row sets, which shares nothing else with the search; only a leaf it
-    refuses is made into a matrix, for the message."""
+    geometric route, one ``tropical._decider`` per run, which reads only
+    the arrangement's entries and the leaf's type and shares nothing with
+    the search; only a leaf it refuses is made into a matrix, for the
+    message."""
     n = arr.n
     seen = {}  # row set -> (its _rank, its indented JSON text)
     listed = []
     counts = {}  # dimension -> number of cells
+    decide = _decider(arr) if check_geometric else None
     for bits, cols, dim, bounded in _search(arr, cap):
-        if check_geometric and _solve(arr, cols, 1) is None:
+        if check_geometric and not decide(bits, cols):
             raise RuntimeError(
                 "combinatorial and geometric type tests disagree on "
                 + format_type(BoolMatrix._from_cols(n, arr.d, bits, cols)))

@@ -307,6 +307,90 @@ def _solve(arr: Arrangement, colmasks: tuple, strict: int, place=False):
     return None if dist is None else (comp, p, dist)
 
 
+def _decider(arr: Arrangement):
+    """A function of a type's packed ``bits`` and column row sets that is
+    True iff some point's type is exactly that type: ``_solve``'s strict
+    decision, for a stream of types of one arrangement.
+
+    The system is posed on m = min(n, d) potentials, by the symmetry of
+    types under transposing the matrix.  Each line of the longer side,
+    row k when d <= n and column j otherwise, has a tie set s, its row or
+    column of the type, and asks that potential plus entry be largest
+    exactly on s.  That gives, between s's first potential a and each
+    other potential b, the equality or the strict bound p_b - p_a < e_a -
+    e_b.  A row with an empty s asks nothing, and every column must be
+    non-empty.  Bounds are scaled by K = m + 1, less 1 when strict, as in
+    ``_solve``, so a simple cycle, of at most m edges, is negative iff it
+    was of weight <= 0 with a strict edge.
+
+    The lines are cut into chunks of c = max(1, 12 // m) consecutive
+    ones.  The tightest bound on each ordered pair of potentials that a
+    chunk's tie sets give is folded once, on first use, into one tuple of
+    m(m - 1) entries, kept per (chunk, bits of the chunk's tie sets).  So
+    a type costs one lookup and one ``map(min, ...)`` per chunk, and a
+    Bellman-Ford pass over the m(m - 1) entries.  A pair no line bounds
+    holds ``inf``, which no walk of the at most m^3 relaxations a
+    decision makes can reach, so it never relaxes."""
+    n, d = arr.n, arr.d
+    by_rows = d <= n
+    m = d if by_rows else n
+    lines = tuple(zip(*arr._icols)) if by_rows else arr._icols
+    big = m + 1
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    heads = [a for a, _ in pairs]
+    tails = [b for _, b in pairs]
+    spread = max(map(max, lines)) - min(map(min, lines))
+    inf = m ** 3 * (big * spread + 1) + 1
+    c = max(1, 12 // m)
+    chunks = []  # (lines, first line, end, shift, mask, table) per chunk
+    for lo in range(0, len(lines), c):
+        chunk = lines[lo:lo + c]
+        chunks.append((chunk, lo, lo + len(chunk), lo * m,
+                       (1 << len(chunk) * m) - 1, {}))
+
+    def fold(chunk, ties) -> tuple:
+        w = [[inf] * m for _ in range(m)]  # w[a][b] bounds p_b - p_a
+        for e, s in zip(chunk, ties):
+            if not s:
+                continue  # a row in no column
+            a = _mask_elems(s)[0]
+            for b in range(m):
+                if b != a:
+                    x = (e[a] - e[b]) * big
+                    if s >> b & 1:  # tied: also p_a - p_b <= e_b - e_a
+                        w[b][a] = min(w[b][a], -x)
+                    else:
+                        x -= 1
+                    w[a][b] = min(w[a][b], x)
+        return tuple(w[a][b] for a, b in pairs)
+
+    def decide(bits, cols) -> bool:
+        if not all(cols):
+            return False  # every column of a type is non-empty
+        w = None
+        for chunk, lo, hi, shift, mask, table in chunks:
+            key = bits >> shift & mask if by_rows else cols[lo:hi]
+            t = table.get(key)
+            if t is None:
+                ties = key if not by_rows else [
+                    key >> i & (1 << m) - 1 for i in range(0, hi * m - shift, m)]
+                t = table[key] = fold(chunk, ties)
+            w = t if w is None else tuple(map(min, w, t))
+        dist = [0] * m  # Bellman-Ford from a virtual source
+        for _ in range(m):
+            changed = False
+            for a, b, x in zip(heads, tails, w):
+                x += dist[a]
+                if x < dist[b]:
+                    dist[b] = x
+                    changed = True
+            if not changed:
+                return True
+        return False  # still relaxing after m rounds: a negative cycle
+
+    return decide
+
+
 def _realize(arr: Arrangement, colmasks: tuple, strict: int):
     """A solution of ``_solve``'s system, its rows in no column placed, or
     None: the numerators of its coordinates over (n + 1) * ``arr._scale``,

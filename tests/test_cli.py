@@ -265,10 +265,14 @@ def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
 def test_check_geometric_disagreement_exits_1(demo_file, monkeypatch,
                                               capsys):
     # the geometric route refuses one cell, which the message names
-    solve = cli._solve
+    decider = cli._decider
     refused = T_VERT.col_masks()
-    monkeypatch.setattr(cli, "_solve", lambda arr, cols, strict: None
-                        if cols == refused else solve(arr, cols, strict))
+
+    def refusing(arr):
+        decide = decider(arr)
+        return lambda bits, cols: cols != refused and decide(bits, cols)
+
+    monkeypatch.setattr(cli, "_decider", refusing)
     assert main(["enumerate", demo_file, "--check-geometric"]) == 1
     err = capsys.readouterr().err
     assert "disagree" in err and "Traceback" not in err
@@ -277,15 +281,19 @@ def test_check_geometric_disagreement_exits_1(demo_file, monkeypatch,
 
 def test_check_geometric_solves_every_cell_once(demo_file, tmp_path,
                                                 monkeypatch):
-    solve = cli._solve
+    decider = cli._decider
     calls = []
 
-    def counting(arr, cols, strict):
-        got = solve(arr, cols, strict)
-        calls.append((cols, strict, got is not None))
-        return got
+    def counting(arr):
+        decide = decider(arr)
 
-    monkeypatch.setattr(cli, "_solve", counting)
+        def counted(bits, cols):
+            got = decide(bits, cols)
+            calls.append((bits, cols, got))
+            return got
+        return counted
+
+    monkeypatch.setattr(cli, "_decider", counting)
     rng = random.Random(43)
     tie_heavy = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(4)]
     for path in (demo_file, write_matrix(tmp_path, tie_heavy)):
@@ -295,8 +303,29 @@ def test_check_geometric_solves_every_cell_once(demo_file, tmp_path,
                      str(out)]) == EXIT_OK
         cells = json.loads(out.read_text())["cells"]
         assert len(calls) == len(cells) > 0
-        assert len({cols for cols, _, _ in calls}) == len(cells)
-        assert all(strict == 1 and ok for _, strict, ok in calls)
+        assert len({cols for _, cols, _ in calls}) == len(cells)
+        assert all(ok is True for _, _, ok in calls)
+        n, d = (3, 4) if path == demo_file else (4, 3)
+        assert all(BoolMatrix(n, d, bits).col_masks() == cols
+                   for bits, cols, _ in calls)
+
+
+def test_check_geometric_past_the_default_cap_keeps_the_report(tmp_path):
+    # the cross-check on both sides of the matrix, the lines being the
+    # rows of a tie-heavy 10x3 and the columns of a generic 3x10
+    rng = random.Random(32)
+    tall = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(10)]
+    wide = [[F(rng.randint(-50, 50), rng.choice((1, 2, 3)))
+             for _ in range(10)] for _ in range(3)]
+    for rows in (tall, wide):
+        path = write_matrix(tmp_path, rows)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["enumerate", path, "--cap", "30", "--out", str(a)]) \
+            == EXIT_OK
+        assert main(["enumerate", path, "--cap", "30", "--check-geometric",
+                     "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["cells"]
 
 
 def test_unwritable_output_exits_2(demo_file, tmp_path, capsys):
@@ -387,6 +416,23 @@ def test_scalar_forms():
                  ".", "3/-2", "inf", "0x10", ""):
         with pytest.raises(ParseFailure):
             parse_scalar(text)
+
+
+def test_scalar_parse_errors_name_the_value_once(demo_file, tmp_path,
+                                                capsys):
+    assert main(["type-of-point", demo_file, "1,,0"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: cannot read '' as a rational: expected an integer, "
+        "p/q or a decimal without exponent\n")
+    assert main(["type-of-point", demo_file, "1/0,0,0"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: '1/0' has a zero denominator\n")
+    path = write_matrix(tmp_path, [[0]])
+    Path(path).write_text('{"rows": 1, "cols": 1, "entries": [[0.5]]}')
+    assert main(["enumerate", path]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: cannot parse 0.5: float is not an exact rational; "
+        "pass int, str or Fraction\n")
 
 
 def test_exponent_notation_fails_fast(demo_file, tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""One solver per problem.  Satisfiability, witnesses and exact
-realizability share one difference-constraint solver: ``tropical._solve``
-is the only caller of ``tropical._bellman`` in the library and the only
-reader of the column offsets ``tropical._offsets``, so the losing-row
+"""One solver per problem.  Single systems and points share one
+difference-constraint solver: satisfiability, witnesses, exact
+realizability and the renderer's points go to ``tropical._solve``, the
+only caller of ``tropical._bellman`` in the library and the only reader
+of the column offsets ``tropical._offsets``, so the losing-row
 constraint is built in one walk over the columns, which also places the
 rows in no column when ``_realize`` asks; the separate weak system
-``_weak_edges`` stays gone.  Block permanents and
+``_weak_edges`` stays gone.  Streams of cells have one solver too: the
+enumerate report ``cli._report`` is the only caller of
+``tropical._decider``, which decides each cell of its cross-check from
+cached bound tables.  Block permanents and
 tight rows have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
 ``PermanentStructure.bijections`` call; the old join ``_join`` stays
@@ -95,6 +99,9 @@ def test_one_difference_constraint_solver():
     assert _package_sites("_bellman")[0] == [("tropical", "_solve")]
     assert _package_sites("_offsets")[0] == [("tropical", "_solve")]
     assert _package_sites("_weak_edges") == ([], [])
+    calls, defs = _package_sites("_decider")
+    assert calls == [("cli", "_report")]
+    assert [module for module, _ in defs] == ["tropical"]
 
 
 def test_calls_and_definitions_are_found():

@@ -15,6 +15,7 @@ from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
                       realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
 from tropface.boolmat import _col_masks
+from tropface.tropical import _decider, _solve
 
 from demo_data import (S_SAT_NOT_TYPE, S_UNSAT, T_VERT, rand_arrangement,
                        rand_boolmatrix, rand_point, rand_scalar)
@@ -356,6 +357,47 @@ def test_witness_outputs_are_pinned():
                 h.update(repr(x).encode() + b"\n")
                 satisfiable += x is not None
     assert (satisfiable, h.hexdigest()) == WITNESS_PIN
+
+
+def _decider_agrees(arr, matrices) -> int:
+    """Decide every packed matrix of ``matrices`` with one decider and with
+    ``_solve``'s strict system, assert they agree, and count the types."""
+    decide = _decider(arr)
+    types = 0
+    for bits in matrices:
+        cols = BoolMatrix(arr.n, arr.d, bits).col_masks()
+        got = decide(bits, cols)
+        assert got is (_solve(arr, cols, 1) is not None), (arr.entries, bits)
+        types += got
+    return types
+
+
+def test_decider_matches_the_strict_solve():
+    # every matrix of the arrangements of REALIZE_PIN, whose shapes put the
+    # lines on either side: 2x6 and 6x2, 3x4 and 4x3, 1x5 and 5x1
+    rng = random.Random(606)
+    vals = (-1, 0, 1, F(1, 2), F(-2, 3))
+    types = 0
+    for n, d in ((3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (1, 5), (5, 1)):
+        for _ in range(2):
+            arr = Arrangement(
+                [[rng.choice(vals) for _ in range(d)] for _ in range(n)])
+            types += _decider_agrees(arr, range(1 << (n * d)))
+    assert types == REALIZE_PIN[0]
+    # tie-heavy 5x5 and 4x6, more than one chunk of lines each: the types
+    # of seeded points, each with one entry flipped, and random matrices
+    rng = random.Random(32)
+    for n, d in ((5, 5), (4, 6)):
+        for _ in range(4):
+            arr = Arrangement(
+                [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n)])
+            matrices = []
+            for _ in range(40):
+                bits = type_of_point(
+                    arr, [rng.randint(-2, 2) for _ in range(n)]).bits
+                matrices += [bits, bits ^ 1 << rng.randrange(n * d),
+                             rng.getrandbits(n * d)]
+            assert _decider_agrees(arr, matrices) >= 40
 
 
 def test_combine_satisfiers_collapses_on_equal_points(demo):
