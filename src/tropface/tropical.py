@@ -3,11 +3,14 @@ n x d matrix whose columns are apexes.
 
 Every predicate is decided in exact rational arithmetic: cell membership
 is a matter of exact ties, so no tolerance is ever applied.  Both
-feasibility questions, whether a zero-one matrix lies below some point's
-type and whether it is exactly one, go to one solver: the rows each
-column ties are contracted to one node, and the difference constraints
-left between the nodes, strict for an exact type, are solved by
-Bellman-Ford relaxation.  Internally the matrix is rescaled to integers
+feasibility questions about one matrix, whether it lies below some
+point's type and whether it is exactly one, go to one solver: the rows
+each column ties are contracted to one node, and the difference
+constraints left between the nodes, strict for an exact type, are solved
+by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
+enumerate report's cross-check decides them, goes to a decider that poses
+each strict system on the smaller side of the matrix and reads its bounds
+from tables it keeps.  Internally the matrix is rescaled to integers
 (all predicates here are invariant under a common positive rescaling of
 the matrix), which keeps the graph algorithms in plain `int` arithmetic;
 witnesses are scaled back to exact rationals on the way out.  A point
@@ -186,6 +189,8 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 
 # ---------------------------------------------------------------------------
 # feasibility: is s below some point's type (weak), or exactly one (strict)?
+# ``_solve`` answers one matrix on the n row potentials, below; ``_decider``
+# answers a stream of types on min(n, d) potentials, with the same scaling.
 #
 # A 1 at (i, j) of s demands x_i - M_ij <= x_k - M_kj for every row k.  Two
 # rows sharing a column of s get both directions, so they are tied, which
@@ -329,8 +334,8 @@ def _decider(arr: Arrangement):
     m(m - 1) entries, kept per (chunk, bits of the chunk's tie sets).  So
     a type costs one lookup and one ``map(min, ...)`` per chunk, and a
     Bellman-Ford pass over the m(m - 1) entries.  A pair no line bounds
-    holds ``inf``, which no walk of the at most m^3 relaxations a
-    decision makes can reach, so it never relaxes."""
+    holds ``inf``, more than minus the weight of any walk that the fewer
+    than m^3 relaxations of a decision can build, so it never relaxes."""
     n, d = arr.n, arr.d
     by_rows = d <= n
     m = d if by_rows else n
@@ -373,7 +378,8 @@ def _decider(arr: Arrangement):
             t = table.get(key)
             if t is None:
                 ties = key if not by_rows else [
-                    key >> i & (1 << m) - 1 for i in range(0, hi * m - shift, m)]
+                    key >> i & (1 << m) - 1
+                    for i in range(0, len(chunk) * m, m)]
                 t = table[key] = fold(chunk, ties)
             w = t if w is None else tuple(map(min, w, t))
         dist = [0] * m  # Bellman-Ford from a virtual source
