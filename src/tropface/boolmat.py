@@ -106,7 +106,7 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
                     raise ValueError(f"entry {e!r} is not 0 or 1")
                 if e:
                     bits |= 1 << (i * d + j)
-        return cls(n, d, bits)
+        return cls._from_cols(n, d, bits, None)
 
     @classmethod
     def from_columns(cls, n: int, columns) -> "BoolMatrix":
@@ -165,7 +165,7 @@ class BoolMatrix(_Value, fields=("n", "d", "bits")):
         bits = 0
         for j, m in enumerate(self.col_masks()):
             bits |= m << (j * self._n)
-        return BoolMatrix(self._d, self._n, bits)
+        return BoolMatrix._from_cols(self._d, self._n, bits, None)
 
     def __le__(self, other: "BoolMatrix") -> bool:
         """Entrywise order: self[i][j] <= other[i][j] for all i, j."""

@@ -10,12 +10,13 @@ constraints left between the nodes, strict for an exact type, are solved
 by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
 enumerate report's cross-check decides them, goes to a decider that poses
 each strict system on the smaller side of the matrix and reads its bounds
-from tables it keeps.  Internally the matrix is rescaled to integers
-(all predicates here are invariant under a common positive rescaling of
-the matrix), which keeps the graph algorithms in plain `int` arithmetic;
-witnesses are scaled back to exact rationals on the way out.  A point
-queried against the matrix is rescaled along with it, once per query,
-onto one common denominator, so point queries compare `int`s too.
+from tables it keeps.  Both relax through one loop, ``_bellman``.
+Internally the matrix is rescaled to integers (all predicates here are
+invariant under a common positive rescaling of the matrix), which keeps
+the graph algorithms in plain `int` arithmetic; witnesses are scaled back
+to exact rationals on the way out.  A point queried against the matrix
+is rescaled along with it, once per query, onto one common denominator,
+so point queries compare `int`s too.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # ---------------------------------------------------------------------------
 # feasibility: is s below some point's type (weak), or exactly one (strict)?
 # ``_solve`` answers one matrix on the n row potentials, below; ``_decider``
-# answers a stream of types on min(n, d) potentials, with the same scaling.
+# answers a stream of types on min(n, d) potentials, with the same scaling
+# and the same relaxation loop, ``_bellman``.
 #
 # A 1 at (i, j) of s demands x_i - M_ij <= x_k - M_kj for every row k.  Two
 # rows sharing a column of s get both directions, so they are tied, which
@@ -212,9 +214,13 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 
 def _bellman(num_nodes: int, edges):
     """Potentials from a virtual source (0 to every node), or None on a
-    negative cycle."""
+    negative cycle; the package's one relaxation loop.  Without a
+    negative cycle no shortest path from the source has more than
+    ``num_nodes`` - 1 edges besides its first, so the potentials settle
+    within that many passes and a further pass changes nothing: a change
+    in pass ``num_nodes`` means a negative cycle."""
     dist = [0] * num_nodes
-    for _ in range(num_nodes + 1):
+    for _ in range(num_nodes):
         changed = False
         for u, v, w in edges:
             nd = dist[u] + w
@@ -332,10 +338,11 @@ def _decider(arr: Arrangement):
     ones.  The tightest bound on each ordered pair of potentials that a
     chunk's tie sets give is folded once, on first use, into one tuple of
     m(m - 1) entries, kept per (chunk, bits of the chunk's tie sets).  So
-    a type costs one lookup and one ``map(min, ...)`` per chunk, and a
-    Bellman-Ford pass over the m(m - 1) entries.  A pair no line bounds
-    holds ``inf``, more than minus the weight of any walk that the fewer
-    than m^3 relaxations of a decision can build, so it never relaxes."""
+    a type costs one lookup and one ``map(min, ...)`` per chunk, and
+    ``_bellman`` over the m(m - 1) entries as edges.  A pair no line
+    bounds holds ``inf``, more than minus the weight of any walk that
+    ``_bellman``'s m passes over the m(m - 1) entries, fewer than m^3
+    relaxations, can build, so it never relaxes."""
     n, d = arr.n, arr.d
     by_rows = d <= n
     m = d if by_rows else n
@@ -382,17 +389,7 @@ def _decider(arr: Arrangement):
                     for i in range(0, len(chunk) * m, m)]
                 t = table[key] = fold(chunk, ties)
             w = t if w is None else tuple(map(min, w, t))
-        dist = [0] * m  # Bellman-Ford from a virtual source
-        for _ in range(m):
-            changed = False
-            for a, b, x in zip(heads, tails, w):
-                x += dist[a]
-                if x < dist[b]:
-                    dist[b] = x
-                    changed = True
-            if not changed:
-                return True
-        return False  # still relaxing after m rounds: a negative cycle
+        return _bellman(m, tuple(zip(heads, tails, w))) is not None
 
     return decide
 

@@ -179,6 +179,57 @@ def tom_defects(n: int, d: int, cells) -> list:
     return defects
 
 
+def _comparable(n: int, a: tuple, b: tuple) -> bool:
+    """True iff the comparability graph of the types with column row sets
+    ``a`` and ``b`` is acyclic once its undirected components are
+    contracted (union-find), by peeling off the components no remaining
+    edge enters.  An edge directed within one component is a self-loop,
+    which is never peeled, so it counts as a cycle."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    directed = []
+    for s, t in zip(a, b):
+        both = s & t
+        for j in s:
+            for k in t:
+                if j in both and k in both:
+                    parent[root(j)] = root(k)
+                else:
+                    directed.append((j, k))
+    edges = {(root(j), root(k)) for j, k in directed}
+    nodes = {root(v) for v in range(n)}
+    while edges:
+        sources = nodes - {k for _, k in edges}
+        if not sources:
+            return False
+        nodes -= sources
+        edges = {(j, k) for j, k in edges if j not in sources}
+    return True
+
+
+def comparability_defects(n: int, d: int, pairs) -> list:
+    """Why the pairs of types ``pairs`` (n x d zero-one matrices) break the
+    comparability axiom of Ardila and Develin (as above); empty when they
+    hold.  For types A and B, each column draws an edge j - k for every
+    row j of A's column and k of B's column: undirected when j and k both
+    lie in both columns, directed j -> k otherwise.  Contracted to its
+    undirected components, the graph must be acyclic.  Points x of A and
+    y of B show why: each edge asks (x - y)_j <= (x - y)_k, with equality
+    only if it is undirected."""
+    def columns(t):
+        return tuple(frozenset(i for i in range(n) if t.entry(i, j))
+                     for j in range(d))
+
+    return [f"{[sorted(c) for c in a]} and {[sorted(c) for c in b]} are "
+            "not comparable" for a, b in (map(columns, p) for p in pairs)
+            if not _comparable(n, a, b)]
+
+
 def set_search(arr) -> list:
     """The leaves of the cell search in search order, as
     ``complex._search`` returns them, with the blocks inside the prefix

@@ -1,14 +1,17 @@
 """One solver per problem.  Single systems and points share one
 difference-constraint solver: satisfiability, witnesses, exact
 realizability and the renderer's points go to ``tropical._solve``, the
-only caller of ``tropical._bellman`` in the library and the only reader
-of the column offsets ``tropical._offsets``, so the losing-row
-constraint is built in one walk over the columns, which also places the
-rows in no column when ``_realize`` asks; the separate weak system
-``_weak_edges`` stays gone.  Streams of cells have one solver too: the
-enumerate report ``cli._report`` is the only caller of
+only reader of the column offsets ``tropical._offsets``, so the
+losing-row constraint is built in one walk over the columns, which also
+places the rows in no column when ``_realize`` asks; the separate weak
+system ``_weak_edges`` stays gone.  Streams of cells have one solver too:
+the enumerate report ``cli._report`` is the only caller of
 ``tropical._decider``, which decides each cell of its cross-check from
-cached bound tables.  Block permanents and
+cached bound tables.  The two share one relaxation loop:
+``tropical._bellman`` is called by ``_solve`` and ``_decider`` alone,
+and no other function in the package assigns to a subscript of
+``dist``, so a second Bellman-Ford loop cannot come back unseen.  Block
+permanents and
 tight rows have one recurrence, ``permanent._recur``, which both the
 top-down ``permanent._solve`` and the level-order drain
 ``PermanentStructure.bijections`` call; the old join ``_join`` stays
@@ -95,8 +98,38 @@ def _callers(tree: ast.Module, callee: str) -> list:
                             callee)[0])
 
 
+def _subscript_stores(tree: ast.Module, name: str) -> list:
+    """The enclosing top-level function or class of every assignment,
+    plain, augmented or unpacked, to a subscript of the name ``name``."""
+    return _matches(tree, lambda node: (
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == name))
+
+
+def test_subscript_stores_are_found():
+    tree = ast.parse("def f(dist):\n"
+                     "    dist[0] = 1\n"
+                     "    return dist[0]\n"
+                     "class C:\n"
+                     "    def g(self, dist):\n"
+                     "        dist[1] += 2\n"
+                     "def h(dist, other):\n"
+                     "    def inner():\n"
+                     "        dist[2], x = 3, 4\n"
+                     "    other[0] = dist\n"
+                     "    self.dist[0] = 5\n")
+    assert _subscript_stores(tree, "dist") == ["f", "C", "h"]
+
+
 def test_one_difference_constraint_solver():
-    assert _package_sites("_bellman")[0] == [("tropical", "_solve")]
+    assert _package_sites("_bellman")[0] == [("tropical", "_solve"),
+                                             ("tropical", "_decider")]
+    relaxations = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        relaxations += [(path.stem, name)
+                        for name in _subscript_stores(tree, "dist")]
+    assert relaxations == [("tropical", "_bellman")]
     assert _package_sites("_offsets")[0] == [("tropical", "_solve")]
     assert _package_sites("_weak_edges") == ([], [])
     calls, defs = _package_sites("_decider")

@@ -15,7 +15,7 @@ from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
                       realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
 from tropface.boolmat import _col_masks
-from tropface.tropical import _decider, _solve
+from tropface.tropical import _bellman, _decider, _solve
 
 from demo_data import (S_SAT_NOT_TYPE, S_UNSAT, T_VERT, rand_arrangement,
                        rand_boolmatrix, rand_point, rand_scalar)
@@ -357,6 +357,27 @@ def test_witness_outputs_are_pinned():
                 h.update(repr(x).encode() + b"\n")
                 satisfiable += x is not None
     assert (satisfiable, h.hexdigest()) == WITNESS_PIN
+
+
+def test_bellman_needs_num_nodes_passes():
+    # an edge (u, v, w) lowers v to u's potential plus w; every node starts
+    # at 0, the virtual source's edge
+    for n in range(2, 8):
+        # the chain 0 -> 1 -> ... -> n-1 of weight -1 per edge, listed
+        # against the path order: pass k lowers only the nodes past k - 1,
+        # so node n - 1 reaches -(n - 1) in pass n - 1, and pass n is the
+        # first to change nothing
+        chain = [(v - 1, v, -1) for v in range(n - 1, 0, -1)]
+        assert _bellman(n, chain) == [-v for v in range(n)]
+        # closing the chain with n - 1 -> 0 of weight -1: a negative cycle
+        # through every node
+        assert _bellman(n, chain + [(n - 1, 0, -1)]) is None
+        # closing it with weight n - 1: a zero-weight cycle, which is
+        # feasible, its potentials meeting every edge
+        cycle = chain + [(n - 1, 0, n - 1)]
+        dist = _bellman(n, cycle)
+        assert dist is not None
+        assert all(dist[v] <= dist[u] + w for u, v, w in cycle)
 
 
 def _decider_agrees(arr, matrices) -> int:
