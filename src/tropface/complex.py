@@ -12,7 +12,8 @@ each tight row's entry joined to the argmax set of that row's sub-block.
 This module owns that test in both of its forms, each over blocks,
 columns ascending: ``is_type`` walks it for one matrix, and ``_rule``
 gives what one block asks of a later column, the constraint that the
-cell search ``_search`` reads for each block inside its chosen columns.
+cell search ``_search`` reads for every block and later column into its
+tables before it walks.
 Both read tight rows through ``permanent._argmax``, never an argmax set,
 and never consult the geometry; the geometric decision procedure in
 ``tropical`` is an independent implementation of the same set and is
@@ -246,17 +247,22 @@ def _search(arr: Arrangement, cap: int) -> list:
     no free row, and no kept entry names one, as the sub-blocks an entry
     names are the size of an unfull block.
 
-    The search reads what each block asks of column j, ``_rule(arr, key,
-    j)``, once per call, the first time it meets the block at column j,
-    and folds it into bit sets of blocks: one per row, of the blocks
-    whose rule forbids that row, and one of the blocks with kept entries,
-    each entry holding the bit set of the sub-blocks it names.  So a node's
-    forbidden rows take one AND per row, and it visits only the kept
-    entries of its own blocks.  A kept attaining growth forbids its row
-    r unless every sub-block it names is among the prefix's blocks, and
-    otherwise makes r require its tight rows in column j.  Column j then
-    takes every non-empty subset of the allowed rows that is closed
-    under those implications.
+    Before the walk, the search reads what each block asks of each
+    column j right of its columns, ``_rule(arr, key, j)``, once per
+    (block, column), the largest blocks first, and folds it into bit sets
+    of blocks per column: one per row, of the blocks whose rule forbids
+    that row, and one of the blocks with kept entries, each entry holding
+    the bit set of the sub-blocks it names.  It reads the whole table, as
+    a walk that read only the blocks it meets would: each block's optimal
+    bijections lie inside some cell, so every block lies inside a prefix
+    the walk reaches at each later column.  Taking the largest blocks
+    first refuses a block past the scan cap before any block is solved.
+    The walk then only reads the tables: a node's forbidden rows take one
+    AND per row, and it visits only the kept entries of its own blocks.
+    A kept attaining growth forbids its row r unless every sub-block it
+    names is among the prefix's blocks, and otherwise makes r require its
+    tight rows in column j.  Column j then takes every non-empty subset
+    of the allowed rows that is closed under those implications.
 
     The constraint is a function of the block because every bijection
     inside a prefix the search reaches attains: its last entry was not
@@ -297,14 +303,29 @@ def _search(arr: Arrangement, cap: int) -> list:
         sets = [s | 1 << c for c in range(k - 1, d - 1)
                 for s in sets[:comb(c, k - 1)]]
         slot_cols += sets
-    # per column, bit sets of blocks: those whose rule is folded in, those
-    # whose rule forbids row i (forbids[j][i]) and those with kept
-    # entries, which kept[j] maps to (row bit, rows required, bit set of
-    # the named sub-blocks)
-    folded = [0] * d
+    # per column j, bit sets of blocks: those whose rule forbids row i
+    # (forbids[j][i]) and those with kept entries, which kept[j] maps to
+    # (row bit, rows required, bit set of the named sub-blocks).  The
+    # largest blocks are read first, so a block past the scan cap is
+    # refused before any block is solved
     forbids = [[0] * n for _ in range(d)]
     kept_keys = [0] * d
     kept = [{} for _ in range(d)]
+    for b in reversed(range(len(slot_cols) << n)):
+        cols, rows = slot_cols[b >> n], b & full
+        if rows.bit_count() != cols.bit_count():
+            continue
+        low = 1 << b
+        for j in range(cols.bit_length(), d):
+            no, entries = _rule(arr, cols << n | rows, j)
+            for i in _mask_elems(no):
+                forbids[j][i] |= low
+            if entries:
+                kept_keys[j] |= low
+                # a named sub-block has the block's columns
+                kept[j][b] = [(r, need, sum(1 << (b ^ rows | k & full)
+                                            for k in keys))
+                              for r, need, keys in entries]
     # grow[j][i]: (the bit of the 1 x 1 block (i, j), none if n = 1 makes
     # it full; per k, the bit set of the k-column blocks whose rows miss
     # row i and, with it, leave a row free, and the shift that grows them
@@ -339,35 +360,9 @@ def _search(arr: Arrangement, cap: int) -> list:
         # cols: the row sets taken in columns 0..j-1; comps: their tie
         # components; covered: the rows they cover; inside: the bit set
         # of every unfull non-empty block inside them, numbered as above
-        pats = forbids[j]
-        seen = inside & folded[j]
-        if seen != inside:
-            # a walk over a bit set of blocks, from its top bit, which
-            # shrinks the int at each step; _mask_elems's cache must not
-            # keep such a bit set
-            fresh = inside ^ seen
-            folded[j] |= fresh
-            while fresh:
-                b = fresh.bit_length() - 1
-                low = 1 << b
-                fresh ^= low
-                top = b & ~full  # the block's slot, as bits
-                no, entries = _rule(arr, slot_cols[b >> n] << n | b & full, j)
-                for i in _mask_elems(no):
-                    pats[i] |= low
-                if entries:
-                    kept_keys[j] |= low
-                    grouped = []
-                    for r, need, keys in entries:
-                        # a named sub-block has the block's columns
-                        named = 0
-                        for k in keys:
-                            named |= 1 << (top | k & full)
-                        grouped.append((r, need, named))
-                    kept[j][b] = grouped
         forbid = 0
         bit = 1
-        for pat in pats:
+        for pat in forbids[j]:
             if inside & pat:
                 forbid |= bit
             bit <<= 1
@@ -375,6 +370,8 @@ def _search(arr: Arrangement, cap: int) -> list:
         with_kept = inside & kept_keys[j]
         if with_kept:
             at = kept[j]
+            # from the top bit: _mask_elems's cache must not keep a bit
+            # set of blocks
             while with_kept:
                 b = with_kept.bit_length() - 1
                 with_kept ^= 1 << b

@@ -1,11 +1,12 @@
 """The lowest-set-bit walk has one owner: every ``X & -X`` in the library
 sits in ``boolmat._mask_elems``, which splits a bit set into its
 elements, and ``OWNERS`` names it alone.  The one bit walk the cell
-search ``complex._search`` keeps inline, in its fold step, which reads
-the rules of the blocks it meets first at a column, and over a node's
-blocks with kept entries, goes from the top bit with ``bit_length`` and
-has no ``X & -X``: ``_mask_elems``'s cache must not keep the search's
-bit sets of blocks.  Everything else calls ``_mask_elems``."""
+search ``complex._search`` keeps inline, over a node's blocks with kept
+entries, goes from the top bit with ``bit_length`` and has no
+``X & -X``: ``_mask_elems``'s cache must not keep the search's bit sets
+of blocks.  The search fills its rule tables before it walks, by block
+number, so that step walks no bit set.  Everything else calls
+``_mask_elems``."""
 
 import ast
 from pathlib import Path

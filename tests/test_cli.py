@@ -262,6 +262,18 @@ def test_cmd_act_past_the_scan_cap_exits_3(tmp_path, capsys):
     assert "size cap exceeded" in err and "Traceback" not in err
 
 
+def test_cmd_enumerate_past_the_scan_cap_exits_3(tmp_path, capsys):
+    # a generic 9x12 with the enumeration cap raised to n * d: its 9-row
+    # blocks are past the permanent scan cap
+    rng = random.Random(9)
+    path = write_matrix(tmp_path, [[F(rng.randint(-10**6, 10**6),
+                                      rng.choice((1, 7, 11)))
+                                    for _ in range(12)] for _ in range(9)])
+    assert main(["enumerate", path, "--cap", "108"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "size cap exceeded" in err and "Traceback" not in err
+
+
 def test_check_geometric_disagreement_exits_1(demo_file, monkeypatch,
                                               capsys):
     # the geometric route refuses one cell, which the message names

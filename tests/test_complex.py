@@ -764,6 +764,49 @@ def test_search_matches_the_set_based_search(n, d, count):
             assert _search(arr, n * d) == set_search(arr), (make, arr.entries)
 
 
+def test_the_search_reads_every_rule_once(monkeypatch):
+    # every unfull block on the first d - 1 columns lies inside some
+    # prefix the search reaches, so the table of rules it reads is the
+    # whole table: one read per (block, column right of its columns),
+    # which is a closed form in n and d
+    reads = Counter()
+
+    def recorded(arr, key, j):
+        reads[key, j] += 1
+        return _rule(arr, key, j)
+
+    monkeypatch.setattr(complex_module, "_rule", recorded)
+    rng = random.Random(34)
+    for n, d in [(1, 5), (5, 1), (3, 3), (8, 3), (6, 4), (3, 8), (5, 5),
+                 (12, 2), (2, 40)]:
+        want = sum(comb(n, k) * sum(comb(c, k - 1) * (d - 1 - c)
+                                    for c in range(k - 1, d - 1))
+                   for k in range(1, min(n, d)))
+        for make in (_generic_arrangement, _tie_heavy_arrangement,
+                     _quarter_tie_arrangement):
+            reads.clear()
+            _search(make(rng, n, d), n * d)
+            assert set(reads.values()) <= {1}, (n, d, make)
+            assert len(reads) == want, (n, d, make)
+            for key, j in reads:
+                rows, cols = key & (1 << n) - 1, key >> n
+                assert rows.bit_count() == cols.bit_count() < n
+                assert cols.bit_length() <= j < d
+
+
+@pytest.mark.parametrize("make, n, d", [(_generic_arrangement, 9, 9),
+                                        (_tie_heavy_arrangement, 9, 9),
+                                        (_generic_arrangement, 9, 12)])
+def test_enumeration_past_the_scan_cap_solves_no_block(make, n, d):
+    # with the enumeration cap raised, a 9-row block is past the scan cap;
+    # the search reads the largest blocks' rules first, so it is refused
+    # before any block is solved
+    arr = make(random.Random(9), n, d)
+    with pytest.raises(CapExceeded, match="scan cap 8"):
+        enumerate_types(arr, cap=n * d)
+    assert arr._memo == {}
+
+
 @pytest.mark.parametrize("n, d, kb", [(1, 24, 256), (2, 12, 256),
                                       (2, 40, 1024)])
 def test_wide_searches_hold_small_bit_sets(n, d, kb):
