@@ -9,8 +9,9 @@ each column ties are contracted to one node, and the difference
 constraints left between the nodes, strict for an exact type, are solved
 by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
 enumerate report's cross-check decides them, goes to a decider that poses
-each strict system on the smaller side of the matrix and reads its bounds
-from tables it keeps.  Both relax through one loop, ``_bellman``.
+each strict system on the smaller side of the matrix and joins its edges
+from tables it keeps, one per chunk of lines.  Both relax through one
+loop, ``_bellman``.
 Internally the matrix is rescaled to integers (all predicates here are
 invariant under a common positive rescaling of the matrix), which keeps
 the graph algorithms in plain `int` arithmetic; witnesses are scaled back
@@ -335,24 +336,23 @@ def _decider(arr: Arrangement):
     was of weight <= 0 with a strict edge.
 
     The lines are cut into chunks of c = max(1, 12 // m) consecutive
-    ones.  The tightest bound on each ordered pair of potentials that a
-    chunk's tie sets give is folded once, on first use, into one tuple of
-    m(m - 1) entries, kept per (chunk, bits of the chunk's tie sets).  So
-    a type costs one lookup and one ``map(min, ...)`` per chunk, and
-    ``_bellman`` over the m(m - 1) entries as edges.  A pair no line
-    bounds holds ``inf``, more than minus the weight of any walk that
-    ``_bellman``'s m passes over the m(m - 1) entries, fewer than m^3
-    relaxations, can build, so it never relaxes."""
+    ones.  A table per chunk maps the bits of the chunk's tie sets to a
+    tuple of ready edges (a, b, x), built on first use: one per ordered
+    pair of potentials that the chunk's lines bound, x the tightest of
+    their bounds on p_b - p_a, and none for a pair they leave free, so a
+    chunk whose lines all have empty tie sets has no edges.  A type costs
+    one lookup per chunk, the concatenation of the chunks' edges and
+    ``_bellman`` over them.  A pair bounded in several chunks keeps one
+    parallel edge from each, which changes no decision: a cycle through a
+    heavier copy is no lighter than the same cycle through the lightest,
+    so the negative cycles are those of the tightest bounds, and a simple
+    cycle still has at most m edges and a shortest path at most m - 1, as
+    the scaling and ``_bellman``'s m passes need."""
     n, d = arr.n, arr.d
     by_rows = d <= n
     m = d if by_rows else n
     lines = tuple(zip(*arr._icols)) if by_rows else arr._icols
     big = m + 1
-    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    heads = [a for a, _ in pairs]
-    tails = [b for _, b in pairs]
-    spread = max(map(max, lines)) - min(map(min, lines))
-    inf = m ** 3 * (big * spread + 1) + 1
     c = max(1, 12 // m)
     chunks = []  # (lines, first line, end, shift, mask, table) per chunk
     for lo in range(0, len(lines), c):
@@ -361,7 +361,7 @@ def _decider(arr: Arrangement):
                        (1 << len(chunk) * m) - 1, {}))
 
     def fold(chunk, ties) -> tuple:
-        w = [[inf] * m for _ in range(m)]  # w[a][b] bounds p_b - p_a
+        w = {}  # (a, b) -> the tightest bound on p_b - p_a
         for e, s in zip(chunk, ties):
             if not s:
                 continue  # a row in no column
@@ -370,16 +370,16 @@ def _decider(arr: Arrangement):
                 if b != a:
                     x = (e[a] - e[b]) * big
                     if s >> b & 1:  # tied: also p_a - p_b <= e_b - e_a
-                        w[b][a] = min(w[b][a], -x)
+                        w[b, a] = min(w.get((b, a), -x), -x)
                     else:
                         x -= 1
-                    w[a][b] = min(w[a][b], x)
-        return tuple(w[a][b] for a, b in pairs)
+                    w[a, b] = min(w.get((a, b), x), x)
+        return tuple((a, b, x) for (a, b), x in w.items())
 
     def decide(bits, cols) -> bool:
         if not all(cols):
             return False  # every column of a type is non-empty
-        w = None
+        edges = ()
         for chunk, lo, hi, shift, mask, table in chunks:
             key = bits >> shift & mask if by_rows else cols[lo:hi]
             t = table.get(key)
@@ -388,8 +388,8 @@ def _decider(arr: Arrangement):
                     key >> i & (1 << m) - 1
                     for i in range(0, len(chunk) * m, m)]
                 t = table[key] = fold(chunk, ties)
-            w = t if w is None else tuple(map(min, w, t))
-        return _bellman(m, tuple(zip(heads, tails, w))) is not None
+            edges += t
+        return _bellman(m, edges) is not None
 
     return decide
 

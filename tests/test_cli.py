@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -623,7 +624,10 @@ def _cli_cases(draw):
 
 
 def test_cli_fuzz_exit_codes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    # each example gets a fresh file, removed after the run: overwriting
+    # a non-empty file can cost tens of milliseconds on some filesystems
+    folder = tmp_path_factory.mktemp("fuzz")
+    names = itertools.count()
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               database=None)
@@ -637,11 +641,15 @@ def test_cli_fuzz_exit_codes(tmp_path_factory):
     @example((b"\xff\xfe{", ("enumerate",)))
     def run(case):
         data, (command, *args) = case
+        path = folder / f"m{next(names)}.json"
         path.write_bytes(data)
         argv = [command, str(path), *args]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            path.unlink()
         assert code in {0, 1, 2, 3, 4, 5}, (argv, code)
 
     run()

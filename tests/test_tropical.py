@@ -15,6 +15,7 @@ from tropface import (Arrangement, BoolMatrix, OrderedSetPartition,
                       realize_type, residuation, tropical_permanent,
                       type_of_point, witness)
 from tropface.boolmat import _col_masks
+from tropface.complex import DEFAULT_ENUM_CAP, _search
 from tropface.tropical import _bellman, _decider, _solve
 
 from demo_data import (S_SAT_NOT_TYPE, S_UNSAT, T_VERT, rand_arrangement,
@@ -380,6 +381,20 @@ def test_bellman_needs_num_nodes_passes():
         assert all(dist[v] <= dist[u] + w for u, v, w in cycle)
 
 
+def test_bellman_takes_parallel_edges():
+    # the decider hands _bellman every chunk's edges, so a pair of nodes
+    # may carry several; only the lightest of them can bind
+    for n in range(2, 8):
+        # the -1 chain of the test above, each edge listed after a heavier
+        # copy of itself
+        chain = []
+        for v in range(n - 1, 0, -1):
+            chain += [(v - 1, v, 1), (v - 1, v, -1)]
+        assert _bellman(n, chain) == [-v for v in range(n)]
+        # a negative cycle through the lightest copies
+        assert _bellman(n, chain + [(n - 1, 0, n), (n - 1, 0, -1)]) is None
+
+
 def _decider_agrees(arr, matrices) -> int:
     """Decide every packed matrix of ``matrices`` with one decider and with
     ``_solve``'s strict system, assert they agree, and count the types."""
@@ -419,6 +434,50 @@ def test_decider_matches_the_strict_solve():
                 matrices += [bits, bits ^ 1 << rng.randrange(n * d),
                              rng.getrandbits(n * d)]
             assert _decider_agrees(arr, matrices) >= 40
+
+
+def _point_types(rng, arr, count, span) -> list:
+    """The types of ``count`` seeded points with coordinates in
+    [-span, span], each followed by a copy with one entry flipped and by
+    a random matrix."""
+    n, d = arr.n, arr.d
+    matrices = []
+    for _ in range(count):
+        bits = type_of_point(
+            arr, [rng.randint(-span, span) for _ in range(n)]).bits
+        matrices += [bits, bits ^ 1 << rng.randrange(n * d),
+                     rng.getrandbits(n * d)]
+    return matrices
+
+
+def test_decider_matches_the_strict_solve_on_the_benchmark_shapes():
+    # the tall shapes of enumerate_tall, whose lines are rows, and two
+    # wide ones, whose lines are columns; generic entries as the benchmark
+    # draws them, and tie-heavy ones in {-1, 0, 1}
+    rng = random.Random(35)
+
+    def generic():
+        return F(rng.randint(-50, 50), rng.choice((1, 2, 3)))
+
+    for n, d in ((6, 4), (7, 3), (8, 3), (3, 8), (2, 12)):
+        for entry in (generic, lambda: rng.randint(-1, 1)):
+            arr = Arrangement([[entry() for _ in range(d)] for _ in range(n)])
+            assert _decider_agrees(arr, _point_types(rng, arr, 30, 60)) >= 30
+    # every cell the search finds on a generic 8x3 is a type
+    arr = Arrangement([[generic() for _ in range(3)] for _ in range(8)])
+    decide = _decider(arr)
+    leaves = _search(arr, DEFAULT_ENUM_CAP)
+    assert len(leaves) > 1000
+    assert all(decide(bits, cols) for bits, cols, _, _ in leaves)
+    # 8x3 is cut into two chunks of four rows; rows far below the others
+    # lie in no column at the points drawn, so their chunk has no edges
+    for low in (range(4), range(4, 8)):
+        arr = Arrangement([[rng.randint(-1, 1) - 100 * (i in low)
+                            for _ in range(3)] for i in range(8)])
+        matrices = _point_types(rng, arr, 30, 2)
+        assert all(BoolMatrix(8, 3, bits).row_mask(i) == 0
+                   for bits in matrices[::3] for i in low)
+        assert _decider_agrees(arr, matrices) >= 30
 
 
 def test_combine_satisfiers_collapses_on_equal_points(demo):
