@@ -21,7 +21,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .boolmat import BoolMatrix, _mask_elems
 from .complex import (DEFAULT_ENUM_CAP, CapExceeded, _cell, _search,
@@ -144,22 +143,10 @@ def parse_partition(text: str, n: int) -> OrderedSetPartition:
 
 
 # one entry of the report's cell list, indented as json.dumps(indent=2)
-# indents it: bounded, dimension, then the column texts
+# indents it: bounded, dimension, then the column texts, and the comma
+# and line break that follow every entry but the last
 _CELL_TEXT = ('    {\n      "bounded": %s,\n      "dimension": %d,\n'
-              '      "type": [\n%s\n      ]\n    }')
-
-
-def _rank(c: int, n: int) -> int:
-    """The place of row set c among all 2^n row sets ordered by their
-    1-based row tuples, a proper prefix first.  Before c come its proper
-    prefixes, one per row of c, and, for each row i of c with p the row
-    before it (or -1), the 2^(n-1-p) - 2^(n-i) sets that agree with c
-    before i and take a row strictly between p and i next."""
-    rank, prev = 0, -1
-    for i in _mask_elems(c):
-        rank += (1 << (n - prev - 1)) - (1 << (n - i)) + 1
-        prev = i
-    return rank
+              '      "type": [\n%s\n      ]\n    },\n')
 
 
 def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
@@ -167,12 +154,14 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` makes of
     ``{"cells": [{"bounded", "dimension", "type"}, ...], "summary":
     {dimension: count}}``.  It reads the leaves of the cell search,
-    ``complex._search``, with no cell or matrix made for them, and sorts
-    them once.  Cells come by falling dimension, then by their columns as
-    1-based row tuples, so each cell sorts on one int: n minus its
-    dimension, then each column's ``_rank`` in n bits.  A column's rank
-    and indented text depend only on its row set, so they are built once
-    per row set that occurs, at most 2^n times.
+    ``complex._search``, with no cell or matrix made for them, and
+    neither keys nor sorts them.  Cells come by falling dimension, then
+    by their columns as 1-based row tuples, and the search emits its
+    leaves in that second order, so each cell's text goes on the list of
+    its dimension, and the lists are joined from the highest dimension
+    down, in one join with the report's head and tail.  A column's
+    indented text depends only on its row set, so it is built once per
+    row set that occurs, at most 2^n times.
 
     ``check_geometric`` re-decides every leaf, in the same pass, with the
     geometric route, one ``tropical._decider`` per run, which reads only
@@ -180,34 +169,34 @@ def _report(arr: Arrangement, cap: int, check_geometric: bool) -> str:
     the search; only a leaf it refuses is made into a matrix, for the
     message."""
     n = arr.n
-    seen = {}  # row set -> (its _rank, its indented JSON text)
-    listed = []
-    counts = {}  # dimension -> number of cells
+    seen = {}  # row set -> its indented JSON text
+    by_dim = [[] for _ in range(n)]  # dimension -> its cells' texts
     decide = _decider(arr) if check_geometric else None
     for bits, cols, dim, bounded in _search(arr, cap):
         if check_geometric and not decide(bits, cols):
             raise RuntimeError(
                 "combinatorial and geometric type tests disagree on "
                 + format_type(BoolMatrix._from_cols(n, arr.d, bits, cols)))
-        key = n - dim
         texts = []
         for c in cols:
-            got = seen.get(c)
-            if got is None:
-                got = seen[c] = (_rank(c, n), "        [\n" + ",\n".join(
+            text = seen.get(c)
+            if text is None:
+                text = seen[c] = ("        [\n" + ",\n".join(
                     f"          {i + 1}" for i in _mask_elems(c))
                     + "\n        ]")
-            key = key << n | got[0]
-            texts.append(got[1])
-        listed.append((key, _CELL_TEXT % (
-            "true" if bounded else "false", dim, ",\n".join(texts))))
-        counts[dim] = counts.get(dim, 0) + 1
-    listed.sort(key=itemgetter(0))
-    summary = {str(dim): count for dim, count in counts.items()}
+            texts.append(text)
+        by_dim[dim].append(_CELL_TEXT % (
+            "true" if bounded else "false", dim, ",\n".join(texts)))
+    summary = {str(dim): len(texts) for dim, texts in enumerate(by_dim)
+               if texts}
     summary_text = json.dumps(summary, indent=2, sort_keys=True)
-    return ('{\n  "cells": [\n' + ",\n".join(text for _, text in listed)
-            + '\n  ],\n  "summary": ' + summary_text.replace("\n", "\n  ")
-            + "\n}\n")
+    parts = ['{\n  "cells": [\n']
+    for texts in reversed(by_dim):
+        parts += texts
+    # the last entry drops its comma and line break for the tail
+    parts[-1] = (parts[-1][:-2] + '\n  ],\n  "summary": '
+                 + summary_text.replace("\n", "\n  ") + "\n}\n")
+    return "".join(parts)
 
 
 def _write_output(text: str, out_path):

@@ -226,11 +226,26 @@ def _rule(arr: Arrangement, key: int, j: int) -> tuple:
     return forbid, kept
 
 
+def _walk(rows: int) -> tuple:
+    """The non-empty subsets of the bit set ``rows``, ordered by their
+    1-based row tuples, a proper prefix first: for rows 1, 2, 3 that is
+    (1), (1, 2), (1, 2, 3), (1, 3), (2), (2, 3), (3).  Built from the last
+    row down: row e goes before the walk of the rows after it, first
+    alone and then joined to each set of that walk."""
+    walk = ()
+    for e in reversed(_mask_elems(rows)):
+        walk = (1 << e,) + tuple([1 << e | c for c in walk]) + walk
+    return walk
+
+
 def _search(arr: Arrangement, cap: int) -> list:
-    """The leaves of the cell search, one per cell, in search order: the
-    tuples (bits, column row sets, dimension, bounded), bits being the
-    cell's matrix packed as ``BoolMatrix`` packs it.  Raises CapExceeded
-    if n*d is past ``cap``.
+    """The leaves of the cell search, one per cell: the tuples (bits,
+    column row sets, dimension, bounded), bits being the cell's matrix
+    packed as ``BoolMatrix`` packs it.  Raises CapExceeded if n*d is past
+    ``cap``.  The leaves come in lexicographic order of their columns'
+    1-based row tuples, as each column takes its row sets in ``_walk``
+    order.  That is the enumerate report's order within one dimension,
+    so the CLI report neither keys nor sorts its cells.
 
     Columns are chosen left to right.  The search carries the blocks of
     the partial bijections inside the columns chosen before j (the
@@ -262,7 +277,8 @@ def _search(arr: Arrangement, cap: int) -> list:
     A kept attaining growth forbids its row r unless every sub-block it
     names is among the prefix's blocks, and otherwise makes r require its
     tight rows in column j.  Column j then takes every non-empty subset
-    of the allowed rows that is closed under those implications.
+    of the allowed rows that is closed under those implications, in the
+    order of ``_walk``, built once per set of allowed rows per search.
 
     The constraint is a function of the block because every bijection
     inside a prefix the search reaches attains: its last entry was not
@@ -355,6 +371,9 @@ def _search(arr: Arrangement, cap: int) -> list:
               [(pat, by + (comb(j, k + 1) << n)) for pat, k, by in moves[i]])
              for i in range(n)] for j in range(d - 1)]
     found = []  # (bits, column row sets, dimension, bounded) of each cell
+    # allowed rows -> their _walk, kept only for this search: the walk of
+    # n rows holds 2^n - 1 row sets
+    walks = {}
 
     def rec(j, acc, cols, comps, covered, inside):
         # cols: the row sets taken in columns 0..j-1; comps: their tie
@@ -385,8 +404,10 @@ def _search(arr: Arrangement, cap: int) -> list:
         last = j == d - 1
         if not last:
             grow_j = grow[j]
-        c = allowed  # walk the non-empty subsets of the allowed rows
-        while c:
+        walk = walks.get(allowed)
+        if walk is None:
+            walk = walks[allowed] = _walk(allowed)
+        for c in walk:
             if not implies or all(not c & r or rows & c == rows
                                   for r, rows in implies):
                 bits = acc | lift[c] << j
@@ -406,7 +427,6 @@ def _search(arr: Arrangement, cap: int) -> list:
                             ext |= (inside & pat) << by
                     rec(j + 1, bits, cols + (c,), _merge(comps, c),
                         covered | c, ext)
-            c = (c - 1) & allowed
 
     rec(0, 0, (), [], 0, 0)
     return found

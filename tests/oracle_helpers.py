@@ -234,7 +234,10 @@ def set_search(arr) -> list:
     """The leaves of the cell search in search order, as
     ``complex._search`` returns them, with the blocks inside the prefix
     carried as a Python set of keys cols << n | rows and each block's
-    rule read from a dict, the full-row blocks included; no cap."""
+    rule read from a dict, the full-row blocks included; no cap.  Each
+    column takes its row sets sorted by their row tuples, a proper
+    prefix first, so the leaves come in lexicographic order of their
+    columns' row tuples."""
     n, d = arr.n, arr.d
     full = (1 << n) - 1
     lift = [sum(1 << (i * d) for i in _mask_elems(c)) for c in range(1 << n)]
@@ -257,8 +260,13 @@ def set_search(arr) -> list:
                     forbid |= r
         allowed = full & ~forbid
         here = 1 << (n + j)
-        c = allowed  # the non-empty subsets of the allowed rows, descending
+        # the non-empty subsets of the allowed rows, by their row tuples
+        subsets, c = [], allowed
         while c:
+            subsets.append(c)
+            c = (c - 1) & allowed
+        subsets.sort(key=lambda c: [i for i in range(n) if c >> i & 1])
+        for c in subsets:
             if all(not c & r or rows & c == rows for r, rows in implies):
                 bits = acc | lift[c] << j
                 if j == d - 1:
@@ -273,7 +281,6 @@ def set_search(arr) -> list:
                             ext.add(key | here | 1 << i)
                     rec(j + 1, bits, cols + (c,), _merge(comps, c),
                         covered | c, ext)
-            c = (c - 1) & allowed
 
     rec(0, 0, (), [], 0, {0})
     return found

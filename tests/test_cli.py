@@ -19,7 +19,7 @@ import tropface.cli as cli
 import tropface.complex as complex_module
 from tropface import BoolMatrix, is_type
 from tropface.cli import (EXIT_CAP, EXIT_NOT_TYPE, EXIT_OK, EXIT_PARSE,
-                          EXIT_RENDER_DIM, ParseFailure, _build_parser, _rank,
+                          EXIT_RENDER_DIM, ParseFailure, _build_parser,
                           format_type, main, parse_partition, parse_scalar,
                           parse_type_matrix)
 
@@ -538,14 +538,6 @@ def test_report_layout_is_pinned(demo_file, tmp_path):
                 for cell in doc["cells"]]
         assert keys == sorted(set(keys))
     assert len(doc["cells"]) == 1 and doc["summary"] == {"0": 1}
-
-
-def test_rank_orders_row_sets_by_their_row_tuples():
-    # the report's packed sort key relies on this rank, in n bits
-    for n in range(1, 9):
-        ordered = sorted(range(1 << n), key=lambda c: tuple(
-            i + 1 for i in range(n) if c >> i & 1))
-        assert [_rank(c, n) for c in ordered] == list(range(1 << n))
 
 
 # Fuzzed command lines.

@@ -25,7 +25,7 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
 import tropface.complex as complex_module
 from tropface.boolmat import _col_masks
 from tropface.cli import _report
-from tropface.complex import TypeCell, _rule, _search, _ties
+from tropface.complex import TypeCell, _rule, _search, _ties, _walk
 from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
 
@@ -762,6 +762,32 @@ def test_search_matches_the_set_based_search(n, d, count):
         for _ in range(count):
             arr = make(rng, n, d)
             assert _search(arr, n * d) == set_search(arr), (make, arr.entries)
+
+
+def _row_tuple(c):
+    return tuple(i + 1 for i in range(c.bit_length()) if c >> i & 1)
+
+
+def test_walk_orders_row_sets_by_their_row_tuples():
+    # the order the enumerate report lists each column in, a proper
+    # prefix first, for every set of rows
+    for n in range(9):
+        for rows in range(1 << n):
+            subsets = [c for c in range(1, 1 << n) if not c & ~rows]
+            assert list(_walk(rows)) == sorted(subsets, key=_row_tuple)
+
+
+def test_search_emits_leaves_by_their_row_tuples():
+    # the report joins each dimension's cells in search order, so the
+    # leaves must come by their columns' 1-based row tuples
+    rng = random.Random(36)
+    for n, d in [(1, 5), (5, 1), (3, 3), (8, 3), (6, 4), (3, 8), (12, 2),
+                 (2, 12)]:
+        for make in (_generic_arrangement, _tie_heavy_arrangement,
+                     _quarter_tie_arrangement):
+            keys = [tuple(map(_row_tuple, cols))
+                    for _, cols, _, _ in _search(make(rng, n, d), n * d)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (n, d, make)
 
 
 def test_the_search_reads_every_rule_once(monkeypatch):
