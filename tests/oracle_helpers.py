@@ -230,6 +230,31 @@ def comparability_defects(n: int, d: int, pairs) -> list:
             if not _comparable(n, a, b)]
 
 
+def elimination_defects(n: int, d: int, cells, pairs) -> list:
+    """Why the types ``cells`` (n x d zero-one matrices) break the
+    elimination axiom of Ardila and Develin (as above) on the pairs of
+    them ``pairs``; empty when it holds.  For types A and B and each
+    column j, some cell C must have C_j = A_j | B_j and each other column
+    C_k one of A_k, B_k and A_k | B_k.  The cells are indexed by (j, C_j),
+    so only those with the right column j are tried."""
+    def columns(t):
+        return tuple(frozenset(i for i in range(n) if t.entry(i, j))
+                     for j in range(d))
+
+    by_column = {}
+    for c in map(columns, cells):
+        for j in range(d):
+            by_column.setdefault((j, c[j]), []).append(c)
+    defects = []
+    for a, b in (map(columns, p) for p in pairs):
+        either = [(x, y, x | y) for x, y in zip(a, b)]
+        defects += [f"{[sorted(x) for x in a]} and {[sorted(y) for y in b]}"
+                    f" eliminate at column {j} to no cell" for j in range(d)
+                    if not any(all(z in e for z, e in zip(c, either))
+                               for c in by_column.get((j, either[j][2]), ()))]
+    return defects
+
+
 def set_search(arr) -> list:
     """The leaves of the cell search in search order, as
     ``complex._search`` returns them, with the blocks inside the prefix

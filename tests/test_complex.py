@@ -31,8 +31,8 @@ from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
-from oracle_helpers import (comparability_defects, set_search,
-                            tie_system_dimension, tom_defects,
+from oracle_helpers import (comparability_defects, elimination_defects,
+                            set_search, tie_system_dimension, tom_defects,
                             triangulation_defects)
 from test_tropical import point_query_cases
 
@@ -189,6 +189,26 @@ def test_cells_satisfy_comparability(make, n, d):
         rng = random.Random(n * 10 + d)
         pairs = [rng.sample(cells, 2) for _ in range(5000)]
     assert comparability_defects(n, d, pairs) == []
+
+
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 4), (5, 4), (6, 3), (6, 4),
+                                  (4, 6), (3, 8)])
+@pytest.mark.parametrize("make", [_generic_arrangement,
+                                  _tie_heavy_arrangement],
+                         ids=["generic", "ties"])
+def test_cells_satisfy_elimination(make, n, d):
+    # Ardila and Develin's elimination axiom, the last of the tropical
+    # oriented matroid axioms, on the arrangements of the tests above:
+    # every pair of cells up to 100 cells, and 3,000 seeded pairs past
+    # that
+    arr = make(random.Random(n * 100 + d), n, d)
+    cells = [c.type for c in enumerate_types(arr)]
+    if len(cells) <= 100:
+        pairs = combinations(cells, 2)
+    else:
+        rng = random.Random(n * 10 + d)
+        pairs = [rng.sample(cells, 2) for _ in range(3000)]
+    assert elimination_defects(n, d, cells, pairs) == []
 
 
 def test_cell_queries_take_no_structure():

@@ -35,7 +35,10 @@ report ``cli._report`` and the renderer ``render.render_svg``.  The last
 two read its leaves directly: neither names ``enumerate_types`` or
 ``TypeCell``, and the renderer, which draws on an integer grid, names no
 ``BoolMatrix``, ``realize_type``, ``project_to_plane`` or ``Fraction``
-either.  The value types have one base: only ``boolmat._Value`` defines
+either.  The report's order has one owner: the search takes each
+column's row sets in it (``complex._walk``), so ``cli._report`` calls no
+``sort`` or ``sorted``, and no ``_rank`` keys row sets a second way.
+The value types have one base: only ``boolmat._Value`` defines
 equality, hashing and pickling, and no module imports ``dataclasses``.
 The checks at the library's edges have one owner each: only
 ``boolmat._position`` raises IndexError for an index out of range, and
@@ -308,6 +311,12 @@ def test_the_search_has_three_callers():
     assert not {"enumerate_types", "TypeCell"} & _module_names("cli")
     assert not {"enumerate_types", "TypeCell", "BoolMatrix", "realize_type",
                 "project_to_plane", "Fraction"} & _module_names("render")
+
+
+def test_the_report_keeps_the_search_order():
+    for callee in ("sort", "sorted"):
+        assert ("cli", "_report") not in _package_sites(callee)[0], callee
+    assert _package_sites("_rank")[1] == []
 
 
 def test_calls_in_nested_functions_belong_to_the_top_level():
