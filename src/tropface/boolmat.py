@@ -218,6 +218,20 @@ def _mask_elems(mask: int) -> tuple:
     return tuple(out)
 
 
+def _walk(rows: int) -> tuple:
+    """The non-empty subsets of the bit set ``rows``, ordered by their
+    tuples of sorted elements, a proper prefix first: for rows 1, 2, 3
+    that is (1), (1, 2), (1, 2, 3), (1, 3), (2), (2, 3), (3).  The one
+    owner of that order: the cell search takes each column's row sets in
+    it, and ``facemonoid.partitions`` each next block.  Built from the
+    last row down: row e goes before the walk of the rows after it, first
+    alone and then joined to each set of that walk."""
+    walk = ()
+    for e in reversed(_mask_elems(rows)):
+        walk = (1 << e,) + tuple([1 << e | c for c in walk]) + walk
+    return walk
+
+
 def _mask(indices) -> int:
     """The bit set of an iterable of indices; the inverse of
     ``_mask_elems``."""

@@ -28,7 +28,7 @@ from math import comb
 from operator import itemgetter
 
 from .boolmat import (BoolMatrix, CapExceeded, _Value, _expect, _index,
-                      _mask_elems)
+                      _mask_elems, _walk)
 from .facemonoid import OrderedSetPartition, act_matrix
 from .permanent import _argmax
 from .tropical import Arrangement, _check_shape
@@ -224,18 +224,6 @@ def _rule(arr: Arrangement, key: int, j: int) -> tuple:
             kept.append((low, tight, tuple(
                 key ^ 1 << a | low for a in _mask_elems(tight ^ low))))
     return forbid, kept
-
-
-def _walk(rows: int) -> tuple:
-    """The non-empty subsets of the bit set ``rows``, ordered by their
-    1-based row tuples, a proper prefix first: for rows 1, 2, 3 that is
-    (1), (1, 2), (1, 2, 3), (1, 3), (2), (2, 3), (3).  Built from the last
-    row down: row e goes before the walk of the rows after it, first
-    alone and then joined to each set of that walk."""
-    walk = ()
-    for e in reversed(_mask_elems(rows)):
-        walk = (1 << e,) + tuple([1 << e | c for c in walk]) + walk
-    return walk
 
 
 def _search(arr: Arrangement, cap: int) -> list:

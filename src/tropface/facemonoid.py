@@ -10,7 +10,7 @@ rightmost block the subset meets.  Subsets are bitmask integers.
 from __future__ import annotations
 
 from .boolmat import (BoolMatrix, CapExceeded, _Value, _expect, _grid, _index,
-                      _index_set, _mask_elems)
+                      _index_set, _mask_elems, _walk)
 
 DEFAULT_PARTITION_CAP = 6
 
@@ -135,8 +135,7 @@ def partitions(n: int, cap: int = DEFAULT_PARTITION_CAP):
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
     # subsets[r]: the non-empty subsets of r, in sorted-element-tuple
     # order, which is the order of the first blocks of r's splits
-    order = sorted(range(1, 1 << n), key=_mask_elems)
-    subsets = [[b for b in order if not b & ~r] for r in range(1 << n)]
+    subsets = [_walk(r) for r in range(1 << n)]
 
     def splits(r, k):
         # the splits of r into k blocks, in lexicographic order: each first

@@ -9,9 +9,9 @@ each column ties are contracted to one node, and the difference
 constraints left between the nodes, strict for an exact type, are solved
 by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
 enumerate report's cross-check decides them, goes to a decider that poses
-each strict system on the smaller side of the matrix and joins its edges
-from tables it keeps, one per chunk of lines.  Both relax through one
-loop, ``_bellman``.
+each strict system on the d column potentials, one line per row, and
+joins its edges from tables it keeps, one per chunk of rows.  Both relax
+through one loop, ``_bellman``.
 Internally the matrix is rescaled to integers (all predicates here are
 invariant under a common positive rescaling of the matrix), which keeps
 the graph algorithms in plain `int` arithmetic; witnesses are scaled back
@@ -192,8 +192,8 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # ---------------------------------------------------------------------------
 # feasibility: is s below some point's type (weak), or exactly one (strict)?
 # ``_solve`` answers one matrix on the n row potentials, below; ``_decider``
-# answers a stream of types on min(n, d) potentials, with the same scaling
-# and the same relaxation loop, ``_bellman``.
+# answers a stream of types on the d column potentials, with the same
+# scaling and the same relaxation loop, ``_bellman``.
 #
 # A 1 at (i, j) of s demands x_i - M_ij <= x_k - M_kj for every row k.  Two
 # rows sharing a column of s get both directions, so they are tied, which
@@ -324,49 +324,49 @@ def _decider(arr: Arrangement):
     True iff some point's type is exactly that type: ``_solve``'s strict
     decision, for a stream of types of one arrangement.
 
-    The system is posed on m = min(n, d) potentials, by the symmetry of
-    types under transposing the matrix.  Each line of the longer side,
-    row k when d <= n and column j otherwise, has a tie set s, its row or
-    column of the type, and asks that potential plus entry be largest
-    exactly on s.  That gives, between s's first potential a and each
-    other potential b, the equality or the strict bound p_b - p_a < e_a -
-    e_b.  A row with an empty s asks nothing, and every column must be
-    non-empty.  Bounds are scaled by K = m + 1, less 1 when strict, as in
-    ``_solve``, so a simple cycle, of at most m edges, is negative iff it
-    was of weight <= 0 with a strict edge.
+    The system is posed on the d column potentials, where ``_solve``
+    takes the n row potentials, by the symmetry of types under
+    transposing the matrix, with each row as a line.  Row k
+    has a tie set s, its row of the type, and asks that potential plus
+    entry be largest exactly on s.  That gives, between s's first column
+    a and each other column b, the equality or the strict bound p_b - p_a
+    < M_ka - M_kb.  A row with an empty s asks nothing, and every column
+    must be non-empty.  Bounds are scaled by K = d + 1, less 1 when
+    strict, as in ``_solve``, so a simple cycle, of at most d edges, is
+    negative iff it was of weight <= 0 with a strict edge.
 
-    The lines are cut into chunks of c = max(1, 12 // m) consecutive
-    ones.  A table per chunk maps the bits of the chunk's tie sets to a
-    tuple of ready edges (a, b, x), built on first use: one per ordered
-    pair of potentials that the chunk's lines bound, x the tightest of
-    their bounds on p_b - p_a, and none for a pair they leave free, so a
-    chunk whose lines all have empty tie sets has no edges.  A type costs
-    one lookup per chunk, the concatenation of the chunks' edges and
-    ``_bellman`` over them.  A pair bounded in several chunks keeps one
-    parallel edge from each, which changes no decision: a cycle through a
-    heavier copy is no lighter than the same cycle through the lightest,
-    so the negative cycles are those of the tightest bounds, and a simple
-    cycle still has at most m edges and a shortest path at most m - 1, as
-    the scaling and ``_bellman``'s m passes need."""
-    n, d = arr.n, arr.d
-    by_rows = d <= n
-    m = d if by_rows else n
-    lines = tuple(zip(*arr._icols)) if by_rows else arr._icols
-    big = m + 1
-    c = max(1, 12 // m)
-    chunks = []  # (lines, first line, end, shift, mask, table) per chunk
-    for lo in range(0, len(lines), c):
-        chunk = lines[lo:lo + c]
-        chunks.append((chunk, lo, lo + len(chunk), lo * m,
-                       (1 << len(chunk) * m) - 1, {}))
+    The rows are cut into chunks of c = max(1, 12 // d) consecutive ones,
+    so a chunk's tie sets are c * d consecutive bits of ``bits``.  A table
+    per chunk maps those bits to a tuple of ready edges (a, b, x), built
+    on first use: one per ordered pair of columns that the chunk's rows
+    bound, x the tightest of their bounds on p_b - p_a, and none for a
+    pair they leave free, so a chunk whose rows all have empty tie sets
+    has no edges.  A type costs one lookup per chunk, the concatenation
+    of the chunks' edges and ``_bellman`` over them.  A pair bounded in
+    several chunks keeps one parallel edge from each, which changes no
+    decision: a cycle through a heavier copy is no lighter than the same
+    cycle through the lightest, so the negative cycles are those of the
+    tightest bounds, and a simple cycle still has at most d edges and a
+    shortest path at most d - 1, as the scaling and ``_bellman``'s d
+    passes need."""
+    d = arr.d
+    rows = tuple(zip(*arr._icols))
+    big = d + 1
+    tie = (1 << d) - 1  # one row's bits
+    c = max(1, 12 // d)
+    chunks = []  # (rows, shift, mask, table) per chunk
+    for lo in range(0, arr.n, c):
+        chunk = rows[lo:lo + c]
+        chunks.append((chunk, lo * d, (1 << len(chunk) * d) - 1, {}))
 
-    def fold(chunk, ties) -> tuple:
+    def fold(chunk, key) -> tuple:
         w = {}  # (a, b) -> the tightest bound on p_b - p_a
-        for e, s in zip(chunk, ties):
+        for e in chunk:
+            s, key = key & tie, key >> d  # this row's tie set, the rest
             if not s:
                 continue  # a row in no column
             a = _mask_elems(s)[0]
-            for b in range(m):
+            for b in range(d):
                 if b != a:
                     x = (e[a] - e[b]) * big
                     if s >> b & 1:  # tied: also p_a - p_b <= e_b - e_a
@@ -380,16 +380,13 @@ def _decider(arr: Arrangement):
         if not all(cols):
             return False  # every column of a type is non-empty
         edges = ()
-        for chunk, lo, hi, shift, mask, table in chunks:
-            key = bits >> shift & mask if by_rows else cols[lo:hi]
+        for chunk, shift, mask, table in chunks:
+            key = bits >> shift & mask
             t = table.get(key)
             if t is None:
-                ties = key if not by_rows else [
-                    key >> i & (1 << m) - 1
-                    for i in range(0, len(chunk) * m, m)]
-                t = table[key] = fold(chunk, ties)
+                t = table[key] = fold(chunk, key)
             edges += t
-        return _bellman(m, edges) is not None
+        return _bellman(d, edges) is not None
 
     return decide
 

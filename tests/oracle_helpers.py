@@ -255,6 +255,34 @@ def elimination_defects(n: int, d: int, cells, pairs) -> list:
     return defects
 
 
+def edge_pairs(cells) -> set:
+    """The pairs of 1-cells of ``cells`` (``TypeCell``s) that are faces of
+    one 2-cell of them, or that each lie one entry below one matrix, as
+    two edges through a vertex in opposite directions do; found from the
+    1-cells and 2-cells alone.  A face's type holds its coface's, so a
+    2-cell's first column is a subset of its face's: the 2-cells are
+    indexed by their first column, and each 1-cell looks up the subsets
+    of its own."""
+    above = {}  # first column of a 2-cell -> those 2-cells
+    for c in cells:
+        if c.dimension == 2:
+            above.setdefault(c.type.col_masks()[0], []).append(c.type)
+    groups = {}  # a 2-cell, or a matrix one entry above -> those 1-cells
+    for c in cells:
+        if c.dimension == 1:
+            t = c.type
+            first = sub = t.col_masks()[0]
+            while sub:
+                for f in above.get(sub, ()):
+                    if f <= t:
+                        groups.setdefault(f, []).append(t)
+                sub = (sub - 1) & first
+            for p in range(t.n * t.d):
+                if not t.bits >> p & 1:
+                    groups.setdefault(t.bits | 1 << p, []).append(t)
+    return {p for g in groups.values() for p in combinations(g, 2)}
+
+
 def set_search(arr) -> list:
     """The leaves of the cell search in search order, as
     ``complex._search`` returns them, with the blocks inside the prefix

@@ -23,17 +23,17 @@ from tropface import (Arrangement, BoolMatrix, CapExceeded,
                       realize_type, tropical_permanent, type_of_point,
                       witness)
 import tropface.complex as complex_module
-from tropface.boolmat import _col_masks
+from tropface.boolmat import _col_masks, _walk
 from tropface.cli import _report
-from tropface.complex import TypeCell, _rule, _search, _ties, _walk
+from tropface.complex import TypeCell, _rule, _search, _ties
 from tropface.permanent import _argmax, _masks
 from tropface.render import render_svg
 
 from demo_data import (S_SAT_NOT_TYPE, T_BND2, T_EDGE, T_UNB2, T_VERT,
                        rand_arrangement, rand_boolmatrix, rand_point)
 from oracle_helpers import (comparability_defects, elimination_defects,
-                            set_search, tie_system_dimension, tom_defects,
-                            triangulation_defects)
+                            edge_pairs, set_search, tie_system_dimension,
+                            tom_defects, triangulation_defects)
 from test_tropical import point_query_cases
 
 
@@ -199,15 +199,19 @@ def test_cells_satisfy_comparability(make, n, d):
 def test_cells_satisfy_elimination(make, n, d):
     # Ardila and Develin's elimination axiom, the last of the tropical
     # oriented matroid axioms, on the arrangements of the tests above:
-    # every pair of cells up to 100 cells, and 3,000 seeded pairs past
-    # that
+    # every pair of cells up to 100 cells, and past that 3,000 seeded
+    # pairs and the pairs of 1-cells that are faces of one 2-cell or lie
+    # one entry below one matrix, whose eliminations include the vertices
+    # they share
     arr = make(random.Random(n * 100 + d), n, d)
-    cells = [c.type for c in enumerate_types(arr)]
+    found = enumerate_types(arr)
+    cells = [c.type for c in found]
     if len(cells) <= 100:
         pairs = combinations(cells, 2)
     else:
         rng = random.Random(n * 10 + d)
         pairs = [rng.sample(cells, 2) for _ in range(3000)]
+        pairs += edge_pairs(found)
     assert elimination_defects(n, d, cells, pairs) == []
 
 
@@ -747,9 +751,12 @@ def test_is_type_matches_geometry_on_degenerate_arrangements(case):
     # on the degenerate arrangements of the point-query test, the type of
     # a point and each type one entry away from it: the combinatorial
     # test agrees with the strict solve, a realized type comes back from
-    # its point, and a witness's type contains its query
-    arr, x, _, _ = case
+    # its point, and a witness's type contains its query; and the point's
+    # type moved by the drawn partition is a type by both tests
+    arr, x, _, part = case
     t = type_of_point(arr, x)
+    moved = act_matrix(t, part)
+    assert is_type(arr, moved) and is_realized_type(arr, moved), (arr, t)
     for flip in range(-1, arr.n * arr.d):
         s = t if flip < 0 else BoolMatrix(arr.n, arr.d, t.bits ^ 1 << flip)
         realized = is_realized_type(arr, s)

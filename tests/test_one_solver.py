@@ -36,7 +36,7 @@ two read its leaves directly: neither names ``enumerate_types`` or
 ``TypeCell``, and the renderer, which draws on an integer grid, names no
 ``BoolMatrix``, ``realize_type``, ``project_to_plane`` or ``Fraction``
 either.  The report's order has one owner: the search takes each
-column's row sets in it (``complex._walk``), so ``cli._report`` calls no
+column's row sets in it (``boolmat._walk``), so ``cli._report`` calls no
 ``sort`` or ``sorted``, and no ``_rank`` keys row sets a second way.
 The value types have one base: only ``boolmat._Value`` defines
 equality, hashing and pickling, and no module imports ``dataclasses``.

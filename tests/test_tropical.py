@@ -409,8 +409,8 @@ def _decider_agrees(arr, matrices) -> int:
 
 
 def test_decider_matches_the_strict_solve():
-    # every matrix of the arrangements of REALIZE_PIN, whose shapes put the
-    # lines on either side: 2x6 and 6x2, 3x4 and 4x3, 1x5 and 5x1
+    # every matrix of the arrangements of REALIZE_PIN, wide and tall
+    # alike: 2x6 and 6x2, 3x4 and 4x3, 1x5 and 5x1
     rng = random.Random(606)
     vals = (-1, 0, 1, F(1, 2), F(-2, 3))
     types = 0
@@ -451,9 +451,8 @@ def _point_types(rng, arr, count, span) -> list:
 
 
 def test_decider_matches_the_strict_solve_on_the_benchmark_shapes():
-    # the tall shapes of enumerate_tall, whose lines are rows, and two
-    # wide ones, whose lines are columns; generic entries as the benchmark
-    # draws them, and tie-heavy ones in {-1, 0, 1}
+    # the tall shapes of enumerate_tall and two wide ones; generic entries
+    # as the benchmark draws them, and tie-heavy ones in {-1, 0, 1}
     rng = random.Random(35)
 
     def generic():
@@ -478,6 +477,24 @@ def test_decider_matches_the_strict_solve_on_the_benchmark_shapes():
         assert all(BoolMatrix(8, 3, bits).row_mask(i) == 0
                    for bits in matrices[::3] for i in low)
         assert _decider_agrees(arr, matrices) >= 30
+
+
+def test_decider_matches_the_strict_solve_on_wide_shapes():
+    # 1x24, the widest shape under the default cap, and 2x40 past it: 24
+    # and 40 column potentials, each row its own chunk; generic and
+    # tie-heavy entries, and every cell the search finds
+    rng = random.Random(37)
+
+    def generic():
+        return F(rng.randint(-50, 50), rng.choice((1, 2, 3)))
+
+    for n, d in ((1, 24), (2, 40)):
+        for entry in (generic, lambda: rng.randint(-1, 1)):
+            arr = Arrangement([[entry() for _ in range(d)] for _ in range(n)])
+            assert _decider_agrees(arr, _point_types(rng, arr, 30, 60)) >= 30
+            decide = _decider(arr)
+            leaves = _search(arr, n * d)
+            assert all(decide(bits, cols) for bits, cols, _, _ in leaves)
 
 
 def test_combine_satisfiers_collapses_on_equal_points(demo):
