@@ -267,7 +267,7 @@ def edge_pairs(cells) -> set:
     for c in cells:
         if c.dimension == 2:
             above.setdefault(c.type.col_masks()[0], []).append(c.type)
-    groups = {}  # a 2-cell, or a matrix one entry above -> those 1-cells
+    groups = {}  # a 2-cell, or the bits one entry above a 1-cell -> 1-cells
     for c in cells:
         if c.dimension == 1:
             t = c.type
