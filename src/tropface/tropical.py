@@ -9,8 +9,13 @@ each column ties are contracted to one node, and the difference
 constraints left between the nodes, strict for an exact type, are solved
 by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
 enumerate report's cross-check decides them, goes to a decider that poses
-each strict system on the d column potentials, one line per row, and
-joins its edges from tables it keeps, one per chunk of rows.  Both relax
+each strict system on the d column potentials, one line per row.  For
+d <= 4 it keeps a table per half of the rows, mapping the half's row
+sets to the shortest paths their bounds leave between the potentials,
+packed into one int per entry: a type is realized iff no cycle that
+alternates between the two halves' paths is negative, which one add of
+the two halves' ints decides for every such cycle at once.  Wider types
+join their edges from tables per chunk of rows.  Both solvers relax
 through one loop, ``_bellman``.
 Internally the matrix is rescaled to integers (all predicates here are
 invariant under a common positive rescaling of the matrix), which keeps
@@ -24,8 +29,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import permutations
+from math import inf, lcm
 from numbers import Rational
+from operator import mul
 
 from .boolmat import BoolMatrix, _expect, _mask_elems, _position, _shape
 
@@ -213,14 +220,18 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # potential.
 
 
-def _bellman(num_nodes: int, edges):
-    """Potentials from a virtual source (0 to every node), or None on a
-    negative cycle; the package's one relaxation loop.  Without a
-    negative cycle no shortest path from the source has more than
-    ``num_nodes`` - 1 edges besides its first, so the potentials settle
-    within that many passes and a further pass changes nothing: a change
-    in pass ``num_nodes`` means a negative cycle."""
-    dist = [0] * num_nodes
+def _bellman(num_nodes: int, edges, start=None):
+    """Potentials from a virtual source with an edge of weight
+    ``start[v]`` to each node v (0 to every node if ``start`` is None),
+    or None on a negative cycle that the source reaches; the package's
+    one relaxation loop.  Without a negative cycle no shortest path from
+    the source has more than ``num_nodes`` - 1 edges besides its first,
+    so the potentials settle within that many passes and a further pass
+    changes nothing: a change in pass ``num_nodes`` means a negative
+    cycle.  A finite start reaches every node, so it finds a negative
+    cycle exactly when zeros do; a start of ``math.inf`` but 0 at one
+    node gives that node's shortest paths, inf where none leads."""
+    dist = [0] * num_nodes if start is None else list(start)
     for _ in range(num_nodes):
         changed = False
         for u, v, w in edges:
@@ -333,31 +344,54 @@ def _decider(arr: Arrangement):
     < M_ka - M_kb.  A row with an empty s asks nothing, and every column
     must be non-empty.  Bounds are scaled by K = d + 1, less 1 when
     strict, as in ``_solve``, so a simple cycle, of at most d edges, is
-    negative iff it was of weight <= 0 with a strict edge.
+    negative iff it was of weight <= 0 with a strict edge.  ``fold``
+    reduces a run of rows with their tie sets, consecutive d-bit fields
+    of ``bits``, to edges (a, b, x): one per ordered pair of columns the
+    rows bound, x the tightest of their bounds on p_b - p_a.
 
-    The rows are cut into chunks of c = max(1, 12 // d) consecutive ones,
-    so a chunk's tie sets are c * d consecutive bits of ``bits``.  A table
-    per chunk maps those bits to a tuple of ready edges (a, b, x), built
-    on first use: one per ordered pair of columns that the chunk's rows
-    bound, x the tightest of their bounds on p_b - p_a, and none for a
-    pair they leave free, so a chunk whose rows all have empty tie sets
-    has no edges.  A type costs one lookup per chunk, the concatenation
-    of the chunks' edges and ``_bellman`` over them.  A pair bounded in
-    several chunks keeps one parallel edge from each, which changes no
-    decision: a cycle through a heavier copy is no lighter than the same
-    cycle through the lightest, so the negative cycles are those of the
-    tightest bounds, and a simple cycle still has at most d edges and a
-    shortest path at most d - 1, as the scaling and ``_bellman``'s d
-    passes need."""
+    For d <= 4 the rows are cut into halves, the first ceil(n / 2) and
+    the rest, and a table per half maps the half's bits to its closure,
+    packed into one int.  The closure holds the shortest paths between
+    the potentials, by ``_bellman`` from each one alone, inf where none
+    leads.  Replacing each run of one half's edges on a negative cycle of
+    the two halves by that half's shortest path gives a closed walk that
+    alternates between the closures and is no heavier.  Two steps of one
+    closure in a row are no lighter than its one step, so where a
+    potential repeats, the walk splits into two shorter alternating
+    walks, one of them negative.  So a type is realized iff neither half
+    holds a negative cycle and no simple alternating cycle, v0 -> v1 by
+    the top half's closure, v1 -> v2 by the bottom's and so on back to
+    v0, is negative: 2 such cycles for d = 2, 6 for d = 3 and 24 for
+    d = 4, each counted once over its turns by two steps.
+
+    The packed int has a field of q + 4 bits per cycle, holding the
+    half's share of the cycle, the sum of its steps by that half, plus
+    4X, X = 2^q.  No bound weighs more than E = K * (largest spread of a
+    row) + 1 either way, and q is chosen with d^2 * E < X, so a finite
+    step, a path of at most d - 1 edges, lies within (d - 1) * E of 0.
+    An inf step counts as X, and a share, of at most two steps, lies in
+    (-X, 2X].  So a field is in (3X, 6X] and the sum of two halves'
+    fields in (6X, 12X], below 16X: adding two packed halves carries
+    nothing between fields, and a field of the sum has its high bit, 8X,
+    iff the two shares add up to at least 0.  Counting inf as X changes
+    no sign, as a total with an inf step is above X - 3(d - 1) * E > 0.
+    A half with a negative cycle packs to 0, which leaves every high bit
+    of the other half clear.  A cell costs two lookups, one add and one
+    AND.
+
+    Packing needs one field per alternating cycle, 80 at d = 5 and
+    thousands past it, so for d >= 5 the rows are cut into chunks of c =
+    max(1, 12 // d) consecutive ones, a table per chunk holds its ready
+    edges, and a cell concatenates its chunks' edges for ``_bellman``.  A
+    pair bounded in several chunks keeps one parallel edge from each,
+    which changes no decision: a cycle through a heavier copy is no
+    lighter than the same cycle through the lightest, and a simple cycle
+    still has at most d edges, as the scaling and ``_bellman``'s d passes
+    need."""
     d = arr.d
     rows = tuple(zip(*arr._icols))
     big = d + 1
     tie = (1 << d) - 1  # one row's bits
-    c = max(1, 12 // d)
-    chunks = []  # (rows, shift, mask, table) per chunk
-    for lo in range(0, arr.n, c):
-        chunk = rows[lo:lo + c]
-        chunks.append((chunk, lo * d, (1 << len(chunk) * d) - 1, {}))
 
     def fold(chunk, key) -> tuple:
         w = {}  # (a, b) -> the tightest bound on p_b - p_a
@@ -376,17 +410,77 @@ def _decider(arr: Arrangement):
                     w[a, b] = min(w.get((a, b), x), x)
         return tuple((a, b, x) for (a, b), x in w.items())
 
+    def paths(edges, starts):
+        """``_bellman`` over ``edges`` from each start in turn: their
+        potentials, one list after another, or None on a negative
+        cycle."""
+        found = []
+        for start in starts:
+            dist = _bellman(d, edges, start)
+            if dist is None:
+                return None
+            found += dist
+        return found
+
+    if d >= 5:
+        c = max(1, 12 // d)
+        chunks = []  # (rows, shift, mask, table) per chunk
+        for lo in range(0, arr.n, c):
+            chunk = rows[lo:lo + c]
+            chunks.append((chunk, lo * d, (1 << len(chunk) * d) - 1, {}))
+
+        def decide(bits, cols) -> bool:
+            if not all(cols):
+                return False  # every column of a type is non-empty
+            edges = ()
+            for chunk, shift, mask, table in chunks:
+                key = bits >> shift & mask
+                t = table.get(key)
+                if t is None:
+                    t = table[key] = fold(chunk, key)
+                edges += t
+            return paths(edges, (None,)) is not None
+
+        return decide
+
+    h = (arr.n + 1) // 2  # the top half's rows
+    cut = h * d
+    low = (1 << cut) - 1
+    q = (d * d * (max(max(e) - min(e) for e in rows) * big + 1)).bit_length()
+    cycles = [v for m in range(2, d + 1, 2) for v in permutations(range(d), m)
+              if v[0] == min(v[::2])]  # one per turn by two steps
+    weights = [0] * d * d, [0] * d * d  # per step a -> b, flat, by each half
+    bias = 0
+    for k, v in enumerate(cycles):
+        field = 1 << (q + 4) * k
+        bias += field << q + 2
+        for i, a in enumerate(v):  # the top half takes the even steps
+            weights[i % 2][a * d + v[i + 1 - len(v)]] += field
+    high = bias << 1
+    units = [(inf,) * a + (0,) + (inf,) * (d - a - 1) for a in range(d)]
+
+    def pack(rows, key, weights) -> int:
+        dist = paths(fold(rows, key), units)
+        if dist is None:
+            return 0  # below every high bit of the other half
+        dist = [1 << q if x == inf else x for x in dist]
+        return sum(map(mul, dist, weights), bias)
+
+    top, bottom = rows[:h], rows[h:]
+    tops, bottoms = {}, {}  # the halves' tables
+
     def decide(bits, cols) -> bool:
         if not all(cols):
             return False  # every column of a type is non-empty
-        edges = ()
-        for chunk, shift, mask, table in chunks:
-            key = bits >> shift & mask
-            t = table.get(key)
-            if t is None:
-                t = table[key] = fold(chunk, key)
-            edges += t
-        return _bellman(d, edges) is not None
+        key = bits & low
+        t = tops.get(key)
+        if t is None:
+            t = tops[key] = pack(top, key, weights[0])
+        key = bits >> cut
+        u = bottoms.get(key)
+        if u is None:
+            u = bottoms[key] = pack(bottom, key, weights[1])
+        return t + u & high == high
 
     return decide
 

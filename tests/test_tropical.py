@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 import time
 from decimal import Decimal
@@ -395,6 +397,55 @@ def test_bellman_takes_parallel_edges():
         assert _bellman(n, chain + [(n - 1, 0, n), (n - 1, 0, -1)]) is None
 
 
+def _shortest_paths(n, edges) -> list:
+    """Floyd-Warshall over ``edges``: the n x n shortest path weights, inf
+    where no path leads, and a negative diagonal entry on a node of a
+    negative cycle."""
+    sp = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v, w in edges:
+        sp[u][v] = min(sp[u][v], w)
+    for k in range(n):
+        for u in range(n):
+            for v in range(n):
+                sp[u][v] = min(sp[u][v], sp[u][k] + sp[k][v])
+    return sp
+
+
+def test_bellman_starts():
+    # random graphs of 1 to 6 nodes, with and without negative cycles:
+    # any finite start finds a negative cycle exactly when zeros do and
+    # otherwise settles at the least of start plus path weight; a start
+    # of inf but 0 at one node gives that node's shortest paths
+    rng = random.Random(38)
+    cyclic = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(-3, 6))
+                 for _ in range(rng.randint(0, 3 * n))]
+        edges = [(u, v, w) for u, v, w in edges if u != v]
+        sp = _shortest_paths(n, edges)
+        negative = any(sp[v][v] < 0 for v in range(n))
+        cyclic += negative
+        assert (_bellman(n, edges) is None) is negative
+        start = [rng.randint(-5, 5) for _ in range(n)]
+        kept = list(start)
+        dist = _bellman(n, edges, start)
+        assert start == kept
+        assert (dist is None) is negative
+        if not negative:
+            assert dist == [min(start[u] + sp[u][v] for u in range(n))
+                            for v in range(n)]
+        for source in range(n):
+            start = [math.inf] * n
+            start[source] = 0
+            dist = _bellman(n, edges, start)
+            if not negative:
+                assert dist == sp[source]
+            elif sp[source][source] < 0:
+                assert dist is None
+    assert 50 < cyclic < 550
+
+
 def _decider_agrees(arr, matrices) -> int:
     """Decide every packed matrix of ``matrices`` with one decider and with
     ``_solve``'s strict system, assert they agree, and count the types."""
@@ -495,6 +546,85 @@ def test_decider_matches_the_strict_solve_on_wide_shapes():
             decide = _decider(arr)
             leaves = _search(arr, n * d)
             assert all(decide(bits, cols) for bits, cols, _, _ in leaves)
+
+
+def test_decider_matches_the_strict_solve_exhaustively():
+    # every matrix of every shape of up to 16 entries with at most 4
+    # columns, so top halves of 1 to 4 rows and bottom halves of 0 to 4;
+    # generic entries and {-1, 0, 1}
+    rng = random.Random(38)
+
+    def generic():
+        return F(rng.randint(-50, 50), rng.choice((1, 2, 3)))
+
+    types = 0
+    for d in range(1, 5):
+        for n in range(1, min(8, 16 // d) + 1):
+            for entry in (generic, lambda: rng.randint(-1, 1)):
+                arr = Arrangement(
+                    [[entry() for _ in range(d)] for _ in range(n)])
+                types += _decider_agrees(arr, range(1 << (n * d)))
+    assert types > 5000
+
+
+def _half_closure(arr, bits, half) -> list:
+    """The shortest paths between the column potentials of one half's
+    strict bounds, rows ``half`` of the type ``bits``, by ``_bellman``
+    from each potential alone, or None on a negative cycle; the bounds
+    as ``_decider`` poses them, scaled by K = d + 1."""
+    d, big = arr.d, arr.d + 1
+    edges = []
+    for k in half:
+        e = [col[k] for col in arr._icols]
+        s = [j for j in range(d) if bits >> (k * d + j) & 1]
+        for b in range(d):
+            if s and b != s[0]:
+                x = (e[s[0]] - e[b]) * big
+                edges.append((s[0], b, x - (b not in s)))
+                if b in s:
+                    edges.append((b, s[0], -x))
+    dist = []
+    for a in range(d):
+        dist.append(_bellman(d, edges, [math.inf] * a + [0]
+                             + [math.inf] * (d - a - 1)))
+    return None if None in dist else dist
+
+
+def test_decider_refuses_glued_halves():
+    # the top rows of one point's type over the bottom rows of another's:
+    # each half is feasible alone, as part of a type, but often not both
+    # together, the case that the halves' closures decide
+    rng = random.Random(3838)
+    glued = refused = 0
+    for n, d in ((5, 4), (6, 4), (7, 4), (8, 4), (8, 3)):
+        low = (1 << (n + 1) // 2 * d) - 1
+        for entry in (lambda: F(rng.randint(-50, 50), rng.choice((1, 2, 3))),
+                      lambda: rng.randint(-1, 1)):
+            for _ in range(3):
+                arr = Arrangement(
+                    [[entry() for _ in range(d)] for _ in range(n)])
+                matrices = []
+                for _ in range(120):
+                    x, y = ([rng.randint(-60, 60) for _ in range(n)]
+                            for _ in range(2))
+                    matrices.append(type_of_point(arr, x).bits & low
+                                    | type_of_point(arr, y).bits & ~low)
+                glued += len(matrices)
+                refused += len(matrices) - _decider_agrees(arr, matrices)
+    assert 0.2 * glued < refused < 0.8 * glued
+    # a 5x4 type whose halves, rows 1-3 and 4-5, meet every 2-cycle
+    # bound: only the 4-cycle through all four potentials refuses it
+    arr = Arrangement([[9, -4, F(11, 3), 17], [-17, F(16, 3), 9, -5],
+                       [-1, F(-19, 3), -2, 2], [-10, -1, 15, 2],
+                       [F(2, 3), 17, 4, 5]])
+    t = BoolMatrix.from_columns(5, [[0], [1, 4], [1, 3], [0, 3]])
+    assert _decider_agrees(arr, [t.bits]) == 0
+    top, bottom = (_half_closure(arr, t.bits, half)
+                   for half in (range(3), range(3, 5)))
+    assert all(top[a][b] + bottom[b][a] >= 0
+               for a in range(4) for b in range(4))
+    assert min(top[v0][v1] + bottom[v1][v2] + top[v2][v3] + bottom[v3][v0]
+               for v0, v1, v2, v3 in itertools.permutations(range(4))) < 0
 
 
 def test_combine_satisfiers_collapses_on_equal_points(demo):
