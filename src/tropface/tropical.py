@@ -11,12 +11,13 @@ by Bellman-Ford relaxation.  A stream of types of one arrangement, as the
 enumerate report's cross-check decides them, goes to a decider that poses
 each strict system on the d column potentials, one line per row.  For
 d <= 4 it keeps a table per half of the rows, mapping the half's row
-sets to the shortest paths their bounds leave between the potentials,
-packed into one int per entry: a type is realized iff no cycle that
-alternates between the two halves' paths is negative, which one add of
-the two halves' ints decides for every such cycle at once.  Wider types
-join their edges from tables per chunk of rows.  Both solvers relax
-through one loop, ``_bellman``.
+sets to the tightest bounds their rows put on each pair of potentials,
+packed into one int with a field per simple cycle and split of its
+steps between the halves: a type is realized iff no cycle is negative
+when each step takes its lighter half, which one add of the two
+halves' ints decides for every cycle and split at once.  Wider types
+join their edges from tables per chunk of rows and relax them through
+``_bellman``, the loop that solves single systems too.
 Internally the matrix is rescaled to integers (all predicates here are
 invariant under a common positive rescaling of the matrix), which keeps
 the graph algorithms in plain `int` arithmetic; witnesses are scaled back
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import permutations
-from math import inf, lcm
+from itertools import permutations, product
+from math import lcm
 from numbers import Rational
-from operator import mul
 
 from .boolmat import BoolMatrix, _expect, _mask_elems, _position, _shape
 
@@ -200,7 +200,7 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # feasibility: is s below some point's type (weak), or exactly one (strict)?
 # ``_solve`` answers one matrix on the n row potentials, below; ``_decider``
 # answers a stream of types on the d column potentials, with the same
-# scaling and the same relaxation loop, ``_bellman``.
+# scaling and, past 4 columns, the same relaxation loop, ``_bellman``.
 #
 # A 1 at (i, j) of s demands x_i - M_ij <= x_k - M_kj for every row k.  Two
 # rows sharing a column of s get both directions, so they are tied, which
@@ -220,18 +220,15 @@ def column_space_projection(arr: Arrangement, y) -> tuple:
 # potential.
 
 
-def _bellman(num_nodes: int, edges, start=None):
-    """Potentials from a virtual source with an edge of weight
-    ``start[v]`` to each node v (0 to every node if ``start`` is None),
-    or None on a negative cycle that the source reaches; the package's
-    one relaxation loop.  Without a negative cycle no shortest path from
-    the source has more than ``num_nodes`` - 1 edges besides its first,
-    so the potentials settle within that many passes and a further pass
-    changes nothing: a change in pass ``num_nodes`` means a negative
-    cycle.  A finite start reaches every node, so it finds a negative
-    cycle exactly when zeros do; a start of ``math.inf`` but 0 at one
-    node gives that node's shortest paths, inf where none leads."""
-    dist = [0] * num_nodes if start is None else list(start)
+def _bellman(num_nodes: int, edges):
+    """Potentials from a virtual source (0 to every node), or None on a
+    negative cycle; the package's one relaxation loop, which ``_solve``
+    runs and ``_decider`` on the chunks of wide types.
+    Without a negative cycle no shortest path from the source has more
+    than ``num_nodes`` - 1 edges besides its first, so the potentials
+    settle within that many passes and a further pass changes nothing: a
+    change in pass ``num_nodes`` means a negative cycle."""
+    dist = [0] * num_nodes
     for _ in range(num_nodes):
         changed = False
         for u, v, w in edges:
@@ -344,129 +341,128 @@ def _decider(arr: Arrangement):
     < M_ka - M_kb.  A row with an empty s asks nothing, and every column
     must be non-empty.  Bounds are scaled by K = d + 1, less 1 when
     strict, as in ``_solve``, so a simple cycle, of at most d edges, is
-    negative iff it was of weight <= 0 with a strict edge.  ``fold``
+    negative iff it was of weight <= 0 with a strict edge.  ``bounds``
     reduces a run of rows with their tie sets, consecutive d-bit fields
-    of ``bits``, to edges (a, b, x): one per ordered pair of columns the
-    rows bound, x the tightest of their bounds on p_b - p_a.
+    of ``bits``, to W: for each pair (a, b) the rows bound, W[a][b] is
+    the tightest of their bounds on p_b - p_a.  It reads each row's own
+    bounds from a table per row, keyed by the tie set and filled on
+    first use.
 
     For d <= 4 the rows are cut into halves, the first ceil(n / 2) and
-    the rest, and a table per half maps the half's bits to its closure,
-    packed into one int.  The closure holds the shortest paths between
-    the potentials, by ``_bellman`` from each one alone, inf where none
-    leads.  Replacing each run of one half's edges on a negative cycle of
-    the two halves by that half's shortest path gives a closed walk that
-    alternates between the closures and is no heavier.  Two steps of one
-    closure in a row are no lighter than its one step, so where a
-    potential repeats, the walk splits into two shorter alternating
-    walks, one of them negative.  So a type is realized iff neither half
-    holds a negative cycle and no simple alternating cycle, v0 -> v1 by
-    the top half's closure, v1 -> v2 by the bottom's and so on back to
-    v0, is negative: 2 such cycles for d = 2, 6 for d = 3 and 24 for
-    d = 4, each counted once over its turns by two steps.
+    the rest, and a table per half maps the half's bits to one int
+    packed from its W.  The union of the halves has a negative cycle iff
+    some simple cycle is negative when each step takes its lighter half,
+    as a negative cycle holds a negative simple one.  So the int has one field per simple directed cycle of 2..d
+    potentials, one rotation of each, and split of the cycle's steps
+    between the halves: 4 fields at d = 2, 28 at d = 3 and 184 at d = 4.
+    A half's field holds its share of the split, the sum of W over the
+    steps the split gives it, plus 4X, where an unbounded pair counts as
+    X = 2^q.  The shares are linear in W, so a half packs as its int
+    with every pair unbounded plus, for each pair it bounds, W[a][b] - X
+    times the fields that give it the step a -> b.  A negative cycle
+    within one half needs no case of its own: the split that gives that
+    half every step finds it.
 
-    The packed int has a field of q + 4 bits per cycle, holding the
-    half's share of the cycle, the sum of its steps by that half, plus
-    4X, X = 2^q.  No bound weighs more than E = K * (largest spread of a
-    row) + 1 either way, and q is chosen with d^2 * E < X, so a finite
-    step, a path of at most d - 1 edges, lies within (d - 1) * E of 0.
-    An inf step counts as X, and a share, of at most two steps, lies in
-    (-X, 2X].  So a field is in (3X, 6X] and the sum of two halves'
-    fields in (6X, 12X], below 16X: adding two packed halves carries
-    nothing between fields, and a field of the sum has its high bit, 8X,
-    iff the two shares add up to at least 0.  Counting inf as X changes
-    no sign, as a total with an inf step is above X - 3(d - 1) * E > 0.
-    A half with a negative cycle packs to 0, which leaves every high bit
-    of the other half clear.  A cell costs two lookups, one add and one
-    AND.
+    A field has q + 4 bits.  No bound weighs more than E = K * (largest
+    spread of a row) + 1 either way, and q is chosen with (d - 1) * E <
+    X, so a split's total over at most d steps is negative only if no
+    step is unbounded: one unbounded step makes it at least X - (d - 1)
+    * E > 0.  A share lies in [-dE, dX], so a field in (0, 8X] and the
+    sum of two halves' fields, the split's total plus 8X, in (0, 12X],
+    below 16X: adding two packed halves carries nothing between fields,
+    and a field of the sum has its high bit, 8X, iff the split's total
+    is at least 0.  A cell costs two lookups, one add and one AND.
 
-    Packing needs one field per alternating cycle, 80 at d = 5 and
-    thousands past it, so for d >= 5 the rows are cut into chunks of c =
+    Packing needs one field per cycle and split, 1,448 at d = 5 and far
+    more past it, so for d >= 5 the rows are cut into chunks of c =
     max(1, 12 // d) consecutive ones, a table per chunk holds its ready
-    edges, and a cell concatenates its chunks' edges for ``_bellman``.  A
-    pair bounded in several chunks keeps one parallel edge from each,
-    which changes no decision: a cycle through a heavier copy is no
-    lighter than the same cycle through the lightest, and a simple cycle
-    still has at most d edges, as the scaling and ``_bellman``'s d passes
-    need."""
+    edges (a, b, W[a][b]), and a cell concatenates its chunks' edges for
+    ``_bellman``.  A pair bounded in several chunks keeps one parallel
+    edge from each, which changes no decision: a cycle through a heavier
+    copy is no lighter than the same cycle through the lightest, and a
+    simple cycle still has at most d edges, as the scaling and
+    ``_bellman``'s d passes need."""
     d = arr.d
     rows = tuple(zip(*arr._icols))
     big = d + 1
     tie = (1 << d) - 1  # one row's bits
+    spread = max(max(e) - min(e) for e in rows) * big + 1  # E
+    unbounded = 1 << ((d - 1) * spread).bit_length()  # X
+    tables = [{} for _ in rows]  # per row: tie set -> the row's bounds
 
-    def fold(chunk, key) -> tuple:
-        w = {}  # (a, b) -> the tightest bound on p_b - p_a
-        for e in chunk:
+    def bounds(lo, hi, key) -> dict:
+        """W of rows lo..hi - 1 with the tie sets ``key``: (a, b) -> the
+        tightest bound on p_b - p_a, for each pair the rows bound."""
+        w = {}
+        for k in range(lo, hi):
             s, key = key & tie, key >> d  # this row's tie set, the rest
             if not s:
                 continue  # a row in no column
-            a = _mask_elems(s)[0]
-            for b in range(d):
-                if b != a:
-                    x = (e[a] - e[b]) * big
-                    if s >> b & 1:  # tied: also p_a - p_b <= e_b - e_a
-                        w[b, a] = min(w.get((b, a), -x), -x)
-                    else:
-                        x -= 1
-                    w[a, b] = min(w.get((a, b), x), x)
-        return tuple((a, b, x) for (a, b), x in w.items())
-
-    def paths(edges, starts):
-        """``_bellman`` over ``edges`` from each start in turn: their
-        potentials, one list after another, or None on a negative
-        cycle."""
-        found = []
-        for start in starts:
-            dist = _bellman(d, edges, start)
-            if dist is None:
-                return None
-            found += dist
-        return found
+            t = tables[k].get(s)
+            if t is None:
+                e = rows[k]
+                a = _mask_elems(s)[0]
+                t = tables[k][s] = []
+                for b in range(d):
+                    if b != a:
+                        x = (e[a] - e[b]) * big
+                        if s >> b & 1:  # tied: also p_a - p_b <= e_b - e_a
+                            t.append(((b, a), -x))
+                        else:
+                            x -= 1
+                        t.append(((a, b), x))
+            for p, x in t:
+                if x < w.get(p, unbounded):
+                    w[p] = x
+        return w
 
     if d >= 5:
         c = max(1, 12 // d)
-        chunks = []  # (rows, shift, mask, table) per chunk
-        for lo in range(0, arr.n, c):
-            chunk = rows[lo:lo + c]
-            chunks.append((chunk, lo * d, (1 << len(chunk) * d) - 1, {}))
+        chunks = [(lo, min(lo + c, arr.n), {}) for lo in range(0, arr.n, c)]
+        mask = (1 << c * d) - 1  # a chunk's bits
 
         def decide(bits, cols) -> bool:
             if not all(cols):
                 return False  # every column of a type is non-empty
             edges = ()
-            for chunk, shift, mask, table in chunks:
-                key = bits >> shift & mask
+            for lo, hi, table in chunks:
+                key = bits >> lo * d & mask
                 t = table.get(key)
                 if t is None:
-                    t = table[key] = fold(chunk, key)
+                    t = table[key] = tuple(
+                        (a, b, x) for (a, b), x in bounds(lo, hi, key).items())
                 edges += t
-            return paths(edges, (None,)) is not None
+            return _bellman(d, edges) is not None
 
         return decide
 
     h = (arr.n + 1) // 2  # the top half's rows
     cut = h * d
     low = (1 << cut) - 1
-    q = (d * d * (max(max(e) - min(e) for e in rows) * big + 1)).bit_length()
-    cycles = [v for m in range(2, d + 1, 2) for v in permutations(range(d), m)
-              if v[0] == min(v[::2])]  # one per turn by two steps
-    weights = [0] * d * d, [0] * d * d  # per step a -> b, flat, by each half
+    width = unbounded.bit_length() + 3  # q + 4 bits per field
+    steps = list(permutations(range(d), 2))
+    # per half, step a -> b: the sum of the fields that give it that half
+    weights = dict.fromkeys(steps, 0), dict.fromkeys(steps, 0)
     bias = 0
-    for k, v in enumerate(cycles):
-        field = 1 << (q + 4) * k
-        bias += field << q + 2
-        for i, a in enumerate(v):  # the top half takes the even steps
-            weights[i % 2][a * d + v[i + 1 - len(v)]] += field
+    for k, (v, split) in enumerate(
+            (v, split) for m in range(2, d + 1)
+            for v in permutations(range(d), m)
+            if v[0] == min(v)  # one rotation of each cycle
+            for split in product((0, 1), repeat=m)):
+        field = 1 << width * k
+        bias += unbounded * field << 2
+        for a, b, half in zip(v, v[1:] + v[:1], split):
+            weights[half][a, b] += field
     high = bias << 1
-    units = [(inf,) * a + (0,) + (inf,) * (d - a - 1) for a in range(d)]
+    # each half's int when it bounds no pair
+    free = [bias + unbounded * sum(w.values()) for w in weights]
 
-    def pack(rows, key, weights) -> int:
-        dist = paths(fold(rows, key), units)
-        if dist is None:
-            return 0  # below every high bit of the other half
-        dist = [1 << q if x == inf else x for x in dist]
-        return sum(map(mul, dist, weights), bias)
+    def pack(lo, hi, key, half) -> int:
+        """The int of rows lo..hi - 1, the half ``half``, with the tie
+        sets ``key``."""
+        return sum([(x - unbounded) * weights[half][p]
+                    for p, x in bounds(lo, hi, key).items()], free[half])
 
-    top, bottom = rows[:h], rows[h:]
     tops, bottoms = {}, {}  # the halves' tables
 
     def decide(bits, cols) -> bool:
@@ -475,11 +471,11 @@ def _decider(arr: Arrangement):
         key = bits & low
         t = tops.get(key)
         if t is None:
-            t = tops[key] = pack(top, key, weights[0])
+            t = tops[key] = pack(0, h, key, 0)
         key = bits >> cut
         u = bottoms.get(key)
         if u is None:
-            u = bottoms[key] = pack(bottom, key, weights[1])
+            u = bottoms[key] = pack(h, arr.n, key, 1)
         return t + u & high == high
 
     return decide

@@ -413,9 +413,8 @@ def _shortest_paths(n, edges) -> list:
 
 def test_bellman_starts():
     # random graphs of 1 to 6 nodes, with and without negative cycles:
-    # any finite start finds a negative cycle exactly when zeros do and
-    # otherwise settles at the least of start plus path weight; a start
-    # of inf but 0 at one node gives that node's shortest paths
+    # from zeros, the virtual source's edges, it finds a negative cycle
+    # exactly when Floyd-Warshall does
     rng = random.Random(38)
     cyclic = 0
     for _ in range(600):
@@ -427,22 +426,6 @@ def test_bellman_starts():
         negative = any(sp[v][v] < 0 for v in range(n))
         cyclic += negative
         assert (_bellman(n, edges) is None) is negative
-        start = [rng.randint(-5, 5) for _ in range(n)]
-        kept = list(start)
-        dist = _bellman(n, edges, start)
-        assert start == kept
-        assert (dist is None) is negative
-        if not negative:
-            assert dist == [min(start[u] + sp[u][v] for u in range(n))
-                            for v in range(n)]
-        for source in range(n):
-            start = [math.inf] * n
-            start[source] = 0
-            dist = _bellman(n, edges, start)
-            if not negative:
-                assert dist == sp[source]
-            elif sp[source][source] < 0:
-                assert dist is None
     assert 50 < cyclic < 550
 
 
@@ -569,9 +552,9 @@ def test_decider_matches_the_strict_solve_exhaustively():
 
 def _half_closure(arr, bits, half) -> list:
     """The shortest paths between the column potentials of one half's
-    strict bounds, rows ``half`` of the type ``bits``, by ``_bellman``
-    from each potential alone, or None on a negative cycle; the bounds
-    as ``_decider`` poses them, scaled by K = d + 1."""
+    strict bounds, rows ``half`` of the type ``bits``, by
+    ``_shortest_paths``, or None on a negative cycle; the bounds as
+    ``_decider`` poses them, scaled by K = d + 1."""
     d, big = arr.d, arr.d + 1
     edges = []
     for k in half:
@@ -583,11 +566,8 @@ def _half_closure(arr, bits, half) -> list:
                 edges.append((s[0], b, x - (b not in s)))
                 if b in s:
                     edges.append((b, s[0], -x))
-    dist = []
-    for a in range(d):
-        dist.append(_bellman(d, edges, [math.inf] * a + [0]
-                             + [math.inf] * (d - a - 1)))
-    return None if None in dist else dist
+    sp = _shortest_paths(d, edges)
+    return None if any(sp[a][a] < 0 for a in range(d)) else sp
 
 
 def test_decider_refuses_glued_halves():
